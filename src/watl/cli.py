@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-from fractions import Fraction
 
 import click
 
@@ -19,7 +18,7 @@ from . import optcost, rdl, sampling, serialize, transform, wrdl
 from .core import ambiguity_probe, classify_automaton, enumerate_runs
 from .errors import PreimageCapError, WatlError
 from .monoids import WeightPairWord, check_axioms, monoid_from_id, valuate
-from .weights import format_weight, parse_weight
+from .weights import format_weight, is_finite, parse_weight
 from .wta import behavior, run_weight
 
 
@@ -27,7 +26,11 @@ from .wta import behavior, run_weight
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for every randomized step.")
 @click.option("--cap-preimages", type=int, default=transform.DEFAULT_PREIMAGE_CAP,
-              show_default=True, help="Bound on enumerated preimage words.")
+              show_default=True,
+              help="Bound on the h-preimage count of a word in nivat-eval, checked "
+                   "before evaluating; preimages are enumerated only for sentence "
+                   "languages, recognizable ones over a non-idempotent monoid, and "
+                   "monoids without a step-wise valuation.")
 @click.option("--max-word-len", type=int, default=4, show_default=True,
               help="Length bound for generated words.")
 @click.pass_context
@@ -66,7 +69,10 @@ def _read_text(path):
 
 
 def _load_word(path, timestamps):
-    return serialize.word_from_list(_read_json(path), timestamps=timestamps)
+    try:
+        return serialize.word_from_list(_read_json(path), timestamps=timestamps)
+    except ValueError as exc:  # decreasing timestamps
+        raise click.ClickException(str(exc))
 
 
 def _load_model(path):
@@ -127,12 +133,12 @@ def eval_command(monoid_id, pairs_path):
     data = _read_json(pairs_path)
     if not isinstance(data, list) or not data:
         raise click.ClickException("pairs file must be a non-empty JSON list")
-    entries = []
     for item in data:
         if not (isinstance(item, list) and len(item) == 3):
             raise click.ClickException("each entry must be [rate, weight, delay]")
-        m, mp, t = (parse_weight(str(v)) for v in item)
-        entries.append(((m, mp), t))
+    delays = serialize.parse_delays([item[2] for item in data])
+    entries = [((parse_weight(str(m)), parse_weight(str(mp))), t)
+               for (m, mp, _), t in zip(data, delays)]
     value = valuate(monoid, WeightPairWord(tuple(entries)))
     _emit({"value": format_weight(value)},
           f"{monoid.id} valuation of {len(entries)} pairs: {format_weight(value)}")
@@ -287,7 +293,13 @@ def compose_command(triple_path, monoid_id, alphabet):
 @click.pass_context
 @_guard
 def nivat_eval_command(ctx, triple_path, word_path, monoid_id, timestamps):
-    """Evaluate a triple on a word by enumerating h-preimages."""
+    """Evaluate a triple on a word.
+
+    Automaton languages are folded over configurations in one pass when
+    the monoid is idempotent or the class allows one run per word; other
+    triples enumerate the h-preimages.  Either way the preimage count is
+    checked against --cap-preimages first.
+    """
     monoid = monoid_from_id(monoid_id)
     triple = serialize.triple_from_dict(_read_json(triple_path))
     word = _load_word(word_path, timestamps)
@@ -434,7 +446,9 @@ def decide_command(formula_path, monoid_id, theta, alphabet_text, non_strict):
     else:
         letters = sorted({sub.letter for sub in _letters_of(formula)})
         alphabet = tuple(letters) or ("a",)
-    threshold = Fraction(theta)
+    threshold = parse_weight(theta)
+    if not is_finite(threshold):
+        raise click.ClickException(f"--theta must be a finite rational, got {theta!r}")
     strict = not non_strict
     if monoid_id == "sum0":
         result = optcost.decide_sum_threshold(formula, alphabet, threshold,

@@ -9,14 +9,18 @@ are no diagonal constraints.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ModelValidationError, ParseError
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
 
 
 def _as_fraction(value) -> Fraction:
@@ -114,15 +118,7 @@ class ClockAtom:
             raise ValueError(f"guard bounds must be naturals, got {self.bound!r}")
 
     def holds(self, value: Fraction) -> bool:
-        if self.rel == "<":
-            return value < self.bound
-        if self.rel == "<=":
-            return value <= self.bound
-        if self.rel == "=":
-            return value == self.bound
-        if self.rel == ">=":
-            return value >= self.bound
-        return value > self.bound
+        return _COMPARE[self.rel](value, self.bound)
 
     def __str__(self):
         return f"{self.clock}{self.rel}{self.bound}"
@@ -357,41 +353,133 @@ class Run:
         return tuple(e.id for e in self.edges)
 
 
+def check_word_alphabet(automaton: TimedAutomaton, word: TimedWord) -> None:
+    """Refuse a word with letters outside the automaton's alphabet."""
+    unknown = set(word.letters) - set(automaton.alphabet)
+    if unknown:
+        raise ModelValidationError([f"word letter {u!r} not in automaton alphabet" for u in sorted(unknown)])
+
+
 def enumerate_runs(automaton: TimedAutomaton, word: TimedWord) -> tuple:
     """All runs of the automaton on the word, sorted by edge-id sequence.
 
     A run starts in an initial location with all clocks zero; step i
     checks the guard at the pre-reset valuation (after the delay) and
-    then applies the resets; the run must end in a final location.
+    then applies the resets; the run must end in a final location.  The
+    search is depth-first over an explicit stack; each stack entry links
+    back to its predecessor, so a run is copied out only once it accepts.
     """
-    unknown = set(word.letters) - set(automaton.alphabet)
-    if unknown:
-        raise ModelValidationError([f"word letter {u!r} not in automaton alphabet" for u in sorted(unknown)])
-    results = []
+    check_word_alphabet(automaton, word)
     entries = word.entries
     final = set(automaton.final)
-
-    def extend(index, location, valuation, edges, locations, valuations):
+    by_key = {}
+    for edge in automaton.edges:
+        by_key.setdefault((edge.source, edge.label), []).append(edge)
+    results = []
+    zero = automaton.zero_valuation()
+    # A trail is (edge taken, location reached, valuation there, previous trail).
+    stack = [(0, (None, start, zero, None)) for start in automaton.initial]
+    while stack:
+        index, trail = stack.pop()
+        _, location, valuation, _ = trail
         if index == len(entries):
             if location in final:
-                results.append(Run(word, tuple(edges), tuple(locations), tuple(valuations)))
-            return
+                results.append(_run_of(word, trail))
+            continue
         letter, delay = entries[index]
-        for edge in automaton.edges:
-            if edge.source != location or edge.label != letter:
-                continue
-            aged = {c: v + delay for c, v in valuation.items()}
-            if not edge.guard.satisfied_by(aged):
-                continue
-            nxt = {c: (Fraction(0) if c in edge.resets else v) for c, v in aged.items()}
-            extend(index + 1, edge.target, nxt,
-                   edges + [edge], locations + [edge.target], valuations + [nxt])
-
-    zero = automaton.zero_valuation()
-    for start in automaton.initial:
-        extend(0, start, zero, [], [start], [zero])
+        aged = {c: v + delay for c, v in valuation.items()}
+        for edge in by_key.get((location, letter), ()):
+            if edge.guard.satisfied_by(aged):
+                landed = {c: (Fraction(0) if c in edge.resets else v) for c, v in aged.items()}
+                stack.append((index + 1, (edge, edge.target, landed, trail)))
     results.sort(key=lambda run: run.edge_ids)
     return tuple(results)
+
+
+def _run_of(word: TimedWord, trail) -> Run:
+    edges, locations, valuations = [], [], []
+    while trail is not None:
+        edge, location, valuation, trail = trail
+        if edge is not None:
+            edges.append(edge)
+        locations.append(location)
+        valuations.append(valuation)
+    return Run(word, tuple(reversed(edges)), tuple(reversed(locations)),
+               tuple(reversed(valuations)))
+
+
+_ABSENT = object()
+
+
+def fold_runs(automaton: TimedAutomaton, word: TimedWord, moves: Iterable,
+              start, step: Callable, plus: Callable) -> list:
+    """Fold a step function over the runs of the automaton on the word,
+    merging runs per configuration; returns the partial values of the
+    final configurations.
+
+    ``moves`` lists (edge, letter, charge) triples: the edge may be taken
+    to read ``letter`` and then charges ``charge``.  Each initial
+    configuration holds ``start``; taking a move at step i turns a
+    partial value p into ``step(p, i, charge)``, and the values of run
+    prefixes that reach the same configuration are merged with ``plus``.
+    Whenever step distributes over plus, the merged value of a final
+    configuration equals the plus-sum over the runs ending there.
+
+    A configuration is a location with the position of each clock's last
+    reset (0 for none), which fixes the clock's value on a given word.
+    Clocks that no guard reads cannot change which runs exist, so they are
+    left out.  For a word of n letters there are thus at most
+    |L|·(n+1)^|X| configurations, X the guarded clocks.
+    """
+    letters = {letter for letter, _ in word.entries}
+    moves = [move for move in moves if move[1] in letters]
+    guarded = {a.clock for edge, _, _ in moves for a in edge.guard.atoms}
+    clocks = [c for c in automaton.clocks if c in guarded]
+    position = {c: k for k, c in enumerate(clocks)}
+    table = {}
+    for edge, letter, charge in moves:
+        atoms = tuple((position[a.clock], _COMPARE[a.rel], a.bound) for a in edge.guard.atoms)
+        resets = tuple(c in edge.resets for c in clocks) if edge.resets else ()
+        table.setdefault((edge.source, letter), []).append(
+            (atoms, resets if any(resets) else None, edge.target, charge))
+    # times[k] is the absolute time of the k-th event, times[0] = 0.
+    times = (Fraction(0),) + word.prefix_sums()
+    configurations = {}
+    for location in automaton.initial:
+        key = (location, (0,) * len(clocks))
+        known = configurations.get(key, _ABSENT)
+        configurations[key] = start if known is _ABSENT else plus(known, start)
+    for i, letter in enumerate(word.letters):
+        now = times[i + 1]
+        reached = {}
+        for (location, resets_at), partial in configurations.items():
+            for atoms, resets, target, charge in table.get((location, letter), ()):
+                if not all(compare(now - times[resets_at[k]], bound)
+                           for k, compare, bound in atoms):
+                    continue
+                landed = resets_at if resets is None else tuple(
+                    i + 1 if reset else r for r, reset in zip(resets_at, resets))
+                key = (target, landed)
+                value = step(partial, i, charge)
+                known = reached.get(key, _ABSENT)
+                reached[key] = value if known is _ABSENT else plus(known, value)
+        if not reached:
+            return []
+        configurations = reached
+    final = set(automaton.final)
+    return [partial for (location, _), partial in configurations.items() if location in final]
+
+
+def accepts(automaton: TimedAutomaton, word: TimedWord) -> bool:
+    """Whether the automaton has an accepting run on the word, decided by
+    reachability over configurations."""
+    check_word_alphabet(automaton, word)
+    moves = [(edge, edge.label, None) for edge in automaton.edges]
+    return bool(fold_runs(automaton, word, moves, True, _reached, _reached))
+
+
+def _reached(*_):
+    return True
 
 
 def classify_automaton(automaton: TimedAutomaton) -> dict:

@@ -6,6 +6,11 @@ of weight pairs to a single value.  The pair at position i is
 (m_i, m'_i): m_i is the rate charged while waiting (per time unit) and
 m'_i the discrete weight of the step itself.
 
+Every shipped monoid gives its valuation as a step-wise fold over the
+delays (``step_fold``) whose steps distribute over ``plus``; ``val``
+runs it along one sequence, and behaviors fold it over automaton
+configurations instead of over runs.
+
 Product valuation monoids additionally carry a second operation
 ``diamond`` with unit ``one``; they back the weighted logic semantics.
 """
@@ -56,7 +61,9 @@ class WeightPairWord:
 
 
 class TimedValuationMonoid:
-    """Base class; concrete monoids override plus/val and the flags."""
+    """Base class; concrete monoids override plus, step_fold (or val
+    alone, for a monoid whose valuation has no step-wise form) and the
+    flags."""
 
     id: str = "?"
     idempotent: bool = False
@@ -71,8 +78,23 @@ class TimedValuationMonoid:
     def plus(self, x, y):
         raise NotImplementedError
 
+    def step_fold(self, delays) -> Optional["StepFold"]:
+        """The valuation as a step-wise fold over the given delays, or None.
+
+        Behaviors over a monoid without one are evaluated by enumerating
+        runs and applying ``val`` to each.
+        """
+        return None
+
     def val(self, word: WeightPairWord):
-        raise NotImplementedError
+        fold = self.step_fold([t for _, t in word])
+        if fold is None:
+            raise NotImplementedError
+        with fold:
+            partial = fold.start
+            for i, (charge, _) in enumerate(word):
+                partial = fold.step(partial, i, charge)
+            return fold.finish(partial)
 
     def contains(self, x) -> bool:
         raise NotImplementedError
@@ -116,6 +138,144 @@ def _min_plus(x, y):
     return x if x <= y else y
 
 
+class StepFold:
+    """A monoid's valuation taken one step at a time over fixed delays.
+
+    ``step(p, i, (m, m'))`` extends the partial value p of a run prefix by
+    step i, which charges rate m over the i-th delay and discrete weight
+    m'; ``plus`` merges the partial values of prefixes that end in the same
+    configuration, and ``finish`` turns a partial value into a value of
+    the monoid.  Because step and finish distribute over plus, folding per
+    configuration gives the plus-sum of val over all runs.  Enter the fold
+    as a context manager while stepping (the discounting fold sets its
+    working precision there).  This base class is the min-plus fold of
+    ``sum``.
+    """
+
+    start = Fraction(0)
+
+    def __init__(self, delays):
+        self.delays = tuple(delays)
+
+    def step(self, partial, i, charge):
+        m, mp = charge
+        return partial + m * self.delays[i] + mp
+
+    def plus(self, x, y):
+        return _min_plus(x, y)
+
+    def finish(self, partial):
+        return partial
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+class _AverageFold(StepFold):
+    """The sum fold divided by the (positive) duration of the word."""
+
+    def __init__(self, delays, duration):
+        super().__init__(delays)
+        self.duration = duration
+
+    def finish(self, partial):
+        if isinstance(partial, Infinity):
+            return partial
+        return partial / self.duration
+
+
+_NO_RATES = frozenset()
+
+
+class _UniformRateFold(StepFold):
+    """The average over a word of zero duration.
+
+    A run's value is its first rate when every rate it charges equals that
+    finite rate and every discrete weight is 0, and inf otherwise.  The
+    partial value of a configuration is the set of rates r such that some
+    run prefix into it charged (r, 0) at every step: prefixes charging
+    different rates can meet in one configuration, and only those whose
+    rate equals the next step's can go on.
+    """
+
+    start = _NO_RATES
+
+    def step(self, partial, i, charge):
+        m, mp = charge
+        if mp == 0 and is_finite(m) and (i == 0 or m in partial):
+            return frozenset((m,))
+        return _NO_RATES
+
+    def plus(self, x, y):
+        return x | y
+
+    def finish(self, partial):
+        return min(partial) if partial else INF
+
+
+class _DiscountFold(StepFold):
+    """Min-plus over mpf: step i adds its discounted charge, whose factors
+    lam^t_i and lam^(t_1 + ... + t_(i-1)) depend only on the word.  They
+    are computed once per word, when the first finite step is taken."""
+
+    start = mpmath.mpf(0)
+
+    def __init__(self, lam: Fraction, delays):
+        super().__init__(delays)
+        self.lam = lam
+        self._steps = None
+
+    def _factors(self) -> list:
+        steps = []
+        with mpmath.workdps(_DISC_DPS):
+            lam = to_mpf(self.lam)
+            log_lam = mpmath.log(lam)
+            factor = mpmath.mpf(1)
+            for t in self.delays:
+                decay = mpmath.power(lam, to_mpf(t))
+                steps.append((factor, (decay - 1) / log_lam, decay))
+                factor *= decay
+        return steps
+
+    def step(self, partial, i, charge):
+        # Infinite components absorb, matching x * inf = inf even at t = 0.
+        m, mp = charge
+        if isinstance(partial, Infinity) or isinstance(m, Infinity) or isinstance(mp, Infinity):
+            return INF
+        if self._steps is None:
+            self._steps = self._factors()
+        factor, rate_part, decay = self._steps[i]
+        return partial + factor * (rate_part * to_mpf(m) + decay * to_mpf(mp))
+
+    def __enter__(self):
+        self._precision = mpmath.workdps(_DISC_DPS)
+        self._precision.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._precision.__exit__(*exc)
+
+
+class _ProductFold(StepFold):
+    """(+, x) over the discrete weights."""
+
+    start = Fraction(1)
+
+    def __init__(self, monoid, delays):
+        super().__init__(delays)
+        self.monoid = monoid
+
+    def step(self, partial, i, charge):
+        self.monoid.require(charge[1], "discrete weight")
+        return partial * charge[1]
+
+    def plus(self, x, y):
+        return x + y
+
+
 class SumMonoid(TimedValuationMonoid):
     """(R ∪ {inf}, min, sum of m_i * t_i + m'_i, inf)."""
 
@@ -133,11 +293,8 @@ class SumMonoid(TimedValuationMonoid):
     def contains(self, x):
         return x is INF or isinstance(x, (Fraction, int))
 
-    def val(self, word: WeightPairWord):
-        total = Fraction(0)
-        for (m, mp), t in word:
-            total = total + m * t + mp
-        return total
+    def step_fold(self, delays):
+        return StepFold(delays)
 
     def sample(self, rng):
         if rng.random() < 0.08:
@@ -166,21 +323,12 @@ class AvgMonoid(TimedValuationMonoid):
     def contains(self, x):
         return x is INF or isinstance(x, (Fraction, int))
 
-    def val(self, word: WeightPairWord):
-        duration = word.duration
+    def step_fold(self, delays):
+        delays = tuple(delays)
+        duration = sum(delays, Fraction(0))
         if duration == 0:
-            rates = [m for (m, _), _ in word]
-            discretes = [mp for (_, mp), _ in word]
-            first = rates[0]
-            if is_finite(first) and all(r == first for r in rates) and all(d == 0 for d in discretes):
-                return first
-            return INF
-        total = Fraction(0)
-        for (m, mp), t in word:
-            total = total + m * t + mp
-        if isinstance(total, Infinity):
-            return total
-        return total / duration
+            return _UniformRateFold(delays)
+        return _AverageFold(delays, duration)
 
     def sample(self, rng):
         if rng.random() < 0.08:
@@ -218,21 +366,14 @@ class DiscountMonoid(TimedValuationMonoid):
     def contains(self, x):
         return x is INF or isinstance(x, (Fraction, int, mpmath.mpf))
 
+    def step_fold(self, delays):
+        return _DiscountFold(self.lam, delays)
+
     def val(self, word: WeightPairWord):
-        # Infinite components absorb, matching x * inf = inf even at t = 0.
-        for (m, mp), t in word:
-            if isinstance(m, Infinity) or isinstance(mp, Infinity):
-                return INF
-        with mpmath.workdps(_DISC_DPS):
-            lam = to_mpf(self.lam)
-            log_lam = mpmath.log(lam)
-            factor = mpmath.mpf(1)
-            total = mpmath.mpf(0)
-            for (m, mp), t in word:
-                decay = mpmath.power(lam, to_mpf(t))
-                total += factor * ((decay - 1) / log_lam * to_mpf(m) + decay * to_mpf(mp))
-                factor *= decay
-            return total
+        # An infinite component gives inf without computing any power of lam.
+        if any(isinstance(x, Infinity) for pair, _ in word for x in pair):
+            return INF
+        return super().val(word)
 
     def sample(self, rng):
         if rng.random() < 0.08:
@@ -261,12 +402,8 @@ class ProductMonoid(TimedValuationMonoid):
     def contains(self, x):
         return isinstance(x, (Fraction, int)) and x == int(x) and x >= 0
 
-    def val(self, word: WeightPairWord):
-        total = Fraction(1)
-        for (_, mp), _ in word:
-            self.require(mp, "discrete weight")
-            total *= mp
-        return total
+    def step_fold(self, delays):
+        return _ProductFold(self, delays)
 
     def sample(self, rng):
         return Fraction(rng.randint(0, 6))
@@ -293,6 +430,9 @@ class TimedPvMonoid(TimedValuationMonoid):
 
     def val(self, word):
         return self.base.val(word)
+
+    def step_fold(self, delays):
+        return self.base.step_fold(delays)
 
     def contains(self, x):
         return self.base.contains(x)

@@ -9,6 +9,7 @@ reconstructed object and report every problem at once.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from . import rdl
 from .core import ClockConstraint, Edge, TimedAutomaton, TimedWord
@@ -40,15 +41,37 @@ def word_to_list(word: TimedWord) -> list:
     return [[letter, format_weight(delay)] for letter, delay in word]
 
 
+def _weight(value, what: str):
+    try:
+        return parse_weight(str(value))
+    except ParseError as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+def parse_delays(values, what: str = "delay of entry") -> list:
+    """Nonnegative (finite) rationals from their interchange form; a bad
+    value is reported as ``what`` followed by its index."""
+    delays = []
+    for k, value in enumerate(values):
+        try:
+            delay = parse_weight(str(value))
+        except ParseError:
+            delay = None
+        if not isinstance(delay, Fraction) or delay.numerator < 0:
+            raise ParseError(f"{what} {k} must be a nonnegative rational, got {value!r}")
+        delays.append(delay)
+    return delays
+
+
 def word_from_list(items, timestamps: bool = False) -> TimedWord:
     if not isinstance(items, list) or not items:
         raise ParseError("a timed word is a non-empty list of [letter, delay] pairs")
-    pairs = []
     for k, item in enumerate(items):
         if not (isinstance(item, list) and len(item) == 2):
             raise ParseError(f"word entry {k} is not a [letter, value] pair")
-        letter, value = item
-        pairs.append((str(letter), parse_weight(str(value))))
+    kind = "timestamp" if timestamps else "delay"
+    delays = parse_delays([value for _, value in items], f"{kind} of word entry")
+    pairs = [(str(letter), delay) for (letter, _), delay in zip(items, delays)]
     if timestamps:
         return TimedWord.from_timestamps(pairs)
     return TimedWord.from_pairs(pairs)
@@ -126,10 +149,14 @@ def wta_from_dict(data) -> WeightedTimedAutomaton:
     monoid = monoid_from_id(str(data["monoid"]))
     weights = data["weights"]
     _require_fields(weights, ("locations", "edges"), "weights")
-    location_weights = {str(l): parse_weight(str(v))
+    location_weights = {str(l): _weight(v, f"weight of location {l!r}")
                         for l, v in weights["locations"].items()}
-    edge_weights = {str(e): parse_weight(str(v))
+    edge_weights = {str(e): _weight(v, f"weight of edge {e!r}")
                     for e, v in weights["edges"].items()}
+    missing = ([f"location {l!r}" for l in base.locations if l not in location_weights]
+               + [f"edge {e.id!r}" for e in base.edges if e.id not in edge_weights])
+    if missing:
+        raise ParseError(f"weights are missing for {', '.join(missing)}")
     return WeightedTimedAutomaton(base, monoid, location_weights, edge_weights)
 
 
@@ -160,7 +187,7 @@ def triple_from_dict(data) -> NivatTriple:
     for c, pair in data["g"].items():
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"g({c}) must be a [rate, weight] pair")
-        g[str(c)] = (parse_weight(str(pair[0])), parse_weight(str(pair[1])))
+        g[str(c)] = (_weight(pair[0], f"g1({c})"), _weight(pair[1], f"g2({c})"))
     language_class = str(data["class"])
     if language_class == "sentence":
         language = rdl.parse_rdl(str(data["language"]))

@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from . import rdl
-from .core import (ClockConstraint, Edge, TimedAutomaton, TimedWord,
-                   classify_automaton, enumerate_runs)
+from .core import (ClockConstraint, Edge, TimedAutomaton, TimedWord, accepts,
+                   classify_automaton)
 from .errors import (ModelValidationError, PreimageCapError,
                      UnsoundCompositionError, WatlError)
 from .monoids import TimedValuationMonoid, WeightPairWord, sum_over
-from .wta import WeightedTimedAutomaton, behavior
+from .wta import WeightedTimedAutomaton, behavior, fold_charges
 
 DEFAULT_PREIMAGE_CAP = 10 ** 6
 
@@ -264,17 +264,27 @@ def nivat_decompose(automaton: WeightedTimedAutomaton) -> NivatTriple:
 
 def _accepts(triple: NivatTriple, word: TimedWord) -> bool:
     if isinstance(triple.language, TimedAutomaton):
-        return bool(enumerate_runs(triple.language, word))
+        return accepts(triple.language, word)
     return rdl.model_check(triple.language, word)
 
 
 def nivat_eval(triple: NivatTriple, word: TimedWord, monoid: TimedValuationMonoid,
                cap: int = DEFAULT_PREIMAGE_CAP):
-    """Evaluate a triple at a word by enumerating h-preimages.
+    """Evaluate a triple at a word.
 
     Sums val(g(v)) over every word v over gamma with h(v) = w that lies
-    in the language component.  The preimage count is the product of the
-    per-letter preimage sizes and is capped.
+    in the language component.  The preimage count, the product of the
+    per-letter preimage sizes, is checked against the cap first.
+
+    When the language is an automaton and the monoid is idempotent or
+    the language class allows at most one run per word (sequential,
+    deterministic, unambiguous), counting runs is counting preimages, so
+    the sum is folded in one pass over w as in ``wta.behavior``: at step
+    i the language automaton takes every edge whose letter c has
+    h(c) = a_i and charges g(c).  Otherwise (sentence languages,
+    recognizable ones over a non-idempotent monoid, and monoids without a
+    step-wise valuation) every preimage is enumerated and tested for
+    membership.
     """
     for letter in triple.gamma:
         monoid.require(triple.g[letter][0], f"g1({letter})")
@@ -288,6 +298,14 @@ def nivat_eval(triple: NivatTriple, word: TimedWord, monoid: TimedValuationMonoi
         if count > cap:
             raise PreimageCapError(
                 f"preimage enumeration needs {count}+ words, cap is {cap}")
+    language = triple.language
+    if isinstance(language, TimedAutomaton) and (
+            monoid.idempotent or triple.language_class in _UNAMBIGUOUS_CLASSES):
+        moves = [(e, triple.h[e.label], triple.g[e.label])
+                 for e in language.edges if e.label in triple.h]
+        value = fold_charges(language, word, moves, monoid)
+        if value is not None:
+            return value
 
     def values():
         for choice in itertools.product(*preimages):

@@ -17,6 +17,8 @@ from typing import Union
 
 import mpmath
 
+from .errors import ParseError
+
 _REAL_TYPES = (int, Fraction, mpmath.mpf)
 
 
@@ -75,7 +77,7 @@ class Infinity:
         return self
 
     def __rsub__(self, other):
-        return -self.__sub__(other) if False else (-self).__add__(other)
+        return (-self).__add__(other)
 
     # The monoid convention makes positive infinity absorbing for
     # multiplication regardless of the other factor's sign or zeroness.
@@ -109,13 +111,19 @@ def to_mpf(x):
 
 
 def parse_weight(text: str) -> Weight:
-    """Parse 'p/q', integer, or 'inf'/'-inf' notation."""
+    """Parse 'p/q', integer, or 'inf'/'-inf' notation.
+
+    Raises ParseError on anything else, including a zero denominator.
+    """
     text = text.strip()
     if text == "inf":
         return INF
     if text == "-inf":
         return NEG_INF
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"malformed rational {text!r}") from None
 
 
 def format_weight(x, significant: int = 12) -> str:

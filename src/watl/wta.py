@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import Run, TimedAutomaton, TimedWord, enumerate_runs
+from .core import (Run, TimedAutomaton, TimedWord, check_word_alphabet,
+                   enumerate_runs, fold_runs)
 from .errors import ModelValidationError
 from .monoids import TimedValuationMonoid, WeightPairWord, sum_over
 from .weights import Weight
@@ -70,10 +71,44 @@ def run_weight(automaton: WeightedTimedAutomaton, run: Run) -> Weight:
     return automaton.monoid.val(wt_sharp(automaton, run))
 
 
+def fold_charges(automaton: TimedAutomaton, word: TimedWord, moves,
+                 monoid: TimedValuationMonoid):
+    """The plus-sum, over the accepting runs of the automaton on the word,
+    of the valuated charges of the moves taken, or None when the monoid
+    has no step-wise valuation.
+
+    ``moves`` lists (edge, letter, (rate, discrete weight)) triples, as
+    for ``core.fold_runs``; the monoid's step fold is folded over the
+    configurations in one pass over the word.
+    """
+    fold = monoid.step_fold(word.delays)
+    if fold is None:
+        return None
+    with fold:
+        finals = fold_runs(automaton, word, moves, fold.start, fold.step, fold.plus)
+        return sum_over(monoid, (fold.finish(partial) for partial in finals))
+
+
 def behavior(automaton: WeightedTimedAutomaton, word: TimedWord) -> Weight:
     """The plus-sum over all runs of the valuated run weight.
 
-    Words with no run evaluate to the monoid's zero.
+    Evaluated in one forward pass over the word: each edge charges
+    (wt(source), wt(edge)), and the monoid's step-wise valuation is
+    folded over (location, clock valuation) configurations, merging the
+    runs that meet in one configuration with the monoid's plus.  The work
+    grows with the number of configurations, at most |L|·(n+1)^|X| for
+    n letters, not with the number of runs.  Monoids without a step-wise
+    valuation (custom ones added through register_monoid) are evaluated
+    by enumerating the runs.  Words with no run evaluate to the monoid's
+    zero.
     """
-    runs = enumerate_runs(automaton.base, word)
+    base = automaton.base
+    check_word_alphabet(base, word)
+    moves = [(edge, edge.label, (automaton.location_weights[edge.source],
+                                 automaton.edge_weights[edge.id]))
+             for edge in base.edges]
+    value = fold_charges(base, word, moves, automaton.monoid)
+    if value is not None:
+        return value
+    runs = enumerate_runs(base, word)
     return sum_over(automaton.monoid, (run_weight(automaton, r) for r in runs))

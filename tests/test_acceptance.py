@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import disc_quadrature, wd
+from conftest import disc_quadrature, grid_minimum, wd
 from watl import fixtures, rdl, sampling, transform, wrdl
 from watl.core import TimedWord, classify_automaton, enumerate_runs
 from watl.errors import UnsoundCompositionError
@@ -295,40 +295,6 @@ def test_criterion_7_inexpressibility_witness():
 # 8. Corner-point optimization reproduces the four pinned infima exactly,
 #    and a grid brute force over eighth-step delays never beats it while
 #    coming within 1/4 on the bounded fixtures.
-
-
-def grid_minimum(automaton, grid, max_len):
-    start = [(loc, {c: Fraction(0) for c in automaton.base.clocks}, Fraction(0))
-             for loc in automaton.base.initial]
-    frontier = [start]
-    best = None
-    for _ in range(max_len):
-        next_frontier = []
-        for states in frontier:
-            for delay in grid:
-                stepped = []
-                for loc, valuation, cost in states:
-                    aged = {c: v + delay for c, v in valuation.items()}
-                    rate_cost = cost + automaton.location_weights[loc] * delay
-                    for letter in automaton.base.alphabet:
-                        for edge in automaton.base.edges_from(loc, letter):
-                            if not edge.guard.satisfied_by(aged):
-                                continue
-                            landed = {c: Fraction(0) if c in edge.resets else v
-                                      for c, v in aged.items()}
-                            stepped.append((edge.target, landed,
-                                            rate_cost + automaton.edge_weights[edge.id]))
-                if not stepped:
-                    continue
-                for loc, _, cost in stepped:
-                    if loc in automaton.base.final:
-                        if best is None or cost < best:
-                            best = cost
-                next_frontier.append(stepped)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return INF if best is None else best
 
 
 def never_beats(sample, infimum):

@@ -375,3 +375,81 @@ def test_garbage_json_is_reported(tmp_path):
     result = invoke("behavior", "--model", model, "--word", path)
     assert result.exit_code != 0
     assert "not valid JSON" in result.stderr
+
+
+def assert_clean_refusal(result):
+    assert result.exit_code != 0
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("delay", ["abc", "1/0", "-1", "inf"])
+def test_bad_delays_are_refused_cleanly(tmp_path, delay):
+    model = wta_file(tmp_path, "m.json", fixtures.first_letter_rates())
+    word = put_json(tmp_path, "w.json", [["a", "1"], ["b", delay]])
+    result = invoke("behavior", "--model", model, "--word", word)
+    assert_clean_refusal(result)
+    assert "entry 1" in result.stderr
+
+
+def test_decreasing_timestamps_are_refused_cleanly(tmp_path):
+    model = wta_file(tmp_path, "m.json", fixtures.first_letter_rates())
+    word = put_json(tmp_path, "w.json", [["a", "3"], ["b", "1"]])
+    result = invoke("behavior", "--model", model, "--word", word, "--timestamps")
+    assert_clean_refusal(result)
+    assert "non-decreasing" in result.stderr
+
+
+@pytest.mark.parametrize("weight", ["abc", "1/0"])
+def test_bad_model_weights_are_refused_cleanly(tmp_path, weight):
+    data = serialize.wta_to_dict(fixtures.first_letter_rates())
+    edge = next(iter(data["weights"]["edges"]))
+    data["weights"]["edges"][edge] = weight
+    model = put_json(tmp_path, "m.json", data)
+    word = put_json(tmp_path, "w.json", [["a", "1"]])
+    result = invoke("behavior", "--model", model, "--word", word)
+    assert_clean_refusal(result)
+    assert edge in result.stderr
+
+
+def test_bad_triple_weights_are_refused_cleanly(tmp_path):
+    data = serialize.triple_to_dict(transform.nivat_decompose(fixtures.first_letter_rates()))
+    letter = data["gamma"][0]
+    data["g"][letter] = ["1", "x/2"]
+    path = put_json(tmp_path, "t.json", data)
+    word = put_json(tmp_path, "w.json", [["a", "1"]])
+    result = invoke("nivat-eval", "--triple", path, "--word", word, "--monoid", "sum")
+    assert_clean_refusal(result)
+    assert f"g2({letter})" in result.stderr
+
+
+@pytest.mark.parametrize("entry", [["1", "abc", "2"], ["1", "1", "-2"], ["1/0", "1", "2"]])
+def test_bad_valuation_pairs_are_refused_cleanly(tmp_path, entry):
+    pairs = put_json(tmp_path, "pairs.json", [entry])
+    assert_clean_refusal(invoke("eval", "--monoid", "sum", "--pairs", pairs))
+
+
+def test_bad_letter_weights_are_refused_cleanly(tmp_path):
+    g = put_json(tmp_path, "g.json", {"a": ["1", "1/0"]})
+    assert_clean_refusal(invoke("comp", "--alphabet", "a", "--g", g, "--monoid", "sum"))
+
+
+@pytest.mark.parametrize("theta", ["abc", "1/0", "inf"])
+def test_bad_thresholds_are_refused_cleanly(tmp_path, theta):
+    formula = put_text(tmp_path, "lin.txt", "all z. (3, 1)")
+    result = invoke("decide", "--formula", formula, "--monoid", "sum0", "--theta", theta)
+    assert_clean_refusal(result)
+
+
+def test_long_words_evaluate_and_list_runs(tmp_path):
+    model = wta_file(tmp_path, "m.json", fixtures.duration_meter())
+    word = put_json(tmp_path, "w.json", [["a", "1/2"]] * 1500)
+    result = invoke("behavior", "--model", model, "--word", word)
+    assert result.exit_code == 0
+    assert result.stdout == '{"value":"750"}\n'
+    result = invoke("runs", "--model", model, "--word", word)
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["count"] == 1
+    assert len(payload["runs"][0]["edges"]) == 1500
+    assert payload["runs"][0]["value"] == "750"

@@ -247,3 +247,11 @@ def test_unknown_locations_are_reported():
     automaton = TimedAutomaton(("a",), ("p",), (), ("p",), ("p",), (edge,))
     with pytest.raises(ModelValidationError, match="ghost"):
         automaton.validate()
+
+
+def test_long_words_enumerate_without_recursion():
+    word = TimedWord(tuple(("a", Fraction(1, 2)) for _ in range(1500)))
+    runs = enumerate_runs(loop_automaton(), word)
+    assert len(runs) == 1
+    assert len(runs[0].edges) == 1500
+    assert len(runs[0].locations) == len(runs[0].valuations) == 1501

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import wd
+from conftest import grid_minimum, wd
 from watl import fixtures, rdl, sampling, wrdl
 from watl.core import ClockConstraint, Edge, TimedAutomaton, TimedWord
 from watl.errors import DomainError
@@ -27,47 +27,6 @@ from watl.wta import WeightedTimedAutomaton, behavior
 
 SUM0 = monoid_from_id("sum0")
 AVG0 = monoid_from_id("avg0")
-
-
-def grid_minimum(automaton, grid, max_len):
-    """Exhaustive forward simulation over all grid-delay words.
-
-    Tracks (location, valuation, cost) sets per prefix; a prefix with no
-    surviving configuration cannot be extended into a run, so the whole
-    subtree is pruned.
-    """
-    monoid_zero_cost = []
-    start = [(loc, {c: Fraction(0) for c in automaton.base.clocks}, Fraction(0))
-             for loc in automaton.base.initial]
-    frontier = [start]
-    best = None
-    for _ in range(max_len):
-        next_frontier = []
-        for states in frontier:
-            for delay in grid:
-                stepped = []
-                for loc, valuation, cost in states:
-                    aged = {c: v + delay for c, v in valuation.items()}
-                    rate_cost = cost + automaton.location_weights[loc] * delay
-                    for letter in automaton.base.alphabet:
-                        for edge in automaton.base.edges_from(loc, letter):
-                            if not edge.guard.satisfied_by(aged):
-                                continue
-                            landed = {c: Fraction(0) if c in edge.resets else v
-                                      for c, v in aged.items()}
-                            stepped.append((edge.target, landed,
-                                            rate_cost + automaton.edge_weights[edge.id]))
-                if not stepped:
-                    continue
-                for loc, _, cost in stepped:
-                    if loc in automaton.base.final:
-                        if best is None or cost < best:
-                            best = cost
-                next_frontier.append(stepped)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return INF if best is None else best
 
 
 # --- regions ----------------------------------------------------------------

@@ -44,6 +44,14 @@ def test_malformed_word_entries_are_rejected():
         serialize.word_from_list([["a", "1"], ["b"]])
 
 
+@pytest.mark.parametrize("value", ["abc", "1/0", "-1", "inf", "1/-2"])
+def test_malformed_and_negative_delays_are_parse_errors(value):
+    with pytest.raises(ParseError, match="entry 1"):
+        serialize.word_from_list([["a", "1"], ["b", value]])
+    with pytest.raises(ParseError, match="timestamp of word entry 0"):
+        serialize.word_from_list([["a", value]], timestamps=True)
+
+
 @given(st.lists(st.tuples(st.sampled_from("ab"),
                           st.fractions(min_value=0, max_value=4)),
                 min_size=1, max_size=6))
@@ -121,6 +129,31 @@ def test_wta_dict_wraps_the_base_automaton():
 
 # ---------------------------------------------------------------------------
 # Nivat triples
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "2/x"])
+def test_malformed_model_weights_are_parse_errors(value):
+    data = serialize.wta_to_dict(fixtures.first_letter_rates())
+    location = next(iter(data["weights"]["locations"]))
+    data["weights"]["locations"][location] = value
+    with pytest.raises(ParseError, match=f"location {location!r}"):
+        serialize.wta_from_dict(data)
+
+
+def test_missing_model_weights_are_listed():
+    data = serialize.wta_to_dict(fixtures.first_letter_rates())
+    edge = next(iter(data["weights"]["edges"]))
+    del data["weights"]["edges"][edge]
+    with pytest.raises(ParseError, match=f"missing for edge {edge!r}"):
+        serialize.wta_from_dict(data)
+
+
+def test_malformed_letter_weights_are_parse_errors():
+    data = serialize.triple_to_dict(transform.nivat_decompose(fixtures.first_letter_rates()))
+    letter = data["gamma"][0]
+    data["g"][letter] = ["1/0", "1"]
+    with pytest.raises(ParseError, match=rf"g1\({letter}\)"):
+        serialize.triple_from_dict(data)
 
 
 def test_triple_round_trip_with_automaton_language():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from conftest import disc_quadrature, wd
 from watl import fixtures, sampling
-from watl.core import ClockConstraint, Edge, TimedAutomaton, enumerate_runs
+from watl.core import ClockConstraint, Edge, TimedAutomaton, TimedWord, enumerate_runs
 from watl.monoids import monoid_from_id
 from watl.weights import INF, is_finite
 from watl.wta import WeightedTimedAutomaton, behavior, run_weight, wt_sharp
@@ -144,3 +144,8 @@ def test_prod_behavior_counts_multiplicatively():
                                      dict(automaton.location_weights), weights)
     word = sampling.random_word(rng, ("a",), max_len=3)
     assert behavior(doubled, word) == 2 ** len(word.entries)
+
+
+def test_long_words_fold_without_recursion():
+    word = TimedWord(tuple(("a", Fraction(1, 2)) for _ in range(1500)))
+    assert behavior(fixtures.duration_meter(), word) == 750
