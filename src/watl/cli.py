@@ -444,7 +444,10 @@ def decide_command(formula_path, monoid_id, theta, alphabet_text, non_strict):
     if alphabet_text:
         alphabet = _split_alphabet(alphabet_text)
     else:
-        letters = sorted({sub.letter for sub in _letters_of(formula)})
+        letters = sorted({sub.letter for node in wrdl.iter_nodes(formula)
+                          if isinstance(node, wrdl.Bool)
+                          for sub in rdl.iter_subformulas(node.payload)
+                          if isinstance(sub, rdl.Letter)})
         alphabet = tuple(letters) or ("a",)
     threshold = parse_weight(theta)
     if not is_finite(threshold):
@@ -465,16 +468,6 @@ def decide_command(formula_path, monoid_id, theta, alphabet_text, non_strict):
         summary += (f"; witness {result.witness} valued"
                     f" {format_weight(result.witness_value)}")
     _emit(payload, summary)
-
-
-def _letters_of(formula):
-    if isinstance(formula, wrdl.Bool):
-        yield from (sub for sub in rdl.iter_subformulas(formula.payload)
-                    if isinstance(sub, rdl.Letter))
-    for name in ("left", "right", "sub"):
-        child = getattr(formula, name, None)
-        if child is not None and not isinstance(child, str):
-            yield from _letters_of(child)
 
 
 @main.command("check-axioms")

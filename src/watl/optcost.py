@@ -117,27 +117,25 @@ def region_reset(region: Region, resets) -> Region:
     return Region(tuple(sorted(new.items())), tuple(fracs), region.max_consts)
 
 
-def _atom_holds_on_region(status, atom: ClockAtom) -> bool:
-    kind = status[0]
-    if kind == "eq":
-        return atom.holds(Fraction(status[1]))
-    if kind == "in":
-        k = status[1]
-        if atom.rel in ("<=", "<"):
-            return atom.bound >= k + 1
-        if atom.rel in (">=", ">"):
-            return atom.bound <= k
-        return False  # "=" never holds strictly between integers
-    # above the maximum constant; guard bounds never exceed it
-    if atom.rel in (">=", ">"):
-        return True
-    return False
-
-
 def region_satisfies(region: Region, constraint: ClockConstraint) -> bool:
-    """Whether the (uniform) points of the region satisfy the guard."""
+    """Whether the (uniform) points of the region satisfy the guard.
+
+    Guard bounds are integers no larger than the clock's maximum
+    constant, so one representative value per status decides every
+    atom: k for ("eq", k), k + 1/2 for ("in", k), and the maximum
+    constant plus one above it.
+    """
     stats = region.status_map()
-    return all(_atom_holds_on_region(stats[a.clock], a) for a in constraint.atoms)
+
+    def representative(clock):
+        status = stats[clock]
+        if status[0] == "eq":
+            return status[1]
+        if status[0] == "in":
+            return Fraction(2 * status[1] + 1, 2)
+        return region.max_map()[clock] + 1
+
+    return all(a.holds(representative(a.clock)) for a in constraint.atoms)
 
 
 def region_corners(region: Region) -> tuple:
@@ -362,27 +360,15 @@ def _bellman_ford(nodes, arcs, inits):
     return dist, unstable, pred
 
 
-def _forward_closure(seed, arcs):
+def _closure(seed, successors) -> set:
+    """Every node reachable from the seed through the adjacency map."""
     out = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for arc in arcs:
-            if arc.src in out and arc.dst not in out:
-                out.add(arc.dst)
-                changed = True
-    return out
-
-
-def _backward_closure(seed, arcs):
-    out = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for arc in arcs:
-            if arc.dst in out and arc.src not in out:
-                out.add(arc.src)
-                changed = True
+    queue = deque(out)
+    while queue:
+        for nxt in successors.get(queue.popleft(), ()):
+            if nxt not in out:
+                out.add(nxt)
+                queue.append(nxt)
     return out
 
 
@@ -393,8 +379,12 @@ def _useful_subgraph(wta: WeightedTimedAutomaton):
     acc_nodes = set(graph.accepting)
     acc_arcs = [a for a in graph.arcs
                 if a.edge is not None and a.dst in acc_nodes]
-    reach = _forward_closure(graph.initial, graph.arcs)
-    co = _backward_closure({a.src for a in acc_arcs}, graph.arcs)
+    forward, backward = {}, {}
+    for a in graph.arcs:
+        forward.setdefault(a.src, []).append(a.dst)
+        backward.setdefault(a.dst, []).append(a.src)
+    reach = _closure(graph.initial, forward)
+    co = _closure({a.src for a in acc_arcs}, backward)
     useful = reach & co
     arcs = [a for a in graph.arcs if a.src in useful and a.dst in useful]
     inits = tuple(n for n in graph.initial if n in useful)

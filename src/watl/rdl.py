@@ -21,13 +21,11 @@ connectives; quantifier bodies extend as far right as possible)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Optional
 
-from .core import TimedWord
+from .core import _COMPARE, RELATIONS, TimedWord
 from .errors import ParseError, WatlError
-
-DIST_RELATIONS = ("<", "<=", "=", ">=", ">")
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +58,7 @@ class Dist:
     var: str
 
     def __post_init__(self):
-        if self.rel not in DIST_RELATIONS:
+        if self.rel not in RELATIONS:
             raise ValueError(f"unknown distance relation {self.rel!r}")
         if not isinstance(self.bound, int) or self.bound < 0:
             raise ValueError("distance bounds are naturals")
@@ -208,57 +206,68 @@ def so_quantified_vars(formula) -> frozenset:
     )
 
 
-def substitute_fo(formula, old: str, new: str):
-    """Rename free occurrences of a first-order variable.
+# The variable names each node carries; a binder carries the name it binds.
+_NAME_FIELDS = {Letter: ("var",), Leq: ("left", "right"), InSet: ("setvar", "var"),
+                Dist: ("setvar", "var"), ExistsFO: ("var",), ExistsSO: ("setvar",)}
 
-    The caller must pick ``new`` fresh; a binder for ``new`` inside the
-    formula would capture it, which is rejected.
+
+def variable_names(formula) -> set:
+    """Every variable name occurring in the formula, bound or free."""
+    return {getattr(sub, field) for sub in iter_subformulas(formula)
+            for field in _NAME_FIELDS.get(type(sub), ())}
+
+
+def _rebuild(node, visit: Callable):
+    """Rebuild a formula top-down, left to right.
+
+    ``visit(node)`` returns ``(replacement, descend)``; when ``descend``
+    is true the replacement's children are rebuilt in turn.  ``visit``
+    returns before the walk goes deeper, so the walk takes one stack
+    frame per level, like the other structural recursions here.
     """
-    def walk(node, shadowed):
-        if isinstance(node, Letter):
-            return Letter(node.letter, new if node.var == old and old not in shadowed else node.var)
-        if isinstance(node, Leq):
-            left = new if node.left == old and old not in shadowed else node.left
-            right = new if node.right == old and old not in shadowed else node.right
-            return Leq(left, right)
-        if isinstance(node, InSet):
-            return InSet(node.setvar, new if node.var == old and old not in shadowed else node.var)
-        if isinstance(node, Dist):
-            return Dist(node.rel, node.bound, node.setvar,
-                        new if node.var == old and old not in shadowed else node.var)
-        if isinstance(node, Not):
-            return Not(walk(node.sub, shadowed))
-        if isinstance(node, Or):
-            return Or(walk(node.left, shadowed), walk(node.right, shadowed))
-        if isinstance(node, ExistsFO):
-            if node.var == new and old not in shadowed:
-                fo, _ = free_vars(node.sub)
-                if old in fo:
-                    raise WatlError(f"substitution would capture {new!r}")
-            return ExistsFO(node.var, walk(node.sub, shadowed | {node.var}))
-        if isinstance(node, ExistsSO):
-            return ExistsSO(node.setvar, walk(node.sub, shadowed))
-        raise TypeError(f"not a formula: {node!r}")
+    node, descend = visit(node)
+    if not descend or isinstance(node, (Letter, Leq, InSet, Dist)):
+        return node
+    if isinstance(node, Not):
+        return Not(_rebuild(node.sub, visit))
+    if isinstance(node, Or):
+        return Or(_rebuild(node.left, visit), _rebuild(node.right, visit))
+    if isinstance(node, ExistsFO):
+        return ExistsFO(node.var, _rebuild(node.sub, visit))
+    if isinstance(node, ExistsSO):
+        return ExistsSO(node.setvar, _rebuild(node.sub, visit))
+    raise TypeError(f"not a formula: {node!r}")
 
-    return walk(formula, frozenset())
+
+def rename_free(formula, old: str, new: str):
+    """Rename the free occurrences of a variable of either kind.
+
+    The kind follows from the case of ``old``.  A binder of ``old``
+    ends the walk; a binder of ``new`` around a free occurrence of
+    ``old`` would capture it, which is rejected.
+    """
+    kind = 1 if is_so_name(old) else 0
+
+    def visit(node):
+        if isinstance(node, (ExistsFO, ExistsSO)):
+            bound = node.var if isinstance(node, ExistsFO) else node.setvar
+            if bound == old:
+                return node, False
+            if bound == new and old in free_vars(node.sub)[kind]:
+                raise WatlError(f"substitution would capture {new!r}")
+        elif isinstance(node, (Letter, Leq, InSet, Dist)):
+            changes = {field: new for field in _NAME_FIELDS[type(node)]
+                       if getattr(node, field) == old}
+            return (replace(node, **changes) if changes else node), False
+        return node, True
+
+    return _rebuild(formula, visit)
 
 
 def map_letter_atoms(formula, builder: Callable[[str, str], object]):
     """Replace every letter atom P[a](x) by builder(a, x)."""
-    if isinstance(formula, Letter):
-        return builder(formula.letter, formula.var)
-    if isinstance(formula, (Leq, InSet, Dist)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(map_letter_atoms(formula.sub, builder))
-    if isinstance(formula, Or):
-        return Or(map_letter_atoms(formula.left, builder),
-                  map_letter_atoms(formula.right, builder))
-    if isinstance(formula, ExistsFO):
-        return ExistsFO(formula.var, map_letter_atoms(formula.sub, builder))
-    if isinstance(formula, ExistsSO):
-        return ExistsSO(formula.setvar, map_letter_atoms(formula.sub, builder))
-    raise TypeError(f"not a formula: {formula!r}")
+    return _rebuild(formula, lambda node: (builder(node.letter, node.var), False)
+                    if isinstance(node, Letter) else (node, True))
 
 
 def strip_double_negation(formula):
@@ -443,7 +452,10 @@ class _Parser:
 
 def parse_rdl(text: str):
     """Parse concrete syntax into a formula."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
 
 
 def to_text(formula) -> str:
@@ -505,24 +517,16 @@ def dist_holds(word: TimedWord, positions: frozenset, position: int, rel: str, b
         delta = sums[position - 1] - sums[max(earlier) - 1]
     else:
         delta = sums[position - 1]
-    if rel == "<":
-        return delta < bound
-    if rel == "<=":
-        return delta <= bound
-    if rel == "=":
-        return delta == bound
-    if rel == ">=":
-        return delta >= bound
-    return delta > bound
+    return _COMPARE[rel](delta, bound)
 
 
-def validate_assignment(formula, word: TimedWord, sigma: Assignment) -> None:
-    """Raise unless the assignment covers the free variables and stays in
-    the word's position range."""
-    fo, so = free_vars(formula)
+def validate_assignment(free, word: TimedWord, sigma: Assignment, context: str) -> None:
+    """Raise unless the assignment covers the (first-order, second-order)
+    free-variable pair and stays in the word's position range."""
+    fo, so = free
     missing = sorted(fo - set(sigma.fo)) + sorted(so - set(sigma.so))
     if missing:
-        raise WatlError(f"unbound variables in model check: {', '.join(missing)}")
+        raise WatlError(f"unbound variables in {context}: {', '.join(missing)}")
     n = len(word)
     for var, pos in sigma.fo.items():
         if not 1 <= pos <= n:
@@ -567,7 +571,7 @@ def model_check(formula, word: TimedWord, assignment: Optional[Assignment] = Non
     exponential in the word length and intended for desk-scale inputs.
     """
     sigma = assignment or Assignment()
-    validate_assignment(formula, word, sigma)
+    validate_assignment(free_vars(formula), word, sigma, "model check")
     return _check_raw(formula, word, sigma)
 
 

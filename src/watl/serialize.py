@@ -201,15 +201,23 @@ def triple_from_dict(data) -> NivatTriple:
 
 
 def assignment_from_dict(data) -> rdl.Assignment:
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(kind, {}), dict) for kind in ("fo", "so")):
         raise ParseError("an assignment is an object with 'fo' and 'so' maps")
     sigma = rdl.Assignment()
     for var, pos in data.get("fo", {}).items():
-        if not isinstance(pos, int):
+        if not _is_position(pos):
             raise ParseError(f"first-order assignment of {var!r} must be an integer")
         sigma = sigma.with_fo(str(var), pos)
     for var, positions in data.get("so", {}).items():
         if not isinstance(positions, list):
             raise ParseError(f"second-order assignment of {var!r} must be a list")
-        sigma = sigma.with_so(str(var), frozenset(int(p) for p in positions))
+        if not all(_is_position(p) for p in positions):
+            raise ParseError(f"second-order assignment of {var!r} must list integers")
+        sigma = sigma.with_so(str(var), frozenset(positions))
     return sigma
+
+
+def _is_position(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int.
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -113,17 +113,7 @@ def _all_names(formula) -> set:
     names = set()
     for node in iter_nodes(formula):
         if isinstance(node, Bool):
-            for sub in rdl.iter_subformulas(node.payload):
-                if isinstance(sub, rdl.Letter):
-                    names.add(sub.var)
-                elif isinstance(sub, rdl.Leq):
-                    names.update((sub.left, sub.right))
-                elif isinstance(sub, (rdl.InSet, rdl.Dist)):
-                    names.update((sub.setvar, sub.var))
-                elif isinstance(sub, rdl.ExistsFO):
-                    names.add(sub.var)
-                elif isinstance(sub, rdl.ExistsSO):
-                    names.add(sub.setvar)
+            names |= rdl.variable_names(node.payload)
         elif isinstance(node, (ExistsFO, Forall)):
             names.add(node.var)
         elif isinstance(node, ExistsSO):
@@ -187,9 +177,6 @@ def _require_pv(monoid) -> TimedPvMonoid:
             f"the weighted logic needs an idempotent plus; "
             f"monoid {monoid.id!r} is not idempotent")
     return monoid
-
-
-_require_idempotent_pv = _require_pv
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +336,11 @@ class _WParser:
 def parse_wrdl(text: str, monoid: Optional[TimedPvMonoid] = None):
     """Parse concrete syntax; validates payload fragments and, when a
     monoid is given, constant domains."""
-    formula = _WParser(text).parse()
-    validate_formula(formula, monoid)
+    try:
+        formula = _WParser(text).parse()
+        validate_formula(formula, monoid)
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     return formula
 
 
@@ -387,17 +377,8 @@ def wrdl_eval(formula, word: TimedWord, monoid, assignment=None) -> Weight:
     monoid = _require_pv(monoid)
     validate_formula(formula, monoid)
     sigma = assignment or rdl.Assignment()
-    fo, so = free_vars(formula)
-    missing = sorted(fo - set(sigma.fo)) + sorted(so - set(sigma.so))
-    if missing:
-        raise WatlError(f"unbound variables in evaluation: {', '.join(missing)}")
+    rdl.validate_assignment(free_vars(formula), word, sigma, "evaluation")
     n = len(word)
-    for var, pos in sigma.fo.items():
-        if not 1 <= pos <= n:
-            raise WatlError(f"assignment sends {var!r} to {pos}, outside 1..{n}")
-    for var, positions in sigma.so.items():
-        if any(not 1 <= p <= n for p in positions):
-            raise WatlError(f"assignment of {var!r} leaves 1..{n}")
 
     def ev(node, sigma):
         if isinstance(node, Bool):
@@ -576,61 +557,26 @@ def rdl_big_or_w(parts):
     return out
 
 
-def _rename_guard_fo(guards, old, new):
-    return tuple(rdl.substitute_fo(g, old, new) for g in guards)
-
-
-def _rename_guard_so(guards, old, new):
-    return tuple(_substitute_so(g, old, new) for g in guards)
-
-
-def _substitute_so(formula, old, new):
-    """Rename free occurrences of a second-order variable in an
-    unweighted formula; ``new`` must be fresh."""
-    if isinstance(formula, (rdl.Letter, rdl.Leq)):
-        return formula
-    if isinstance(formula, rdl.InSet):
-        return rdl.InSet(new if formula.setvar == old else formula.setvar, formula.var)
-    if isinstance(formula, rdl.Dist):
-        return rdl.Dist(formula.rel, formula.bound,
-                        new if formula.setvar == old else formula.setvar, formula.var)
-    if isinstance(formula, rdl.Not):
-        return rdl.Not(_substitute_so(formula.sub, old, new))
-    if isinstance(formula, rdl.Or):
-        return rdl.Or(_substitute_so(formula.left, old, new),
-                      _substitute_so(formula.right, old, new))
-    if isinstance(formula, rdl.ExistsFO):
-        return rdl.ExistsFO(formula.var, _substitute_so(formula.sub, old, new))
-    if isinstance(formula, rdl.ExistsSO):
-        if formula.setvar == old:
-            return formula
-        if formula.setvar == new:
-            raise WatlError(f"substitution would capture {new!r}")
-        return rdl.ExistsSO(formula.setvar, _substitute_so(formula.sub, old, new))
-    raise TypeError(f"not a formula: {formula!r}")
-
-
 def _freshen(canonical: CanonicalSentence, names: NameSupply,
              avoid_fo=frozenset(), avoid_so=frozenset(),
              force_var: Optional[str] = None) -> CanonicalSentence:
     """Rename the bound variables of a canonical sentence away from the
     given free names (and optionally onto a shared universal variable)."""
-    guards = canonical.guards
     var = canonical.var
-    so_vars = list(canonical.so_vars)
+    renames = {}
     if force_var is not None and var != force_var:
-        guards = _rename_guard_fo(guards, var, force_var)
-        var = force_var
+        renames[var] = force_var
     elif var in avoid_fo:
-        fresh = names.fresh_fo()
-        guards = _rename_guard_fo(guards, var, fresh)
-        var = fresh
-    for k, v in enumerate(so_vars):
+        renames[var] = names.fresh_fo()
+    for v in canonical.so_vars:
         if v in avoid_so:
-            fresh = names.fresh_so()
-            guards = _rename_guard_so(guards, v, fresh)
-            so_vars[k] = fresh
-    return CanonicalSentence(tuple(so_vars), var, guards, canonical.left, canonical.right)
+            renames[v] = names.fresh_so()
+    guards = canonical.guards
+    for old, new in renames.items():
+        guards = tuple(rdl.rename_free(g, old, new) for g in guards)
+    return CanonicalSentence(tuple(renames.get(v, v) for v in canonical.so_vars),
+                             renames.get(var, var), guards,
+                             canonical.left, canonical.right)
 
 
 def canonicalize(formula, monoid) -> CanonicalSentence:
@@ -644,7 +590,7 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
     quantification is absorbed as a fresh singleton set variable with the
     singleton test expressed in the past fragment.
     """
-    monoid = _require_idempotent_pv(monoid)
+    monoid = _require_pv(monoid)
     validate_formula(formula, monoid)
     if not wrdl_classify(formula).syntactically_restricted:
         raise FragmentError("canonical form needs a syntactically restricted sentence")
@@ -759,7 +705,7 @@ def relabeled_guards(canonical: CanonicalSentence, gamma, h) -> tuple:
     Second-order binders inside guards are alpha-renamed first so that no
     bound name collides with another guard's distance variable."""
     supply = NameSupply(set(canonical.so_vars) | {canonical.var} |
-                        set().union(*[_rdl_names(gd) for gd in canonical.guards]))
+                        set().union(*[rdl.variable_names(gd) for gd in canonical.guards]))
     out = []
     for guard in canonical.guards:
         guard = _rename_bound_so(guard, supply)
@@ -782,7 +728,7 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     val o g and projecting through h recovers the sentence's semantics
     (duplicate choices collapse by idempotence).
     """
-    monoid = _require_idempotent_pv(monoid)
+    monoid = _require_pv(monoid)
     for v in canonical.left + canonical.right:
         monoid.require(v, "canonical value")
     lefts = [m for m in _ordered_unique(canonical.left) if is_finite(m)]
@@ -829,40 +775,17 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     return NivatTriple(tuple(gamma), h, g, body, "sentence")
 
 
-def _rdl_names(formula) -> set:
-    names = set()
-    for sub in rdl.iter_subformulas(formula):
-        if isinstance(sub, rdl.Letter):
-            names.add(sub.var)
-        elif isinstance(sub, rdl.Leq):
-            names.update((sub.left, sub.right))
-        elif isinstance(sub, (rdl.InSet, rdl.Dist)):
-            names.update((sub.setvar, sub.var))
-        elif isinstance(sub, rdl.ExistsFO):
-            names.add(sub.var)
-        elif isinstance(sub, rdl.ExistsSO):
-            names.add(sub.setvar)
-    return names
-
-
 def _rename_bound_so(formula, supply: NameSupply):
     """Alpha-rename second-order binders to fresh names so that distinct
     guards cannot share a bound name with another guard's distance
     variable."""
-    if isinstance(formula, (rdl.Letter, rdl.Leq, rdl.InSet, rdl.Dist)):
-        return formula
-    if isinstance(formula, rdl.Not):
-        return rdl.Not(_rename_bound_so(formula.sub, supply))
-    if isinstance(formula, rdl.Or):
-        return rdl.Or(_rename_bound_so(formula.left, supply),
-                      _rename_bound_so(formula.right, supply))
-    if isinstance(formula, rdl.ExistsFO):
-        return rdl.ExistsFO(formula.var, _rename_bound_so(formula.sub, supply))
-    if isinstance(formula, rdl.ExistsSO):
-        fresh = supply.fresh_so("Z")
-        renamed = _substitute_so(formula.sub, formula.setvar, fresh)
-        return rdl.ExistsSO(fresh, _rename_bound_so(renamed, supply))
-    raise TypeError(f"not a formula: {formula!r}")
+    def visit(node):
+        if isinstance(node, rdl.ExistsSO):
+            fresh = supply.fresh_so("Z")
+            return rdl.ExistsSO(fresh, rdl.rename_free(node.sub, node.setvar, fresh)), True
+        return node, True
+
+    return rdl._rebuild(formula, visit)
 
 
 def nivat_to_sentence(triple: NivatTriple, monoid):
@@ -874,7 +797,7 @@ def nivat_to_sentence(triple: NivatTriple, monoid):
     the letter projection and that the relabeled language sentence holds,
     while the universal part charges g1/g2 of the guessed letter.
     """
-    monoid = _require_idempotent_pv(monoid)
+    monoid = _require_pv(monoid)
     if triple.language_class != "sentence":
         raise WatlError("nivat_to_sentence needs a triple with a sentence language")
     sentence = triple.language
@@ -892,7 +815,7 @@ def nivat_to_sentence(triple: NivatTriple, monoid):
         prefix.append(body.setvar)
         body = body.sub
 
-    supply = NameSupply(_rdl_names(sentence))
+    supply = NameSupply(rdl.variable_names(sentence))
     xvar = {c: supply.fresh_so("X") for c in triple.gamma}
     replaced = rdl.map_letter_atoms(
         body,

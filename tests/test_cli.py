@@ -383,6 +383,25 @@ def assert_clean_refusal(result):
     assert len(result.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("positions", [["abc"], [1.7], [True]])
+def test_bad_assignment_positions_are_refused_cleanly(tmp_path, positions):
+    formula = put_text(tmp_path, "f.txt", "X(x)")
+    word = put_json(tmp_path, "w.json", [["a", "1"], ["a", "1"]])
+    assign = put_json(tmp_path, "a.json", {"fo": {"x": 1}, "so": {"X": positions}})
+    result = invoke("rdl-check", "--formula", formula, "--word", word,
+                    "--assign", assign)
+    assert_clean_refusal(result)
+    assert "'X'" in result.stderr
+
+
+def test_deeply_nested_formulas_are_refused_cleanly(tmp_path):
+    formula = put_text(tmp_path, "f.txt", "!" * 2000 + "ex x. P[a](x)")
+    word = put_json(tmp_path, "w.json", [["a", "1"]])
+    result = invoke("rdl-check", "--formula", formula, "--word", word)
+    assert_clean_refusal(result)
+    assert "nested too deeply" in result.stderr
+
+
 @pytest.mark.parametrize("delay", ["abc", "1/0", "-1", "inf"])
 def test_bad_delays_are_refused_cleanly(tmp_path, delay):
     model = wta_file(tmp_path, "m.json", fixtures.first_letter_rates())

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import grid_minimum, wd
 from watl import fixtures, rdl, sampling, wrdl
-from watl.core import ClockConstraint, Edge, TimedAutomaton, TimedWord
+from watl.core import RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord
 from watl.errors import DomainError
 from watl.monoids import monoid_from_id
 from watl.optcost import (
@@ -18,6 +18,7 @@ from watl.optcost import (
     reachable_regions,
     region_of,
     region_reset,
+    region_satisfies,
     region_zero,
     time_successor,
     witness_below,
@@ -58,6 +59,24 @@ def test_time_successors_walk_the_region_chain():
 def test_resetting_returns_to_the_zero_region():
     region = time_successor(time_successor(region_zero({"x": 2})))
     assert region_reset(region, ("x",)) == region_zero({"x": 2})
+
+
+def test_region_guard_checks_agree_with_the_valuations_inside():
+    rng = random.Random(31)
+    for _ in range(300):
+        caps = {c: rng.randint(0, 3) for c in ("x", "y")}
+        valuation = {}
+        for c, cap in caps.items():
+            den = rng.choice((1, 2, 3, 7))
+            valuation[c] = Fraction(rng.randint(0, (cap + 2) * den), den)
+        region = region_of(valuation, caps)
+        atoms = [ClockAtom(c, rel, bound) for c, cap in caps.items()
+                 for rel in RELATIONS for bound in range(cap + 1)]
+        for atom in atoms:
+            guard = ClockConstraint((atom,))
+            assert region_satisfies(region, guard) == guard.satisfied_by(valuation)
+        guard = ClockConstraint(tuple(rng.sample(atoms, 2)))
+        assert region_satisfies(region, guard) == guard.satisfied_by(valuation)
 
 
 # --- corner-point graphs ----------------------------------------------------

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import wd
-from watl import sampling
+from watl import sampling, wrdl
 from watl.errors import ParseError, WatlError
+from watl.monoids import monoid_from_id
 from watl.rdl import (
     Assignment,
     Dist,
@@ -22,13 +23,17 @@ from watl.rdl import (
     Or,
     classify,
     dist_holds,
+    free_vars,
+    is_so_name,
     model_check,
     parse_rdl,
     rdl_and,
     rdl_false,
     rdl_forall_fo,
     rdl_true,
+    rename_free,
     to_text,
+    variable_names,
 )
 
 RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
@@ -66,6 +71,17 @@ def test_unbalanced_parenthesis_reports_the_column():
 def test_fractional_distance_bound_is_rejected():
     with pytest.raises(ParseError):
         parse_rdl("dpast[<=1/2](X,x)")
+
+
+def test_deep_nesting_is_a_parse_error():
+    for text in ("!" * 2000 + "P[a](x)", "(" * 2000 + "P[a](x)" + ")" * 2000):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_rdl(text)
+
+
+def test_deeply_nested_formulas_that_parse_also_evaluate():
+    formula = parse_rdl("!" * 900 + "ex x. P[a](x)")
+    assert model_check(formula, wd(("a", 1)))
 
 
 def test_negative_bounds_are_rejected_at_construction():
@@ -214,3 +230,57 @@ def test_prefix_must_cover_exactly_the_distance_variables():
     assert not classify(unused_prefix).exists_rdl_past_sentence
     no_prefix = parse_rdl("ex x. dpast[<=2](X,x)")
     assert not classify(no_prefix).exists_rdl_past_sentence
+
+
+# --- renaming --------------------------------------------------------------
+
+
+def test_renaming_stops_at_a_binder_of_the_old_name():
+    formula = parse_rdl("P[a](x) | ex x. P[b](x)")
+    assert rename_free(formula, "x", "z") == parse_rdl("P[a](z) | ex x. P[b](x)")
+    formula = parse_rdl("X(y) | EX X. X(y)")
+    assert rename_free(formula, "X", "W") == parse_rdl("W(y) | EX X. X(y)")
+
+
+def test_renaming_raises_only_on_real_capture():
+    # y is bound here, but x does not occur free below the binder
+    formula = parse_rdl("P[a](x) | ex y. P[b](y)")
+    assert rename_free(formula, "x", "y") == parse_rdl("P[a](y) | ex y. P[b](y)")
+    with pytest.raises(WatlError, match="capture"):
+        rename_free(parse_rdl("ex y. x <= y"), "x", "y")
+    with pytest.raises(WatlError, match="capture"):
+        rename_free(parse_rdl("EX Y. (Y(x) | dpast[<1](X,x))"), "X", "Y")
+
+
+def test_renaming_and_name_collection_never_touch_letters():
+    assert rename_free(Letter("x", "x"), "x", "y") == Letter("x", "y")
+    formula = parse_rdl("EX X. ex y. (X(y) & dpast[>=1](Z,x)) | P[q](w) | u <= v")
+    assert variable_names(formula) == {"X", "y", "Z", "x", "w", "u", "v"}
+
+
+def test_renaming_free_guard_variables_keeps_the_verdict():
+    rng = random.Random(4242)
+    sum0 = monoid_from_id("sum0")
+    renamed_count = 0
+    for _ in range(25):
+        sentence = sampling.random_restricted_sentence(rng, ("a", "b"))
+        for guard in wrdl.canonicalize(sentence, sum0).guards:
+            fo, so = free_vars(guard)
+            word = sampling.random_word(rng, ("a", "b"), max_len=3)
+            sigma = sampling.random_assignment(rng, word, sorted(fo), sorted(so))
+            for old in sorted(fo | so):
+                new = "Fresh" if is_so_name(old) else "fresh"
+                assert new not in variable_names(guard)
+                renamed = rename_free(guard, old, new)
+                kind = 1 if is_so_name(old) else 0
+                assert old not in free_vars(renamed)[kind]
+                assert new in free_vars(renamed)[kind]
+                moved = Assignment(
+                    {new if v == old else v: p for v, p in sigma.fo.items()},
+                    {new if v == old else v: s for v, s in sigma.so.items()})
+                assert model_check(renamed, word, moved) == model_check(guard, word, sigma)
+                binder = ExistsSO if kind else ExistsFO
+                with pytest.raises(WatlError, match="capture"):
+                    rename_free(binder(new, guard), old, new)
+                renamed_count += 1
+    assert renamed_count > 50

@@ -211,5 +211,19 @@ def test_assignment_rejects_non_integer_position():
         serialize.assignment_from_dict({"so": {"X": 3}})
 
 
+@pytest.mark.parametrize("position", [True, 1.7, 2.0, "abc", "1", None])
+def test_assignment_positions_must_be_integers(position):
+    with pytest.raises(ParseError, match="'x'"):
+        serialize.assignment_from_dict({"fo": {"x": position}})
+    with pytest.raises(ParseError, match="'X'"):
+        serialize.assignment_from_dict({"so": {"X": [1, position]}})
+
+
+@pytest.mark.parametrize("data", [[1], {"fo": [1]}, {"so": "X"}])
+def test_assignment_maps_must_be_objects(data):
+    with pytest.raises(ParseError, match="'fo' and 'so' maps"):
+        serialize.assignment_from_dict(data)
+
+
 def test_dump_json_is_compact():
     assert serialize.dump_json({"a": [1, 2], "b": "x"}) == '{"a":[1,2],"b":"x"}'

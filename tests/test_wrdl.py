@@ -7,7 +7,7 @@ import pytest
 
 from conftest import wd
 from watl import rdl, sampling
-from watl.errors import DomainError, FragmentError, WatlError
+from watl.errors import DomainError, FragmentError, ParseError, WatlError
 from watl.fixtures import average_cost_sentence, squared_length_sentence
 from watl.monoids import monoid_from_id
 from watl.transform import NivatTriple, nivat_eval
@@ -57,6 +57,29 @@ def test_parse_nested_universals():
 def test_boolean_payloads_must_stay_in_the_past_fragment():
     with pytest.raises(FragmentError):
         parse_wrdl("B(EX X. dpast[<2](X,x))", SUM0)
+
+
+def test_deep_nesting_is_a_parse_error():
+    texts = ("(" * 2000 + "B(P[a](x))" + ")" * 2000,
+             "B(" + "!" * 2000 + "P[a](x))",
+             "ex x. " * 2000 + "B(P[a](x))")
+    for text in texts:
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_wrdl(text, SUM0)
+
+
+def test_deeply_nested_formulas_that_parse_also_evaluate():
+    word = wd(("a", 1))
+    formula = parse_wrdl("B(" + "!" * 900 + "ex x. P[a](x))", SUM0)
+    assert wrdl_eval(formula, word, SUM0) == SUM0.one
+    formula = parse_wrdl("ex x. " * 300 + "B(P[a](x))", SUM0)
+    assert wrdl_eval(formula, word, SUM0) == SUM0.one
+
+
+def test_deeply_nested_payloads_translate():
+    formula = parse_wrdl("B(" + "!" * 900 + "ex x. P[a](x))", SUM0)
+    triple = sentence_to_nivat(canonicalize(formula, SUM0), ("a",), SUM0)
+    assert nivat_eval(triple, wd(("a", 1)), SUM0) == SUM0.one
 
 
 def test_parse_disjunction_with_a_constant():
