@@ -14,6 +14,7 @@ and co-reachable witnesses an infimum of minus infinity.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,43 +322,70 @@ def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
     _require_finite_weights(wta)
     nodes, arcs, inits = _build_graph(wta)
     final = set(wta.base.final)
-    accepting = tuple(n for n in sorted(nodes, key=repr) if n[0] in final)
-    return CornerPointGraph(tuple(sorted(nodes, key=repr)), tuple(arcs),
-                            inits, accepting)
+    ordered = tuple(sorted(nodes, key=repr))
+    accepting = tuple(n for n in ordered if n[0] in final)
+    return CornerPointGraph(ordered, tuple(arcs), inits, accepting)
 
 
 def _bellman_ford(nodes, arcs, inits):
-    dist = {n: None for n in nodes}
-    pred = {}
+    """Least path costs from the initial nodes, found by relaxing every
+    arc in order for at most one round per node.
+
+    Returns (dist, unstable, pred): dist maps each node to its least cost
+    as a Fraction, or None when unreached; pred maps each relaxed node to
+    the arc that last lowered its cost; unstable holds the targets of the
+    arcs that could still be relaxed after the last round, and is empty
+    when the costs converged.
+
+    The rounds run on exact integers: nodes become list indices, and
+    every cost is multiplied by the least common multiple of the cost
+    denominators, which keeps every sum and comparison exact and in the
+    same order.  The results become Fractions and node keys again only at
+    the end.  The arcs are relaxed in their given order with a strict
+    comparison, so dist, pred and unstable are exactly those of relaxing
+    the Fractions themselves.  That matters: ``_negative_cycle`` walks
+    pred back from the unstable nodes, and another relaxation order (a
+    work queue, or stopping at the first cycle of the pred graph) can
+    pick a different negative cycle and so pump a different witness, or
+    none.
+    """
+    order = list(nodes)
+    index = {n: i for i, n in enumerate(order)}
+    scale = math.lcm(*{a.cost.denominator for a in arcs})
+    rows = [(index[a.src], index[a.dst],
+             a.cost.numerator * (scale // a.cost.denominator), a) for a in arcs]
+    dist = [None] * len(order)
+    pred = [None] * len(order)
     for n in inits:
-        dist[n] = Fraction(0)
-    rounds = len(nodes)
+        dist[index[n]] = 0
     converged = False
-    for _ in range(rounds):
+    for _ in range(len(order)):
         changed = False
-        for arc in arcs:
-            ds = dist[arc.src]
+        for s, d, cost, arc in rows:
+            ds = dist[s]
             if ds is None:
                 continue
-            candidate = ds + arc.cost
-            dd = dist[arc.dst]
+            candidate = ds + cost
+            dd = dist[d]
             if dd is None or candidate < dd:
-                dist[arc.dst] = candidate
-                pred[arc.dst] = arc
+                dist[d] = candidate
+                pred[d] = arc
                 changed = True
         if not changed:
             converged = True
             break
     unstable = set()
     if not converged:
-        for arc in arcs:
-            ds = dist[arc.src]
+        for s, d, cost, arc in rows:
+            ds = dist[s]
             if ds is None:
                 continue
-            dd = dist[arc.dst]
-            if dd is None or ds + arc.cost < dd:
+            dd = dist[d]
+            if dd is None or ds + cost < dd:
                 unstable.add(arc.dst)
-    return dist, unstable, pred
+    return ({n: None if v is None else Fraction(v, scale) for n, v in zip(order, dist)},
+            unstable,
+            {n: arc for n, arc in zip(order, pred) if arc is not None})
 
 
 def _closure(seed, successors) -> set:
@@ -590,11 +618,15 @@ def _pumped_witness(wta: WeightedTimedAutomaton, bound, strict: bool):
     suffix = tail + [last]
     fixed = sum(a.cost for a in prefix) + sum(a.cost for a in suffix)
     lap = sum(a.cost for a in cycle)
+    fixed_letters = sum(a.edge is not None for a in prefix + suffix)
+    lap_letters = sum(a.edge is not None for a in cycle)
     laps = 1
-    while laps <= 4096:
+    # Words past 4000 letters are never probed, so stop pumping once the
+    # word would outgrow that.
+    while laps <= 4096 and fixed_letters + laps * lap_letters <= 4000:
         if _below(fixed + laps * lap, bound, strict):
             word = _word_of_path(prefix + cycle * laps + suffix)
-            if word is not None and len(word.letters) <= 4000:
+            if word is not None:
                 for candidate in _perturbations(word):
                     value = behavior(wta, candidate)
                     if _below(value, bound, strict):

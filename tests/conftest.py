@@ -65,6 +65,42 @@ def brute_nivat_eval(triple, word, monoid):
     return sum_over(monoid, values)
 
 
+def brute_bellman_ford(nodes, arcs, inits):
+    """Bellman-Ford over Fraction costs and node-keyed dicts, relaxing the
+    arcs in their given order: the plain oracle for the integer
+    ``optcost._bellman_ford``, returning the same (dist, unstable, pred)."""
+    dist = {n: None for n in nodes}
+    pred = {}
+    for n in inits:
+        dist[n] = Fraction(0)
+    converged = False
+    for _ in range(len(nodes)):
+        changed = False
+        for arc in arcs:
+            ds = dist[arc.src]
+            if ds is None:
+                continue
+            candidate = ds + arc.cost
+            dd = dist[arc.dst]
+            if dd is None or candidate < dd:
+                dist[arc.dst] = candidate
+                pred[arc.dst] = arc
+                changed = True
+        if not changed:
+            converged = True
+            break
+    unstable = set()
+    if not converged:
+        for arc in arcs:
+            ds = dist[arc.src]
+            if ds is None:
+                continue
+            dd = dist[arc.dst]
+            if dd is None or ds + arc.cost < dd:
+                unstable.add(arc.dst)
+    return dist, unstable, pred
+
+
 def grid_minimum(automaton, grid, max_len):
     """Exhaustive forward simulation over all grid-delay words.
 

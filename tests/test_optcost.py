@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grid_minimum, wd
-from watl import fixtures, rdl, sampling, wrdl
+from conftest import brute_bellman_ford, grid_minimum, wd
+from watl import fixtures, optcost, rdl, sampling, wrdl
 from watl.core import RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord
 from watl.errors import DomainError
 from watl.monoids import monoid_from_id
@@ -152,7 +152,17 @@ def test_negative_cycles_drive_the_cost_to_minus_infinity():
     assert not result.attained
 
 
-def test_witnesses_below_a_bound_are_real_words():
+def test_witnesses_below_a_bound_are_real_words(monkeypatch):
+    built = []
+    word_of_path = optcost._word_of_path
+
+    def recording_word_of_path(path):
+        word = word_of_path(path)
+        built.append(0 if word is None else len(word))
+        return word
+
+    monkeypatch.setattr(optcost, "_word_of_path", recording_word_of_path)
+
     automaton = fixtures.priced_strict_guard()
     result = inf_cost(automaton)
     witness, value = witness_below(automaton, result, Fraction(-1, 2), strict=True)
@@ -164,6 +174,13 @@ def test_witnesses_below_a_bound_are_real_words():
     witness, value = witness_below(pumped, result, Fraction(-50), strict=True)
     assert value < -50
     assert behavior(pumped, witness) == value
+    witness, value = witness_below(pumped, result, Fraction(-1000), strict=True)
+    assert value == -1026 and len(witness) == 2051
+    assert behavior(pumped, witness) == value
+    # one lap costs -1 and reads two letters, so -3000 needs a word longer
+    # than the 4000 letters ever probed, and none is built
+    assert witness_below(pumped, result, Fraction(-3000), strict=True) is None
+    assert max(built) <= 4000
 
     bounded = fixtures.priced_min_wait()
     result = inf_cost(bounded)
@@ -197,6 +214,112 @@ def test_grid_search_never_beats_the_infimum():
         assert is_finite(minimum)
         assert minimum >= result.value
         assert minimum - result.value <= Fraction(1, 4)
+
+
+# --- Bellman-Ford -------------------------------------------------------------
+
+
+def _rational_sum_automaton(rng, **kwargs):
+    """A random sum automaton whose rates and edge weights have
+    denominators 1, 2, 3 and 7."""
+    base = sampling.random_automaton(rng, **kwargs)
+
+    def weight(low):
+        return Fraction(rng.randint(low, 6), rng.choice((1, 2, 3, 7)))
+
+    # Rates lean positive: a reachable negative rate alone makes the
+    # infimum minus infinity.
+    return WeightedTimedAutomaton(
+        base, monoid_from_id("sum"),
+        {loc: weight(-2) for loc in base.locations},
+        {e.id: weight(-6) for e in base.edges})
+
+
+def test_integer_bellman_ford_matches_the_fraction_oracle():
+    rng = random.Random(404)
+    negative = fractional = 0
+    # 150 automata, 300 graphs: the whole corner graph and the useful one
+    for _ in range(150):
+        automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2,
+                                            max_edges=4)
+        whole = build_corner_points(automaton)
+        useful, arcs, inits, _ = optcost._useful_subgraph(automaton)
+        for graph in ((whole.nodes, whole.arcs, whole.initial),
+                      (useful, arcs, inits)):
+            dist, unstable, pred = optcost._bellman_ford(*graph)
+            want_dist, want_unstable, want_pred = brute_bellman_ford(*graph)
+            assert dist == want_dist
+            assert pred == want_pred
+            # Same members in the same iteration order, so _negative_cycle
+            # starts its walks from the same nodes.
+            assert list(unstable) == list(want_unstable)
+            negative += bool(unstable)
+            fractional += any(a.cost.denominator > 1 for a in graph[1])
+    assert 150 <= negative <= 250
+    assert fractional >= 200
+
+
+def test_infima_and_witnesses_match_the_fraction_oracle(monkeypatch):
+    rng = random.Random(405)
+    cases = []
+    for _ in range(40):
+        automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2,
+                                            max_edges=6)
+        result = inf_cost(automaton)
+        if result.value is NEG_INF:
+            bounds = [(Fraction(-20), True)]
+        elif is_finite(result.value):
+            bounds = [(result.value + 1, True), (result.value, False),
+                      (result.value, True)]
+        else:
+            bounds = []
+        found = [witness_below(automaton, result, b, strict) for b, strict in bounds]
+        cases.append((automaton, result, bounds, found))
+    assert sum(r.value is NEG_INF for _, r, _, _ in cases) >= 5
+    assert sum(bool(f and f[0]) for _, _, _, f in cases) >= 15
+    monkeypatch.setattr(optcost, "_bellman_ford", brute_bellman_ford)
+    for automaton, result, bounds, found in cases:
+        assert inf_cost(automaton) == result
+        assert [witness_below(automaton, result, b, strict)
+                for b, strict in bounds] == found
+
+
+def _two_branch_automaton(extra_locations=(), extra_edges=(), extra_rates=None):
+    """From l0, an a-edge of weight 2 into the final l1, plus whatever
+    extra locations and edges are given."""
+    edges = (Edge("win", "l0", "a", ClockConstraint.parse("x>=1"), frozenset(), "l1"),)
+    base = TimedAutomaton(
+        alphabet=("a", "b"), locations=("l0", "l1") + tuple(extra_locations),
+        clocks=("x",), initial=("l0",), final=("l1",),
+        edges=edges + tuple(extra_edges))
+    rates = {"l0": Fraction(1, 3), "l1": Fraction(0)}
+    rates.update(extra_rates or {})
+    weights = {e.id: Fraction(-5) for e in extra_edges}
+    weights["win"] = Fraction(2)
+    return WeightedTimedAutomaton(base, monoid_from_id("sum"), rates, weights)
+
+
+_TRAP_LOOP = Edge("spin", "trap", "b", ClockConstraint.true(), frozenset({"x"}), "trap")
+
+
+@pytest.mark.parametrize("edges, trap_explored", [
+    # l0 enters a trap whose b-loop can never reach the final location
+    ((Edge("enter", "l0", "b", ClockConstraint.true(), frozenset(), "trap"), _TRAP_LOOP),
+     True),
+    # the trap loops and reaches l1, but no run from l0 gets into it
+    ((_TRAP_LOOP, Edge("leave", "trap", "a", ClockConstraint.true(), frozenset(), "l1")),
+     False),
+], ids=["cycle_not_coreachable", "cycle_not_reachable"])
+def test_negative_cycles_off_the_useful_subgraph_are_ignored(edges, trap_explored):
+    with_cycle = _two_branch_automaton(("trap",), edges, {"trap": Fraction(-1)})
+    result = inf_cost(with_cycle)
+    assert result == inf_cost(_two_branch_automaton())
+    assert result.value == Fraction(7, 3) and result.attained
+    graph = build_corner_points(with_cycle)
+    assert any(n[0] == "trap" for n in graph.nodes) == trap_explored
+    _, unstable, _ = optcost._bellman_ford(graph.nodes, graph.arcs, graph.initial)
+    # where the corner graph reaches the trap, its loop is a negative cycle
+    assert bool(unstable) == trap_explored
 
 
 # --- threshold decisions ----------------------------------------------------
