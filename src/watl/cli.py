@@ -27,10 +27,10 @@ from .wta import behavior, run_weight
               help="Seed for every randomized step.")
 @click.option("--cap-preimages", type=int, default=transform.DEFAULT_PREIMAGE_CAP,
               show_default=True,
-              help="Bound on the h-preimage count of a word in nivat-eval, checked "
-                   "before evaluating; preimages are enumerated only for sentence "
-                   "languages, recognizable ones over a non-idempotent monoid, and "
-                   "monoids without a step-wise valuation.")
+              help="Bound on the h-preimage count of a word in nivat-eval where "
+                   "the preimages are enumerated: for sentence languages, "
+                   "recognizable ones over a non-idempotent monoid, and monoids "
+                   "without a step-wise valuation.")
 @click.option("--max-word-len", type=int, default=4, show_default=True,
               help="Length bound for generated words.")
 @click.pass_context
@@ -297,8 +297,8 @@ def nivat_eval_command(ctx, triple_path, word_path, monoid_id, timestamps):
 
     Automaton languages are folded over configurations in one pass when
     the monoid is idempotent or the class allows one run per word; other
-    triples enumerate the h-preimages.  Either way the preimage count is
-    checked against --cap-preimages first.
+    triples enumerate the h-preimages, after checking their count against
+    --cap-preimages.
     """
     monoid = monoid_from_id(monoid_id)
     triple = serialize.triple_from_dict(_read_json(triple_path))

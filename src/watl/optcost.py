@@ -333,9 +333,10 @@ def _bellman_ford(nodes, arcs, inits):
 
     Returns (dist, unstable, pred): dist maps each node to its least cost
     as a Fraction, or None when unreached; pred maps each relaxed node to
-    the arc that last lowered its cost; unstable holds the targets of the
-    arcs that could still be relaxed after the last round, and is empty
-    when the costs converged.
+    the arc that last lowered its cost; unstable lists the targets of the
+    arcs that could still be relaxed after the last round, each once, in
+    the order of the first such arc, and is empty when the costs
+    converged.
 
     The rounds run on exact integers: nodes become list indices, and
     every cost is multiplied by the least common multiple of the cost
@@ -344,10 +345,12 @@ def _bellman_ford(nodes, arcs, inits):
     the end.  The arcs are relaxed in their given order with a strict
     comparison, so dist, pred and unstable are exactly those of relaxing
     the Fractions themselves.  That matters: ``_negative_cycle`` walks
-    pred back from the unstable nodes, and another relaxation order (a
-    work queue, or stopping at the first cycle of the pred graph) can
-    pick a different negative cycle and so pump a different witness, or
-    none.
+    pred back from the unstable nodes in list order, and another
+    relaxation order (a work queue, or stopping at the first cycle of the
+    pred graph) can pick a different negative cycle and so pump a
+    different witness, or none.  For the same reason unstable is kept in
+    arc order rather than as a set, whose order would follow the string
+    hashes inside the nodes and so change with PYTHONHASHSEED.
     """
     order = list(nodes)
     index = {n: i for i, n in enumerate(order)}
@@ -374,7 +377,7 @@ def _bellman_ford(nodes, arcs, inits):
         if not changed:
             converged = True
             break
-    unstable = set()
+    unstable = {}
     if not converged:
         for s, d, cost, arc in rows:
             ds = dist[s]
@@ -382,9 +385,9 @@ def _bellman_ford(nodes, arcs, inits):
                 continue
             dd = dist[d]
             if dd is None or ds + cost < dd:
-                unstable.add(arc.dst)
+                unstable[arc.dst] = None
     return ({n: None if v is None else Fraction(v, scale) for n, v in zip(order, dist)},
-            unstable,
+            list(unstable),
             {n: arc for n, arc in zip(order, pred) if arc is not None})
 
 

@@ -536,43 +536,95 @@ def validate_assignment(free, word: TimedWord, sigma: Assignment, context: str) 
             raise WatlError(f"assignment of {var!r} leaves 1..{n}")
 
 
-def _check_raw(node, word: TimedWord, sigma: Assignment) -> bool:
-    """The recursion behind model_check, without input validation; every
-    free variable must already be bound in range."""
-    if isinstance(node, Letter):
-        return word.entries[sigma.fo[node.var] - 1][0] == node.letter
-    if isinstance(node, Leq):
-        return sigma.fo[node.left] <= sigma.fo[node.right]
-    if isinstance(node, InSet):
-        return sigma.fo[node.var] in sigma.so[node.setvar]
-    if isinstance(node, Dist):
-        return dist_holds(word, sigma.so[node.setvar], sigma.fo[node.var], node.rel, node.bound)
-    if isinstance(node, Not):
-        return not _check_raw(node.sub, word, sigma)
-    if isinstance(node, Or):
-        return _check_raw(node.left, word, sigma) or _check_raw(node.right, word, sigma)
-    if isinstance(node, ExistsFO):
-        return any(_check_raw(node.sub, word, sigma.with_fo(node.var, i))
-                   for i in range(1, len(word) + 1))
-    if isinstance(node, ExistsSO):
-        n = len(word)
-        for mask in range(2 ** n):
-            subset = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-            if _check_raw(node.sub, word, sigma.with_so(node.setvar, subset)):
-                return True
-        return False
-    raise TypeError(f"not a formula: {node!r}")
+class _Compiler:
+    """Compiles formulas over one word into closures over a flat
+    environment, a list with one slot per variable binding.
+
+    First-order slots hold positions; second-order slots hold int
+    bitmasks in which bit p-1 stands for position p.  The slots of the
+    assignment come first, and every binder gets a fresh slot of its own,
+    so shadowing needs no save and restore.  Compiling and the compiled
+    closures each take one stack frame per formula level.
+    """
+
+    def __init__(self, word: TimedWord, sigma: Assignment):
+        self.n = len(word)
+        self.letters = (None,) + word.letters
+        self.sums = (0,) + word.prefix_sums()
+        self.env = []
+        self.fo = {var: self.slot(pos) for var, pos in sigma.fo.items()}
+        self.so = {var: self.slot(sum(1 << (p - 1) for p in positions))
+                   for var, positions in sigma.so.items()}
+
+    def slot(self, value=None) -> int:
+        self.env.append(value)
+        return len(self.env) - 1
+
+    def compile(self, node, fo: dict, so: dict) -> Callable:
+        """A closure env -> truth of the formula; ``fo`` and ``so`` map the
+        variables in scope to their slots."""
+        if isinstance(node, Letter):
+            letters, i, a = self.letters, fo[node.var], node.letter
+            return lambda env: letters[env[i]] == a
+        if isinstance(node, Leq):
+            i, j = fo[node.left], fo[node.right]
+            return lambda env: env[i] <= env[j]
+        if isinstance(node, InSet):
+            s, i = so[node.setvar], fo[node.var]
+            return lambda env: env[s] >> (env[i] - 1) & 1
+        if isinstance(node, Dist):
+            sums, s, i = self.sums, so[node.setvar], fo[node.var]
+            compare, bound = _COMPARE[node.rel], node.bound
+
+            def dist(env):
+                p = env[i]
+                # The greatest set position before p, or 0 for none.
+                z = (env[s] & ((1 << (p - 1)) - 1)).bit_length()
+                return compare(sums[p] - sums[z], bound)
+            return dist
+        if isinstance(node, Not):
+            sub = self.compile(node.sub, fo, so)
+            return lambda env: not sub(env)
+        if isinstance(node, Or):
+            left = self.compile(node.left, fo, so)
+            right = self.compile(node.right, fo, so)
+            return lambda env: left(env) or right(env)
+        if isinstance(node, (ExistsFO, ExistsSO)):
+            k, sub, values = self.bind(node, fo, so, self.compile)
+
+            def exists(env):
+                for v in values:
+                    env[k] = v
+                    if sub(env):
+                        return True
+                return False
+            return exists
+        raise TypeError(f"not a formula: {node!r}")
+
+    def bind(self, node, fo: dict, so: dict, compile_sub: Callable) -> tuple:
+        """(fresh slot, compiled body, values the slot takes) for an
+        existential binder of this logic or the weighted one; binders of
+        set variables carry ``setvar``."""
+        k = self.slot()
+        setvar = getattr(node, "setvar", None)
+        if setvar is not None:
+            return k, compile_sub(node.sub, fo, {**so, setvar: k}), range(1 << self.n)
+        return k, compile_sub(node.sub, {**fo, node.var: k}, so), range(1, self.n + 1)
 
 
 def model_check(formula, word: TimedWord, assignment: Optional[Assignment] = None) -> bool:
-    """Decide word, assignment |= formula by structural recursion.
+    """Decide word, assignment |= formula.
 
-    Second-order quantifiers enumerate all position subsets, so this is
+    The formula is compiled once per call into closures over int
+    positions and bitmask position sets (see ``_Compiler``).  Second-order
+    quantifiers still enumerate all 2^n position subsets, so this is
     exponential in the word length and intended for desk-scale inputs.
     """
     sigma = assignment or Assignment()
     validate_assignment(free_vars(formula), word, sigma, "model check")
-    return _check_raw(formula, word, sigma)
+    compiler = _Compiler(word, sigma)
+    check = compiler.compile(formula, compiler.fo, compiler.so)
+    return bool(check(compiler.env))
 
 
 # ---------------------------------------------------------------------------

@@ -273,22 +273,31 @@ def nivat_eval(triple: NivatTriple, word: TimedWord, monoid: TimedValuationMonoi
     """Evaluate a triple at a word.
 
     Sums val(g(v)) over every word v over gamma with h(v) = w that lies
-    in the language component.  The preimage count, the product of the
-    per-letter preimage sizes, is checked against the cap first.
+    in the language component.
 
     When the language is an automaton and the monoid is idempotent or
     the language class allows at most one run per word (sequential,
     deterministic, unambiguous), counting runs is counting preimages, so
     the sum is folded in one pass over w as in ``wta.behavior``: at step
     i the language automaton takes every edge whose letter c has
-    h(c) = a_i and charges g(c).  Otherwise (sentence languages,
-    recognizable ones over a non-idempotent monoid, and monoids without a
-    step-wise valuation) every preimage is enumerated and tested for
-    membership.
+    h(c) = a_i and charges g(c).  Its cost does not depend on the
+    preimage count.  Otherwise (sentence languages, recognizable ones
+    over a non-idempotent monoid, and monoids without a step-wise
+    valuation) every preimage is enumerated and tested for membership,
+    and the preimage count, the product of the per-letter preimage
+    sizes, is checked against the cap first.
     """
     for letter in triple.gamma:
         monoid.require(triple.g[letter][0], f"g1({letter})")
         monoid.require(triple.g[letter][1], f"g2({letter})")
+    language = triple.language
+    if isinstance(language, TimedAutomaton) and (
+            monoid.idempotent or triple.language_class in _UNAMBIGUOUS_CLASSES):
+        moves = [(e, triple.h[e.label], triple.g[e.label])
+                 for e in language.edges if e.label in triple.h]
+        value = fold_charges(language, word, moves, monoid)
+        if value is not None:
+            return value
     preimages = []
     count = 1
     for a, _ in word:
@@ -298,14 +307,6 @@ def nivat_eval(triple: NivatTriple, word: TimedWord, monoid: TimedValuationMonoi
         if count > cap:
             raise PreimageCapError(
                 f"preimage enumeration needs {count}+ words, cap is {cap}")
-    language = triple.language
-    if isinstance(language, TimedAutomaton) and (
-            monoid.idempotent or triple.language_class in _UNAMBIGUOUS_CLASSES):
-        moves = [(e, triple.h[e.label], triple.g[e.label])
-                 for e in language.edges if e.label in triple.h]
-        value = fold_charges(language, word, moves, monoid)
-        if value is not None:
-            return value
 
     def values():
         for choice in itertools.product(*preimages):

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from . import rdl
 from .core import TimedWord
 from .errors import DomainError, FragmentError, ParseError, WatlError
-from .monoids import TimedPvMonoid, WeightPairWord, sum_over
+from .monoids import TimedPvMonoid, WeightPairWord
 from .transform import NivatTriple
 from .weights import INF, NEG_INF, Weight, format_weight, is_finite
 
@@ -366,51 +367,126 @@ def to_text(formula) -> str:
 # Semantics
 
 
+_UNSET = object()
+
+
+def _key_getter(slots):
+    """env -> the values of the given slots, comparable with ``!=``."""
+    return itemgetter(*slots) if slots else (lambda env: ())
+
+
+class _WeightedCompiler(rdl._Compiler):
+    """Compiles weighted formulas over one word and one monoid into
+    closures over the flat environment of ``rdl._Compiler``, which also
+    compiles the boolean payloads.
+
+    Every compiled node except a constant remembers its last value with
+    the values of its free variables' slots, and recomputes only when one
+    of those changed.  That is exact, because a subformula's value depends
+    only on the word, the monoid and its free variables; so a universal
+    that never reads a quantified set is valued once, not once per subset.
+    The memory is one (key, value) pair per node, kept for one call.
+    """
+
+    def __init__(self, word: TimedWord, sigma, monoid: TimedPvMonoid):
+        super().__init__(word, sigma)
+        self.monoid = monoid
+        self.delays = word.delays
+
+    def weighted(self, node, fo: dict, so: dict) -> tuple:
+        """(closure env -> value, frozenset of the free variables' slots)."""
+        monoid = self.monoid
+        plus, zero, key, value = monoid.plus, monoid.zero, _UNSET, None
+        if isinstance(node, Const):
+            const = node.value
+            return (lambda env: const), frozenset()
+        if isinstance(node, Bool):
+            check = self.compile(node.payload, fo, so)
+            pfo, pso = rdl.free_vars(node.payload)
+            slots = frozenset([fo[v] for v in pfo] + [so[v] for v in pso])
+            key_of, one = _key_getter(slots), monoid.one
+
+            def boolean(env):
+                nonlocal key, value
+                k = key_of(env)
+                if k != key:
+                    key, value = k, one if check(env) else zero
+                return value
+            return boolean, slots
+        if isinstance(node, (Or, And)):
+            left, ls = self.weighted(node.left, fo, so)
+            right, rs = self.weighted(node.right, fo, so)
+            slots = ls | rs
+            key_of = _key_getter(slots)
+            combine = plus if isinstance(node, Or) else monoid.diamond
+
+            def binary(env):
+                nonlocal key, value
+                k = key_of(env)
+                if k != key:
+                    key, value = k, combine(left(env), right(env))
+                return value
+            return binary, slots
+        if isinstance(node, (ExistsFO, ExistsSO)):
+            slot, (sub, ss), values = self.bind(node, fo, so, self.weighted)
+            slots = ss - {slot}
+            key_of = _key_getter(slots)
+
+            def exists(env):
+                nonlocal key, value
+                k = key_of(env)
+                if k != key:
+                    total = zero
+                    for v in values:
+                        env[slot] = v
+                        total = plus(total, sub(env))
+                    key, value = k, total
+                return value
+            return exists, slots
+        if isinstance(node, Forall):
+            slot = self.slot()
+            inner = {**fo, node.var: slot}
+            left, ls = self.weighted(node.left, inner, so)
+            right, rs = self.weighted(node.right, inner, so)
+            slots = (ls | rs) - {slot}
+            key_of, val, delays = _key_getter(slots), monoid.val, self.delays
+            positions = range(1, self.n + 1)
+
+            def forall(env):
+                nonlocal key, value
+                k = key_of(env)
+                if k != key:
+                    entries = []
+                    for p in positions:
+                        env[slot] = p
+                        entries.append(((left(env), right(env)), delays[p - 1]))
+                    key, value = k, val(WeightPairWord(tuple(entries)))
+                return value
+            return forall, slots
+        raise TypeError(f"not a weighted formula: {node!r}")
+
+
 def wrdl_eval(formula, word: TimedWord, monoid, assignment=None) -> Weight:
     """Evaluate a weighted formula at a word under an assignment.
 
     Disjunction and the quantifiers aggregate with plus, conjunction with
     the product operation, and the two-operand universal applies the
     global valuation to the pairs it collects at every position.
-    Second-order quantification enumerates all position subsets.
+
+    The formula is compiled once per call into closures over int
+    positions and bitmask position sets, and a subformula is re-evaluated
+    only when one of its free variables changed (see
+    ``_WeightedCompiler``).  Second-order quantification still enumerates
+    all 2^n position subsets, so the cost is exponential in the word
+    length for every set quantifier whose body reads the set.
     """
     monoid = _require_pv(monoid)
     validate_formula(formula, monoid)
     sigma = assignment or rdl.Assignment()
     rdl.validate_assignment(free_vars(formula), word, sigma, "evaluation")
-    n = len(word)
-
-    def ev(node, sigma):
-        if isinstance(node, Bool):
-            # Quantifier recursion below keeps assignments total and in
-            # range, so the raw checker is safe here and skips the
-            # per-call validation walk.
-            return monoid.one if rdl._check_raw(node.payload, word, sigma) else monoid.zero
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Or):
-            return monoid.plus(ev(node.left, sigma), ev(node.right, sigma))
-        if isinstance(node, And):
-            return monoid.diamond(ev(node.left, sigma), ev(node.right, sigma))
-        if isinstance(node, ExistsFO):
-            return sum_over(monoid, (ev(node.sub, sigma.with_fo(node.var, i))
-                                     for i in range(1, n + 1)))
-        if isinstance(node, Forall):
-            entries = []
-            for i in range(1, n + 1):
-                inner = sigma.with_fo(node.var, i)
-                entries.append(((ev(node.left, inner), ev(node.right, inner)),
-                                word.delays[i - 1]))
-            return monoid.val(WeightPairWord(tuple(entries)))
-        if isinstance(node, ExistsSO):
-            def values():
-                for mask in range(2 ** n):
-                    subset = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-                    yield ev(node.sub, sigma.with_so(node.setvar, subset))
-            return sum_over(monoid, values())
-        raise TypeError(f"not a weighted formula: {node!r}")
-
-    return ev(formula, sigma)
+    compiler = _WeightedCompiler(word, sigma, monoid)
+    evaluate, _ = compiler.weighted(formula, compiler.fo, compiler.so)
+    return evaluate(compiler.env)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import mpmath
 
-from watl import rdl
-from watl.core import TimedAutomaton, TimedWord, enumerate_runs
+from watl import fixtures, rdl, wrdl
+from watl.core import RELATIONS, TimedAutomaton, TimedWord, enumerate_runs
 from watl.monoids import WeightPairWord, sum_over
+from watl.transform import NivatTriple
 from watl.weights import INF
 from watl.wta import run_weight
 
@@ -41,6 +42,122 @@ def disc_quadrature(entries, lam):
         return total
 
 
+_FO_NAMES = ("x", "y", "z")
+_SO_NAMES = ("X", "Y")
+_DELAYS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def random_rdl_formula(rng, depth=3):
+    """A random formula of at most the given depth over the letters a, b
+    and the variables x, y, z, X, Y, with distance bounds 0..3.  The name
+    pools are small, so binders often rebind a name bound outside them
+    and most formulas keep some variables free."""
+    if depth == 0 or rng.random() < 0.25:
+        var = rng.choice(_FO_NAMES)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rdl.Letter(rng.choice("ab"), var)
+        if kind == 1:
+            return rdl.Leq(var, rng.choice(_FO_NAMES))
+        if kind == 2:
+            return rdl.InSet(rng.choice(_SO_NAMES), var)
+        return rdl.Dist(rng.choice(RELATIONS), rng.randint(0, 3), rng.choice(_SO_NAMES), var)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rdl.Not(random_rdl_formula(rng, depth - 1))
+    if kind == 1:
+        return rdl.Or(random_rdl_formula(rng, depth - 1), random_rdl_formula(rng, depth - 1))
+    if kind == 2:
+        return rdl.ExistsFO(rng.choice(_FO_NAMES), random_rdl_formula(rng, depth - 1))
+    if kind == 3:
+        return rdl.ExistsSO(rng.choice(_SO_NAMES), random_rdl_formula(rng, depth - 1))
+    return rdl.rdl_and(random_rdl_formula(rng, depth - 1), random_rdl_formula(rng, depth - 1))
+
+
+def random_short_word(rng, max_len=6):
+    """A word over a, b of 1..max_len letters whose delays come from
+    {0, 1/2, 1, 2}, so zero delays and distances equal to a bound occur."""
+    return TimedWord(tuple((rng.choice("ab"), rng.choice(_DELAYS))
+                           for _ in range(rng.randint(1, max_len))))
+
+
+def _brute_check(node, word, sigma):
+    """Structural recursion over the formula with frozenset position
+    sets and one copied assignment per binding."""
+    if isinstance(node, rdl.Letter):
+        return word.entries[sigma.fo[node.var] - 1][0] == node.letter
+    if isinstance(node, rdl.Leq):
+        return sigma.fo[node.left] <= sigma.fo[node.right]
+    if isinstance(node, rdl.InSet):
+        return sigma.fo[node.var] in sigma.so[node.setvar]
+    if isinstance(node, rdl.Dist):
+        return rdl.dist_holds(word, sigma.so[node.setvar], sigma.fo[node.var],
+                              node.rel, node.bound)
+    if isinstance(node, rdl.Not):
+        return not _brute_check(node.sub, word, sigma)
+    if isinstance(node, rdl.Or):
+        return _brute_check(node.left, word, sigma) or _brute_check(node.right, word, sigma)
+    if isinstance(node, rdl.ExistsFO):
+        return any(_brute_check(node.sub, word, sigma.with_fo(node.var, i))
+                   for i in range(1, len(word) + 1))
+    if isinstance(node, rdl.ExistsSO):
+        n = len(word)
+        for mask in range(2 ** n):
+            subset = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+            if _brute_check(node.sub, word, sigma.with_so(node.setvar, subset)):
+                return True
+        return False
+    raise TypeError(f"not a formula: {node!r}")
+
+
+def brute_model_check(formula, word, assignment=None):
+    """The structural-recursion oracle for the compiled ``rdl.model_check``,
+    with the same validation and errors."""
+    sigma = assignment or rdl.Assignment()
+    rdl.validate_assignment(rdl.free_vars(formula), word, sigma, "model check")
+    return _brute_check(formula, word, sigma)
+
+
+def brute_wrdl_eval(formula, word, monoid, assignment=None):
+    """The structural-recursion oracle for the compiled ``wrdl.wrdl_eval``:
+    every subformula is evaluated afresh at every binding, with the same
+    validation, errors and order of monoid operations."""
+    monoid = wrdl._require_pv(monoid)
+    wrdl.validate_formula(formula, monoid)
+    sigma = assignment or rdl.Assignment()
+    rdl.validate_assignment(wrdl.free_vars(formula), word, sigma, "evaluation")
+    n = len(word)
+
+    def ev(node, sigma):
+        if isinstance(node, wrdl.Bool):
+            return monoid.one if _brute_check(node.payload, word, sigma) else monoid.zero
+        if isinstance(node, wrdl.Const):
+            return node.value
+        if isinstance(node, wrdl.Or):
+            return monoid.plus(ev(node.left, sigma), ev(node.right, sigma))
+        if isinstance(node, wrdl.And):
+            return monoid.diamond(ev(node.left, sigma), ev(node.right, sigma))
+        if isinstance(node, wrdl.ExistsFO):
+            return sum_over(monoid, (ev(node.sub, sigma.with_fo(node.var, i))
+                                     for i in range(1, n + 1)))
+        if isinstance(node, wrdl.Forall):
+            entries = []
+            for i in range(1, n + 1):
+                inner = sigma.with_fo(node.var, i)
+                entries.append(((ev(node.left, inner), ev(node.right, inner)),
+                                word.delays[i - 1]))
+            return monoid.val(WeightPairWord(tuple(entries)))
+        if isinstance(node, wrdl.ExistsSO):
+            def values():
+                for mask in range(2 ** n):
+                    subset = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+                    yield ev(node.sub, sigma.with_so(node.setvar, subset))
+            return sum_over(monoid, values())
+        raise TypeError(f"not a weighted formula: {node!r}")
+
+    return ev(formula, sigma)
+
+
 def brute_behavior(automaton, word):
     """Plus-sum of the valuated weight of every enumerated run: the
     run-by-run oracle for the configuration fold in ``behavior``."""
@@ -58,11 +175,28 @@ def brute_nivat_eval(triple, word, monoid):
         if isinstance(triple.language, TimedAutomaton):
             accepted = bool(enumerate_runs(triple.language, preimage))
         else:
-            accepted = rdl.model_check(triple.language, preimage)
+            accepted = brute_model_check(triple.language, preimage)
         if accepted:
             values.append(monoid.val(WeightPairWord(tuple(
                 (triple.g[c], t) for c, (_, t) in zip(choice, word)))))
     return sum_over(monoid, values)
+
+
+def collapsed_triple(triple):
+    """The triple with every auxiliary letter projected to 'a'."""
+    return NivatTriple(triple.gamma, {c: "a" for c in triple.gamma},
+                       triple.g, triple.language, triple.language_class)
+
+
+def ambiguous_counting_triple():
+    """Two auxiliary letters over 'a', a language accepting every word by
+    two runs, and weights for the non-idempotent counting monoid: a
+    triple that nivat_eval evaluates by enumerating the preimages."""
+    gamma = ("g1", "g2")
+    g = {"g1": (Fraction(0), Fraction(1)), "g2": (Fraction(0), Fraction(2))}
+    return collapsed_triple(NivatTriple(gamma, {c: c for c in gamma}, g,
+                                        fixtures.all_words_ambiguous(gamma),
+                                        "recognizable"))
 
 
 def brute_bellman_ford(nodes, arcs, inits):
@@ -89,15 +223,15 @@ def brute_bellman_ford(nodes, arcs, inits):
         if not changed:
             converged = True
             break
-    unstable = set()
+    unstable = []
     if not converged:
         for arc in arcs:
             ds = dist[arc.src]
             if ds is None:
                 continue
             dd = dist[arc.dst]
-            if dd is None or ds + arc.cost < dd:
-                unstable.add(arc.dst)
+            if (dd is None or ds + arc.cost < dd) and arc.dst not in unstable:
+                unstable.append(arc.dst)
     return dist, unstable, pred
 
 

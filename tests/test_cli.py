@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import ambiguous_counting_triple
 from watl import fixtures, serialize, transform, wrdl
 from watl.cli import main
 from watl.monoids import monoid_from_id, register_monoid
@@ -356,17 +357,14 @@ def test_weightless_model_is_refused_where_weights_are_needed(tmp_path):
 
 
 def test_preimage_cap_is_configurable(tmp_path):
-    automaton, _ = fixtures.relabel_pair()
-    triple = transform.nivat_decompose(automaton)
-    collapsed = transform.NivatTriple(
-        triple.gamma, {g: "a" for g in triple.gamma}, triple.g,
-        triple.language, triple.language_class)
-    path = put_json(tmp_path, "t.json", serialize.triple_to_dict(collapsed))
+    path = put_json(tmp_path, "t.json",
+                    serialize.triple_to_dict(ambiguous_counting_triple()))
     word = put_json(tmp_path, "w.json", [["a", "1"]] * 4)
-    result = invoke("--cap-preimages", "10", "nivat-eval", "--triple", path,
-                    "--word", word, "--monoid", "sum")
+    args = ("nivat-eval", "--triple", path, "--word", word, "--monoid", "prod")
+    result = invoke("--cap-preimages", "10", *args)
     assert result.exit_code != 0
     assert "cap" in result.stderr
+    assert invoke("--cap-preimages", "16", *args).exit_code == 0
 
 
 def test_garbage_json_is_reported(tmp_path):

@@ -1,6 +1,9 @@
 """Corner-point graphs, infimum costs, and the threshold deciders."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -282,6 +285,36 @@ def test_infima_and_witnesses_match_the_fraction_oracle(monkeypatch):
         assert inf_cost(automaton) == result
         assert [witness_below(automaton, result, b, strict)
                 for b, strict in bounds] == found
+
+
+_HASH_SEED_SCRIPT = """
+import random
+from fractions import Fraction
+from test_optcost import _rational_sum_automaton
+from watl.optcost import inf_cost, witness_below
+from watl.weights import NEG_INF
+rng = random.Random(405)
+for _ in range(40):
+    automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2, max_edges=6)
+    result = inf_cost(automaton)
+    if result.value is NEG_INF:
+        print(result)
+        print(witness_below(automaton, result, Fraction(-20), True))
+"""
+
+
+def test_minus_infinity_witnesses_do_not_depend_on_the_hash_seed():
+    # The corner nodes hold strings, so a set of them iterates in an order
+    # that changes with PYTHONHASHSEED; the pumped witness must not.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        outputs.append(subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT], env=env,
+                                      capture_output=True, check=True, timeout=300).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"value=-inf") >= 20
 
 
 def _two_branch_automaton(extra_locations=(), extra_edges=(), extra_rates=None):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import wd
+from conftest import (ambiguous_counting_triple, brute_nivat_eval, collapsed_triple,
+                      wd)
 from watl import fixtures, sampling
 from watl.core import (
     ClockConstraint,
@@ -225,13 +226,21 @@ def test_empty_languages_evaluate_to_zero():
 
 
 def test_preimage_blowup_hits_the_cap():
-    automaton, mapping = fixtures.relabel_pair()
-    triple = nivat_decompose(automaton)
-    relabeled = NivatTriple(triple.gamma, {g: "a" for g in triple.gamma},
-                            triple.g, triple.language, triple.language_class)
-    word = wd(*((("a", 1),) * 8))
+    triple = ambiguous_counting_triple()
+    prod = monoid_from_id("prod")
     with pytest.raises(PreimageCapError):
-        nivat_eval(relabeled, word, monoid_from_id("sum"), cap=100)
+        nivat_eval(triple, wd(*((("a", 1),) * 8)), prod, cap=100)
+    word = wd(*((("a", 1),) * 6))
+    assert nivat_eval(triple, word, prod, cap=100) == brute_nivat_eval(triple, word, prod)
+
+
+def test_the_fold_answers_above_the_preimage_cap():
+    # 2^8 preimages, but the fold's cost does not depend on their count
+    automaton, _ = fixtures.relabel_pair()
+    triple = collapsed_triple(nivat_decompose(automaton))
+    sum_ = monoid_from_id("sum")
+    word = wd(*((("a", 1),) * 8))
+    assert nivat_eval(triple, word, sum_, cap=100) == brute_nivat_eval(triple, word, sum_)
 
 
 def test_constant_triple_realizes_the_closed_form():
