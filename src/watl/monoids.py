@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 import mpmath
+from mpmath.libmp import to_rational
 
 from .errors import DomainError
 from .weights import INF, Infinity, Weight, is_finite, to_mpf
@@ -129,12 +130,24 @@ class TimedValuationMonoid:
         return f"<monoid {self.id}>"
 
 
+def _exact(x):
+    """An mpf as the Fraction of its exact binary value; any other weight
+    unchanged."""
+    if isinstance(x, mpmath.mpf) and mpmath.isfinite(x):
+        return Fraction(*to_rational(x._mpf_))
+    return x
+
+
 def _min_plus(x, y):
-    # min with INF as neutral; works across Fraction/mpf/Infinity.
+    # min with INF as neutral; works across Fraction/mpf/Infinity.  mpmath
+    # cannot order an mpf against a Fraction, so mixed pairs are compared
+    # exactly, and the smaller operand is returned unchanged.
     if isinstance(x, Infinity) and x.sign > 0:
         return y
     if isinstance(y, Infinity) and y.sign > 0:
         return x
+    if isinstance(x, mpmath.mpf) != isinstance(y, mpmath.mpf):
+        return x if _exact(x) <= _exact(y) else y
     return x if x <= y else y
 
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import rdl, wrdl
-from .core import (ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord,
-                   constraint_satisfiable)
+from .core import (_COMPARE, ClockAtom, ClockConstraint, Edge, TimedAutomaton,
+                   TimedWord, constraint_satisfiable)
 from .errors import DomainError, UnsupportedGuardError
 from .monoids import TimedPvMonoid, monoid_from_id
 from .transform import comp_automaton, product_intersect
@@ -41,146 +41,14 @@ class Region:
     A status is ("eq", k) for integer value k, ("in", k) for a value in
     the open interval (k, k+1) below the clock's maximum constant, or
     ("gt",) above it.  ``fracs`` lists the groups of "in" clocks with
-    equal fractional part, smallest fraction first.
+    equal fractional part, smallest fraction first.  Regions name the
+    nodes of a ``CornerPointGraph``; the graph itself is built on integer
+    codes (see ``_build_graph``).
     """
 
     statuses: tuple
     fracs: tuple
     max_consts: tuple
-
-    def status_map(self) -> dict:
-        return dict(self.statuses)
-
-    def max_map(self) -> dict:
-        return dict(self.max_consts)
-
-
-def region_zero(max_consts) -> Region:
-    return Region(tuple((c, ("eq", 0)) for c in sorted(max_consts)), (),
-                  tuple(sorted(max_consts.items())))
-
-
-def region_of(valuation, max_consts) -> Region:
-    statuses = []
-    buckets = {}
-    for clock in sorted(max_consts):
-        value = Fraction(valuation[clock])
-        cap = max_consts[clock]
-        if value > cap:
-            statuses.append((clock, ("gt",)))
-            continue
-        whole = value.numerator // value.denominator
-        frac = value - whole
-        if frac == 0:
-            statuses.append((clock, ("eq", whole)))
-        else:
-            statuses.append((clock, ("in", whole)))
-            buckets.setdefault(frac, []).append(clock)
-    fracs = tuple(frozenset(buckets[f]) for f in sorted(buckets))
-    return Region(tuple(statuses), fracs, tuple(sorted(max_consts.items())))
-
-
-def time_successor(region: Region) -> Region:
-    """The region entered next under time elapse (self once all clocks
-    are above their maximum constants)."""
-    stats = region.status_map()
-    caps = region.max_map()
-    if all(s[0] == "gt" for s in stats.values()):
-        return region
-    at_integer = [c for c, s in stats.items() if s[0] == "eq"]
-    if at_integer:
-        new = dict(stats)
-        group = []
-        for c in at_integer:
-            k = stats[c][1]
-            if k < caps[c]:
-                new[c] = ("in", k)
-                group.append(c)
-            else:
-                new[c] = ("gt",)
-        fracs = ((frozenset(group),) + region.fracs) if group else region.fracs
-        return Region(tuple(sorted(new.items())), fracs, region.max_consts)
-    new = dict(stats)
-    for c in region.fracs[-1]:
-        new[c] = ("eq", stats[c][1] + 1)
-    return Region(tuple(sorted(new.items())), region.fracs[:-1], region.max_consts)
-
-
-def region_reset(region: Region, resets) -> Region:
-    new = region.status_map()
-    for c in resets:
-        new[c] = ("eq", 0)
-    fracs = []
-    for group in region.fracs:
-        trimmed = group - frozenset(resets)
-        if trimmed:
-            fracs.append(trimmed)
-    return Region(tuple(sorted(new.items())), tuple(fracs), region.max_consts)
-
-
-def region_satisfies(region: Region, constraint: ClockConstraint) -> bool:
-    """Whether the (uniform) points of the region satisfy the guard.
-
-    Guard bounds are integers no larger than the clock's maximum
-    constant, so one representative value per status decides every
-    atom: k for ("eq", k), k + 1/2 for ("in", k), and the maximum
-    constant plus one above it.
-    """
-    stats = region.status_map()
-
-    def representative(clock):
-        status = stats[clock]
-        if status[0] == "eq":
-            return status[1]
-        if status[0] == "in":
-            return Fraction(2 * status[1] + 1, 2)
-        return region.max_map()[clock] + 1
-
-    return all(a.holds(representative(a.clock)) for a in constraint.atoms)
-
-
-def region_corners(region: Region) -> tuple:
-    """The integer vertices of the region's closure.
-
-    Rounding a group of fractional clocks up is only consistent when all
-    groups with larger fractions round up too, so the corners are indexed
-    by how many of the largest groups are rounded up.  Clocks above their
-    maximum constant get the placeholder value M+1; it never feeds guard
-    checks, only bookkeeping.
-    """
-    stats = region.status_map()
-    caps = region.max_map()
-    base = {}
-    for c, s in stats.items():
-        base[c] = caps[c] + 1 if s[0] == "gt" else s[1]
-    groups = region.fracs
-    corners = []
-    for up in range(len(groups) + 1):
-        corner = dict(base)
-        for gi in range(len(groups) - up, len(groups)):
-            for c in groups[gi]:
-                corner[c] = stats[c][1] + 1
-        item = tuple(sorted(corner.items()))
-        if item not in corners:
-            corners.append(item)
-    return tuple(corners)
-
-
-def reachable_regions(max_consts) -> frozenset:
-    """Regions reachable from the all-zero valuation by time elapse and
-    single-clock resets."""
-    start = region_zero(max_consts)
-    seen = {start}
-    queue = [start]
-    while queue:
-        region = queue.pop()
-        steps = [time_successor(region)]
-        steps.extend(region_reset(region, {c}) for c in max_consts)
-        for nxt in steps:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -243,69 +111,177 @@ def _require_finite_weights(wta: WeightedTimedAutomaton) -> None:
         raise DomainError("; ".join(problems))
 
 
+def _time_successor(region, tops):
+    """The coded region entered next under time elapse (never called on
+    a region whose clocks are all above their caps)."""
+    codes, fracs = region
+    new = list(codes)
+    group = 0
+    at_integer = False
+    for i, code in enumerate(codes):
+        if not code & 1 and code != tops[i]:
+            at_integer = True
+            if code + 2 < tops[i]:
+                new[i] = code + 1
+                group |= 1 << i
+            else:
+                new[i] = tops[i]
+    if at_integer:
+        return tuple(new), ((group,) + fracs) if group else fracs
+    for i in _bits(fracs[-1], len(codes)):
+        new[i] += 1
+    return tuple(new), fracs[:-1]
+
+
+def _bits(mask, width):
+    return [i for i in range(width) if mask >> i & 1]
+
+
+def _corners(region) -> set:
+    """The integer vertices of the coded region's closure: every clock at
+    the integer part of its value, then the groups rounded up one by one
+    from the largest fraction down (rounding a group up is only consistent
+    when every group with a larger fraction rounds up too).  Clocks above
+    their cap sit at cap + 1."""
+    codes, fracs = region
+    corner = [code >> 1 for code in codes]
+    out = {tuple(corner)}
+    for mask in reversed(fracs):
+        for i in _bits(mask, len(codes)):
+            corner[i] += 1
+        out.add(tuple(corner))
+    return out
+
+
+def _fraction(weight) -> Fraction:
+    return weight if type(weight) is Fraction else Fraction(weight)
+
+
+def _reset(region, mask):
+    codes, fracs = region
+    codes = tuple(0 if mask >> i & 1 else code for i, code in enumerate(codes))
+    return codes, tuple(g & ~mask for g in fracs if g & ~mask)
+
+
 def _build_graph(wta: WeightedTimedAutomaton):
+    """The corner-point graph of the automaton on integer codes.
+
+    Clocks are indexed in sorted order.  A region is a pair (codes,
+    fracs): codes gives each clock 2k at the integer k, 2k+1 in (k, k+1)
+    and 2*cap+2 above its maximum constant, twice the representative
+    value of its status, so a guard atom ``x rel b`` (b a natural at most
+    cap) holds throughout the region exactly when ``code rel 2b``; fracs
+    lists bitmasks of the clocks with equal nonzero fractional part,
+    smallest fraction first.  A corner is a tuple of clock values.  Edges
+    are compiled into checks, reset masks and Fraction weights once, and
+    successors, delay corners, enabled edges and resets are cached.
+
+    Nodes (location, region, corner) are explored last in, first out.
+    Each appends its free delay arc, its unit delay arc (cost the rate),
+    then one arc per enabled edge in edge order; above every cap a unit
+    self-loop replaces the delay arcs.  Bellman-Ford relaxes arcs in this
+    order, which fixes the negative cycle found and the witness pumped.
+
+    Returns (found, arcs, inits): found maps each node, in discovery
+    order, to the (node, edge) of the arc that found it (edge None for a
+    delay) or to None if initial; arcs are (src, dst, cost, time, edge)
+    tuples; inits are the initial nodes in the automaton's order.
+    """
     base = wta.base
     caps = base.max_constants()
     clocks = sorted(base.clocks)
-    start_region = region_zero(caps)
-    start_corner = tuple((c, 0) for c in clocks)
-    inits = tuple((l, start_region, start_corner) for l in base.initial)
-    nodes = set(inits)
-    queue = list(inits)
-    arcs = []
-    corners_cache = {}
+    index = {c: i for i, c in enumerate(clocks)}
+    tops = tuple(2 * caps[c] + 2 for c in clocks)
+    rates = {loc: _fraction(wta.wt_location(loc)) for loc in base.locations}
     edges_by_source = {}
     for e in base.edges:
-        edges_by_source.setdefault(e.source, []).append(e)
+        checks = tuple((index[a.clock], _COMPARE[a.rel], 2 * a.bound)
+                       for a in e.guard.atoms)
+        mask = sum(1 << index[c] for c in e.resets)
+        edges_by_source.setdefault(e.source, []).append(
+            (checks, mask, e.target, _fraction(wta.wt_edge(e.id)), e))
+    zero = (0,) * len(clocks)
+    inits = tuple((l, (zero, ()), zero) for l in base.initial)
+    found = dict.fromkeys(inits)
+    queue = list(found)
+    arcs = []
+    successors = {}
+    delays = {}
+    enabled = {}
+    reset_regions = {}
+    free = Fraction(0)
 
-    def push(node):
-        if node not in nodes:
-            nodes.add(node)
-            queue.append(node)
+    def push(target, source, edge):
+        if target not in found:
+            found[target] = (source, edge)
+            queue.append(target)
 
     while queue:
         node = queue.pop()
         loc, region, corner = node
-        rate = Fraction(wta.wt_location(loc))
-        stats = region.status_map()
-        corner_map = dict(corner)
-        tracked = any(s[0] != "gt" for s in stats.values())
-        if not tracked:
-            arcs.append(CornerArc(node, node, rate, 1, None))
+        codes = region[0]
+        if codes == tops:
+            arcs.append((node, node, rates[loc], 1, None))
         else:
-            succ = time_successor(region)
-            succ_corners = corners_cache.setdefault(succ, set(region_corners(succ)))
-            succ_stats = succ.status_map()
-
-            def lift(bump):
-                out = {}
-                for c in clocks:
-                    if succ_stats[c][0] == "gt":
-                        out[c] = caps[c] + 1
-                    else:
-                        out[c] = corner_map[c] + bump
-                return tuple(sorted(out.items()))
-
-            slide = lift(0)
-            if slide in succ_corners:
+            moves = delays.get((region, corner))
+            if moves is None:
+                step = successors.get(region)
+                if step is None:
+                    succ = _time_successor(region, tops)
+                    step = successors[region] = (succ, _corners(succ))
+                succ, succ_corners = step
+                slide = tuple(top >> 1 if code == top else value
+                              for value, code, top in zip(corner, succ[0], tops))
+                unit = tuple(top >> 1 if code == top else value + 1
+                             for value, code, top in zip(corner, succ[0], tops))
+                moves = delays[(region, corner)] = (
+                    succ, slide if slide in succ_corners else None,
+                    unit if unit in succ_corners else None)
+            succ, slide, unit = moves
+            if slide is not None:
                 target = (loc, succ, slide)
-                arcs.append(CornerArc(node, target, Fraction(0), 0, None))
-                push(target)
-            unit = lift(1)
-            if unit in succ_corners:
+                arcs.append((node, target, free, 0, None))
+                push(target, node, None)
+            if unit is not None:
                 target = (loc, succ, unit)
-                arcs.append(CornerArc(node, target, rate, 1, None))
-                push(target)
-        for e in edges_by_source.get(loc, ()):
-            if not region_satisfies(region, e.guard):
-                continue
-            reset_region = region_reset(region, e.resets)
-            reset_corner = tuple(
-                (c, 0 if c in e.resets else corner_map[c]) for c in clocks)
-            target = (e.target, reset_region, reset_corner)
-            arcs.append(CornerArc(node, target, Fraction(wta.wt_edge(e.id)), 0, e))
-            push(target)
-    return nodes, arcs, inits
+                arcs.append((node, target, rates[loc], 1, None))
+                push(target, node, None)
+        fired = enabled.get((loc, region))
+        if fired is None:
+            fired = enabled[(loc, region)] = []
+            for checks, mask, target, weight, e in edges_by_source.get(loc, ()):
+                if all(rel(codes[i], bound) for i, rel, bound in checks):
+                    if (region, mask) not in reset_regions:
+                        reset_regions[(region, mask)] = _reset(region, mask)
+                    fired.append((mask, target, reset_regions[(region, mask)], weight, e))
+        for mask, target, reset_region, weight, e in fired:
+            if mask:
+                target = (target, reset_region,
+                          tuple(0 if mask >> i & 1 else value for i, value in enumerate(corner)))
+            else:
+                target = (target, region, corner)
+            arcs.append((node, target, weight, 0, e))
+            push(target, node, e)
+    return found, arcs, inits
+
+
+def _statuses(codes, clocks, max_consts) -> tuple:
+    return tuple(
+        (c, ("gt",) if code == 2 * cap + 2 else ("in" if code & 1 else "eq", code >> 1))
+        for c, (_, cap), code in zip(clocks, max_consts, codes))
+
+
+def _regroup(groups, before, after, edge, clocks) -> tuple:
+    """A node's fractional groups as frozensets, made from its
+    discoverer's by the set operation of the step between them, with
+    fraction bitmasks before and after: a reset subtracts the reset
+    clocks from each group; a delay prepends the clocks leaving an
+    integer, keeps the groups, or drops the largest."""
+    if edge is not None:
+        return tuple(t for t in (g - frozenset(edge.resets) for g in groups) if t)
+    if len(after) > len(before):
+        return (frozenset([clocks[i] for i in _bits(after[0], len(clocks))]),) + groups
+    return groups if len(after) == len(before) else groups[:-1]
 
 
 def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
@@ -314,17 +290,44 @@ def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
     Guards are checked over whole regions (equivalently, on region
     closures approached from inside), which is what lets infima sit on
     the boundary of a strict guard without being attained there.
+
+    The graph is built on integer codes (``_build_graph``); nodes become
+    (location, Region, ((clock, value), ...)) tuples only here, once
+    each.  Arcs keep their build order and nodes are sorted by ``repr``.
+    A frozenset's repr orders its members by string hash and build
+    history, so ``_regroup`` rebuilds each node's groups with the set
+    operations a walk over ``Region`` objects performs, and the sort
+    orders the nodes as that walk does.
     """
     wta.validate()
     if wta.monoid.id != "sum":
         raise DomainError(
             f"corner-point graphs need the sum monoid, got {wta.monoid.id!r}")
     _require_finite_weights(wta)
-    nodes, arcs, inits = _build_graph(wta)
+    found, arcs, inits = _build_graph(wta)
+    clocks = sorted(wta.base.clocks)
+    max_consts = tuple(sorted(wta.base.max_constants().items()))
+    statuses = {}
+    groups = {}
+    public = {}
+    for node, origin in found.items():
+        loc, (codes, fracs), corner = node
+        if origin is None:
+            groups[node] = ()
+        else:
+            parent, edge = origin
+            groups[node] = _regroup(groups[parent], parent[1][1], fracs, edge, clocks)
+        named = statuses.get(codes)
+        if named is None:
+            named = statuses[codes] = _statuses(codes, clocks, max_consts)
+        public[node] = (loc, Region(named, groups[node], max_consts),
+                        tuple(zip(clocks, corner)))
+    arcs = tuple(CornerArc(public[src], public[dst], cost, time, edge)
+                 for src, dst, cost, time, edge in arcs)
     final = set(wta.base.final)
-    ordered = tuple(sorted(nodes, key=repr))
+    ordered = tuple(sorted(public.values(), key=repr))
     accepting = tuple(n for n in ordered if n[0] in final)
-    return CornerPointGraph(ordered, tuple(arcs), inits, accepting)
+    return CornerPointGraph(ordered, arcs, tuple(public[n] for n in inits), accepting)
 
 
 def _bellman_ford(nodes, arcs, inits):
@@ -906,6 +909,17 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
         cnt_s = "".join(str(k) for k in counts)
         return f"q{phase}.{tau_s}.{wit_s}.{cnt_s}"
 
+    guarded = []
+    for delta in deltas:
+        guard_atoms = tuple(
+            ClockAtom(clock_of[x], rel if truth else _COMPLEMENT[rel], bound)
+            for (rel, bound, x), truth in delta.items())
+        guard = ClockConstraint(guard_atoms)
+        if not guard_atoms or constraint_satisfiable(guard):
+            guarded.append((delta, guard))
+    resets_of = {bits: frozenset(clock_of[x] for x in bits if x in clock_of)
+                 for bits in bit_choices}
+
     starts = [(0, tau, (False,) * len(parts), (0,) * len(sing_vars))
               for tau in taus]
     seen = set(starts)
@@ -919,15 +933,8 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
         source = loc_name(state)
         for letter in gamma:
             for bits in bit_choices:
-                resets = frozenset(clock_of[x] for x in bits if x in clock_of)
-                for delta in deltas:
-                    guard_atoms = tuple(
-                        ClockAtom(clock_of[x],
-                                  rel if truth else _COMPLEMENT[rel], bound)
-                        for (rel, bound, x), truth in delta.items())
-                    guard = ClockConstraint(guard_atoms)
-                    if guard_atoms and not constraint_satisfiable(guard):
-                        continue
+                resets = resets_of[bits]
+                for delta, guard in guarded:
                     for last in (False, True):
                         ctx = {"letter": letter, "bits": bits, "delta": delta,
                                "first": phase == 0, "last": last, "tau": tau}
@@ -1023,17 +1030,21 @@ def _composed_over_gamma(canonical, alphabet, pv):
     The auxiliary alphabet only carries finite value pairs, so the
     infimum machinery (which needs finite rationals) applies directly;
     words whose positions fall on an infinite-valued branch are excluded
-    by the guard checker, matching their infinite sentence value."""
-    triple = wrdl.sentence_to_nivat(canonical, tuple(alphabet), pv)
-    if not triple.gamma:
+    by the guard checker, matching their infinite sentence value.
+
+    Only the auxiliary alphabet (gamma, h, g) of the Nivat translation is
+    built: the compiled guard family takes the place of its language
+    sentence."""
+    gamma, h, g = wrdl._auxiliary_alphabet(canonical, tuple(alphabet), pv)
+    if not gamma:
         return None
-    guards = wrdl.relabeled_guards(canonical, triple.gamma, triple.h)
+    guards = wrdl.relabeled_guards(canonical, gamma, h)
     compiled = compile_guard_family(
-        guards, tuple(zip(canonical.left, canonical.right)), triple.gamma,
-        triple.g, canonical.so_vars, canonical.var)
-    comp = comp_automaton(triple.gamma, triple.g, monoid_from_id("sum"))
+        guards, tuple(zip(canonical.left, canonical.right)), gamma, g,
+        canonical.so_vars, canonical.var)
+    comp = comp_automaton(gamma, g, monoid_from_id("sum"))
     product = product_intersect(comp, compiled.automaton)
-    return product, triple.h
+    return product, h
 
 
 def _project(word: TimedWord, h) -> TimedWord:

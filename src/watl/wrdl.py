@@ -792,6 +792,26 @@ def relabeled_guards(canonical: CanonicalSentence, gamma, h) -> tuple:
     return tuple(out)
 
 
+def _auxiliary_alphabet(canonical: CanonicalSentence, alphabet, monoid) -> tuple:
+    """The auxiliary alphabet of a canonical sentence as (gamma, h, g):
+    every letter paired with one finite left value and one finite right
+    value of the family, h projecting each pair to its letter and g to
+    its values.  Every value of the family must lie in the monoid."""
+    for v in canonical.left + canonical.right:
+        monoid.require(v, "canonical value")
+    lefts = [m for m in _ordered_unique(canonical.left) if is_finite(m)]
+    rights = [m for m in _ordered_unique(canonical.right) if is_finite(m)]
+    gamma, h, g = [], {}, {}
+    for a in alphabet:
+        for m in lefts:
+            for mp in rights:
+                name = gamma_letter(a, m, mp)
+                gamma.append(name)
+                h[name] = a
+                g[name] = (m, mp)
+    return tuple(gamma), h, g
+
+
 def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
                       monoid) -> NivatTriple:
     """Present a canonical sentence as a Nivat triple.
@@ -805,20 +825,8 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     (duplicate choices collapse by idempotence).
     """
     monoid = _require_pv(monoid)
-    for v in canonical.left + canonical.right:
-        monoid.require(v, "canonical value")
-    lefts = [m for m in _ordered_unique(canonical.left) if is_finite(m)]
-    rights = [m for m in _ordered_unique(canonical.right) if is_finite(m)]
-    gamma, h, g = [], {}, {}
-    for a in alphabet:
-        for m in lefts:
-            for mp in rights:
-                name = gamma_letter(a, m, mp)
-                gamma.append(name)
-                h[name] = a
-                g[name] = (m, mp)
-
-    lifted = relabeled_guards(canonical, tuple(gamma), h)
+    gamma, h, g = _auxiliary_alphabet(canonical, alphabet, monoid)
+    lifted = relabeled_guards(canonical, gamma, h)
 
     y = canonical.var
     clauses = []
@@ -848,7 +856,7 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
         body = rdl.ExistsSO(v, body)
     if not rdl.classify(body).exists_rdl_past_sentence:
         raise WatlError("emitted language sentence left the expected fragment")
-    return NivatTriple(tuple(gamma), h, g, body, "sentence")
+    return NivatTriple(gamma, h, g, body, "sentence")
 
 
 def _rename_bound_so(formula, supply: NameSupply):

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import mpmath
 
-from watl import fixtures, rdl, wrdl
-from watl.core import RELATIONS, TimedAutomaton, TimedWord, enumerate_runs
-from watl.monoids import WeightPairWord, sum_over
-from watl.transform import NivatTriple
+from watl import fixtures, optcost, rdl, wrdl
+from watl.core import (RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord,
+                       constraint_satisfiable, enumerate_runs)
+from watl.errors import DomainError, UnsupportedGuardError
+from watl.monoids import WeightPairWord, monoid_from_id, sum_over
+from watl.optcost import Region
+from watl.transform import NivatTriple, comp_automaton, product_intersect
 from watl.weights import INF
 from watl.wta import run_weight
 
@@ -16,6 +19,14 @@ from watl.wta import run_weight
 def wd(*entries):
     """Build a timed word from (letter, delay) pairs with exact delays."""
     return TimedWord(tuple((letter, Fraction(delay)) for letter, delay in entries))
+
+
+def outcome(evaluate, *args, **kwargs):
+    """The value, or the type and message of the error raised."""
+    try:
+        return evaluate(*args, **kwargs)
+    except Exception as exc:  # the comparison is the test
+        return type(exc), str(exc)
 
 
 def disc_quadrature(entries, lam):
@@ -273,6 +284,320 @@ def grid_minimum(automaton, grid, max_len):
         if not frontier:
             break
     return INF if best is None else best
+
+
+# --- the Region-object corner graph: oracle for optcost's integer codes -----
+
+
+def region_zero(max_consts) -> Region:
+    return Region(tuple((c, ("eq", 0)) for c in sorted(max_consts)), (),
+                  tuple(sorted(max_consts.items())))
+
+
+def region_of(valuation, max_consts) -> Region:
+    statuses = []
+    buckets = {}
+    for clock in sorted(max_consts):
+        value = Fraction(valuation[clock])
+        cap = max_consts[clock]
+        if value > cap:
+            statuses.append((clock, ("gt",)))
+            continue
+        whole = value.numerator // value.denominator
+        frac = value - whole
+        if frac == 0:
+            statuses.append((clock, ("eq", whole)))
+        else:
+            statuses.append((clock, ("in", whole)))
+            buckets.setdefault(frac, []).append(clock)
+    fracs = tuple(frozenset(buckets[f]) for f in sorted(buckets))
+    return Region(tuple(statuses), fracs, tuple(sorted(max_consts.items())))
+
+
+def time_successor(region: Region) -> Region:
+    """The region entered next under time elapse (self once all clocks
+    are above their maximum constants)."""
+    stats = dict(region.statuses)
+    caps = dict(region.max_consts)
+    if all(s[0] == "gt" for s in stats.values()):
+        return region
+    at_integer = [c for c, s in stats.items() if s[0] == "eq"]
+    if at_integer:
+        new = dict(stats)
+        group = []
+        for c in at_integer:
+            k = stats[c][1]
+            if k < caps[c]:
+                new[c] = ("in", k)
+                group.append(c)
+            else:
+                new[c] = ("gt",)
+        fracs = ((frozenset(group),) + region.fracs) if group else region.fracs
+        return Region(tuple(sorted(new.items())), fracs, region.max_consts)
+    new = dict(stats)
+    for c in region.fracs[-1]:
+        new[c] = ("eq", stats[c][1] + 1)
+    return Region(tuple(sorted(new.items())), region.fracs[:-1], region.max_consts)
+
+
+def region_reset(region: Region, resets) -> Region:
+    new = dict(region.statuses)
+    for c in resets:
+        new[c] = ("eq", 0)
+    fracs = []
+    for group in region.fracs:
+        trimmed = group - frozenset(resets)
+        if trimmed:
+            fracs.append(trimmed)
+    return Region(tuple(sorted(new.items())), tuple(fracs), region.max_consts)
+
+
+def region_satisfies(region: Region, constraint: ClockConstraint) -> bool:
+    """Whether the (uniform) points of the region satisfy the guard, by
+    one representative value per status: k for ("eq", k), k + 1/2 for
+    ("in", k), and the maximum constant plus one above it."""
+    stats = dict(region.statuses)
+
+    def representative(clock):
+        status = stats[clock]
+        if status[0] == "eq":
+            return status[1]
+        if status[0] == "in":
+            return Fraction(2 * status[1] + 1, 2)
+        return dict(region.max_consts)[clock] + 1
+
+    return all(a.holds(representative(a.clock)) for a in constraint.atoms)
+
+
+def region_corners(region: Region) -> tuple:
+    """The integer vertices of the region's closure, indexed by how many
+    of the largest fractional groups are rounded up; clocks above their
+    maximum constant sit at M+1."""
+    stats = dict(region.statuses)
+    caps = dict(region.max_consts)
+    base = {}
+    for c, s in stats.items():
+        base[c] = caps[c] + 1 if s[0] == "gt" else s[1]
+    groups = region.fracs
+    corners = []
+    for up in range(len(groups) + 1):
+        corner = dict(base)
+        for gi in range(len(groups) - up, len(groups)):
+            for c in groups[gi]:
+                corner[c] = stats[c][1] + 1
+        item = tuple(sorted(corner.items()))
+        if item not in corners:
+            corners.append(item)
+    return tuple(corners)
+
+
+def reachable_regions(max_consts) -> frozenset:
+    """Regions reachable from the all-zero valuation by time elapse and
+    single-clock resets."""
+    start = region_zero(max_consts)
+    seen = {start}
+    queue = [start]
+    while queue:
+        region = queue.pop()
+        steps = [time_successor(region)]
+        steps.extend(region_reset(region, {c}) for c in max_consts)
+        for nxt in steps:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
+
+def brute_corner_graph(wta):
+    """The corner-point graph walked over ``Region`` objects, with the
+    same checks, last-in first-out exploration, arc order and node sort
+    as ``optcost.build_corner_points``: the oracle for its integer codes."""
+    wta.validate()
+    if wta.monoid.id != "sum":
+        raise DomainError(
+            f"corner-point graphs need the sum monoid, got {wta.monoid.id!r}")
+    optcost._require_finite_weights(wta)
+    base = wta.base
+    caps = base.max_constants()
+    clocks = sorted(base.clocks)
+    start_region = region_zero(caps)
+    start_corner = tuple((c, 0) for c in clocks)
+    inits = tuple((l, start_region, start_corner) for l in base.initial)
+    nodes = set(inits)
+    queue = list(inits)
+    arcs = []
+    corners_cache = {}
+    edges_by_source = {}
+    for e in base.edges:
+        edges_by_source.setdefault(e.source, []).append(e)
+
+    def push(node):
+        if node not in nodes:
+            nodes.add(node)
+            queue.append(node)
+
+    while queue:
+        node = queue.pop()
+        loc, region, corner = node
+        rate = Fraction(wta.wt_location(loc))
+        stats = dict(region.statuses)
+        corner_map = dict(corner)
+        tracked = any(s[0] != "gt" for s in stats.values())
+        if not tracked:
+            arcs.append(optcost.CornerArc(node, node, rate, 1, None))
+        else:
+            succ = time_successor(region)
+            succ_corners = corners_cache.setdefault(succ, set(region_corners(succ)))
+            succ_stats = dict(succ.statuses)
+
+            def lift(bump):
+                out = {}
+                for c in clocks:
+                    if succ_stats[c][0] == "gt":
+                        out[c] = caps[c] + 1
+                    else:
+                        out[c] = corner_map[c] + bump
+                return tuple(sorted(out.items()))
+
+            slide = lift(0)
+            if slide in succ_corners:
+                target = (loc, succ, slide)
+                arcs.append(optcost.CornerArc(node, target, Fraction(0), 0, None))
+                push(target)
+            unit = lift(1)
+            if unit in succ_corners:
+                target = (loc, succ, unit)
+                arcs.append(optcost.CornerArc(node, target, rate, 1, None))
+                push(target)
+        for e in edges_by_source.get(loc, ()):
+            if not region_satisfies(region, e.guard):
+                continue
+            reset_region = region_reset(region, e.resets)
+            reset_corner = tuple(
+                (c, 0 if c in e.resets else corner_map[c]) for c in clocks)
+            target = (e.target, reset_region, reset_corner)
+            arcs.append(optcost.CornerArc(node, target, Fraction(wta.wt_edge(e.id)), 0, e))
+            push(target)
+    final = set(base.final)
+    ordered = tuple(sorted(nodes, key=repr))
+    accepting = tuple(n for n in ordered if n[0] in final)
+    return optcost.CornerPointGraph(ordered, tuple(arcs), inits, accepting)
+
+
+def brute_compile_guard_family(guards, values, gamma, g, so_vars, posvar):
+    """``optcost.compile_guard_family`` with the clock guard of every
+    guessed delta built and checked for satisfiability inside the state
+    loop: the oracle for the construction that builds them once."""
+    analyzer = optcost._Analyzer(so_vars)
+    trees = [analyzer.analyze(guard, posvar) for guard in guards]
+    parts = analyzer.parts
+    atoms = set()
+    for tree in trees:
+        optcost._clock_atoms_of(tree, atoms)
+    for part in parts:
+        if part[0] == "exists":
+            optcost._clock_atoms_of(part[2], atoms)
+    atoms = sorted(atoms)
+    clock_vars = sorted({a[2] for a in atoms})
+    if len(so_vars) > 4 or len(parts) > 4 or len(atoms) > 4:
+        raise UnsupportedGuardError(
+            "guard family too large for the compiled fragment "
+            f"({len(so_vars)} set variables, {len(parts)} global parts, "
+            f"{len(atoms)} distance atoms)")
+    clock_of = {x: f"k_{x}" for x in clock_vars}
+    exists_idx = [i for i, p in enumerate(parts) if p[0] == "exists"]
+    sing_vars = [p[1] for p in parts if p[0] == "singleton"]
+    sing_idx = [i for i, p in enumerate(parts) if p[0] == "singleton"]
+    bit_choices = [frozenset(s) for r in range(len(so_vars) + 1)
+                   for s in itertools.combinations(so_vars, r)]
+    deltas = [dict(zip(atoms, bits))
+              for bits in itertools.product((False, True), repeat=len(atoms))]
+    taus = list(itertools.product((False, True), repeat=len(parts)))
+
+    def loc_name(state):
+        phase, tau, wit, counts = state
+        tau_s = "".join("1" if b else "0" for b in tau)
+        wit_s = "".join("1" if b else "0" for b in wit)
+        cnt_s = "".join(str(k) for k in counts)
+        return f"q{phase}.{tau_s}.{wit_s}.{cnt_s}"
+
+    starts = [(0, tau, (False,) * len(parts), (0,) * len(sing_vars)) for tau in taus]
+    seen = set(starts)
+    queue = list(starts)
+    edges = []
+    while queue:
+        state = queue.pop()
+        phase, tau, wit, counts = state
+        source = loc_name(state)
+        for letter in gamma:
+            for bits in bit_choices:
+                resets = frozenset(clock_of[x] for x in bits if x in clock_of)
+                for delta in deltas:
+                    guard_atoms = tuple(
+                        ClockAtom(clock_of[x], rel if truth else optcost._COMPLEMENT[rel], bound)
+                        for (rel, bound, x), truth in delta.items())
+                    guard = ClockConstraint(guard_atoms)
+                    if guard_atoms and not constraint_satisfiable(guard):
+                        continue
+                    for last in (False, True):
+                        ctx = {"letter": letter, "bits": bits, "delta": delta,
+                               "first": phase == 0, "last": last, "tau": tau}
+                        new_wit = list(wit)
+                        rejected = False
+                        for i in exists_idx:
+                            if optcost._eval_tree(parts[i][2], ctx):
+                                if not tau[i]:
+                                    rejected = True
+                                    break
+                                new_wit[i] = True
+                        if rejected:
+                            continue
+                        truths = [optcost._eval_tree(t, ctx) for t in trees]
+                        if sum(truths) != 1 or values[truths.index(True)] != g[letter]:
+                            continue
+                        new_counts = tuple(min(2, counts[k] + (1 if x in bits else 0))
+                                           for k, x in enumerate(sing_vars))
+                        if last:
+                            ok = all(new_wit[i] for i in exists_idx if tau[i])
+                            for k, i in enumerate(sing_idx):
+                                if tau[i] != (new_counts[k] == 1):
+                                    ok = False
+                            if not ok:
+                                continue
+                            target = "acc"
+                        else:
+                            nxt = (1, tau, tuple(new_wit), new_counts)
+                            if nxt not in seen:
+                                seen.add(nxt)
+                                queue.append(nxt)
+                            target = loc_name(nxt)
+                        edges.append(Edge(f"e{len(edges)}", source, letter, guard,
+                                          resets, target))
+    automaton = TimedAutomaton(
+        alphabet=tuple(gamma),
+        locations=tuple(loc_name(s) for s in sorted(seen)) + ("acc",),
+        clocks=tuple(clock_of[x] for x in clock_vars),
+        initial=tuple(loc_name(s) for s in starts),
+        final=("acc",),
+        edges=tuple(edges),
+        unambiguous=False,
+    )
+    return optcost.CompiledFamily(automaton, clock_of)
+
+
+def brute_composed_over_gamma(canonical, alphabet, pv):
+    """The decide front end through the whole public ``sentence_to_nivat``
+    (language sentence and self-check included) and the oracle guard
+    compiler: the path that ``optcost._composed_over_gamma`` shortens."""
+    triple = wrdl.sentence_to_nivat(canonical, tuple(alphabet), pv)
+    if not triple.gamma:
+        return None
+    guards = wrdl.relabeled_guards(canonical, triple.gamma, triple.h)
+    compiled = brute_compile_guard_family(
+        guards, tuple(zip(canonical.left, canonical.right)), triple.gamma,
+        triple.g, canonical.so_vars, canonical.var)
+    comp = comp_automaton(triple.gamma, triple.g, monoid_from_id("sum"))
+    return product_intersect(comp, compiled.automaton), triple.h
 
 
 _ACCEPTANCE = {}

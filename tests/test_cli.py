@@ -185,6 +185,16 @@ def test_wrdl_eval_squares_the_length(tmp_path):
     assert result.stdout == '{"value":"9"}\n'
 
 
+def test_wrdl_eval_orders_a_constant_against_a_discounted_universal(tmp_path):
+    formula = put_text(tmp_path, "f.txt", "(0 | (all x. (1, 1)))")
+    word = put_json(tmp_path, "w.json", [["a", "1"]])
+    result = invoke("wrdl-eval", "--formula", formula, "--word", word,
+                    "--monoid", "disc0:1/2")
+    assert result.exit_code == 0
+    assert result.stdout == '{"value":"0"}\n'
+    assert "Traceback" not in result.stderr
+
+
 def test_wrdl_classify_reports_fragments(tmp_path):
     formula = put_text(tmp_path, "f.txt", "all x.(0, all y.(0, 1))")
     result = invoke("wrdl-classify", "--formula", formula)

@@ -5,9 +5,10 @@ errors, and invariant subformulas evaluated once per call."""
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from conftest import (brute_model_check, brute_wrdl_eval, random_rdl_formula,
+from conftest import (brute_model_check, brute_wrdl_eval, outcome, random_rdl_formula,
                       random_short_word, wd)
 from watl import fixtures, monoids, rdl, sampling, wrdl
 from watl.errors import DomainError, FragmentError, WatlError
@@ -15,14 +16,6 @@ from watl.monoids import monoid_from_id
 from watl.wrdl import And, Bool, Const, ExistsFO, ExistsSO, Forall, Or
 
 PV_MONOIDS = ("sum0", "avg0", "disc0:1/2")
-
-
-def outcome(evaluate, *args):
-    """The value, or the type and message of the error raised."""
-    try:
-        return evaluate(*args)
-    except Exception as exc:  # the comparison is the test
-        return type(exc), str(exc)
 
 
 def shadowing_binders(formula, bound=frozenset()):
@@ -116,8 +109,6 @@ def test_wrdl_eval_matches_the_oracle_on_random_formulas(monoid_id):
         got = outcome(wrdl.wrdl_eval, formula, word, monoid, sigma)
         want = outcome(brute_wrdl_eval, formula, word, monoid, sigma)
         if isinstance(want, tuple):
-            # disc0 values of universals are mpf, which plus cannot
-            # compare with a Fraction constant: both raise alike
             assert got == want
         else:
             assert monoid.eq(got, want)
@@ -193,3 +184,21 @@ def test_invariant_universals_are_valued_once_per_call(monkeypatch):
     wrdl.wrdl_eval(sentence, word, sum0)
     wrdl.wrdl_eval(sentence, word, sum0)
     assert calls == [6, 6]
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(0 | (all x. (1, 1)))", Fraction(0)),
+    ("((all x. (1, 1)) | 0)", Fraction(0)),
+    ("(2 | (all x. (1, 1)))", None),
+])
+def test_disc_plus_orders_a_rational_against_a_discounted_value(text, value):
+    # all x.(1, 1) on (a,1) under disc0:1/2 is the mpf 1/(2 ln 2) + 1/2,
+    # about 1.2213, which plus compares exactly with the Fraction constant
+    formula, word = wrdl.parse_wrdl(text), wd(("a", 1))
+    disc0 = monoid_from_id("disc0:1/2")
+    got = wrdl.wrdl_eval(formula, word, disc0)
+    assert got == brute_wrdl_eval(formula, word, disc0)
+    if value is None:
+        assert disc0.eq(got, 1 / (2 * mpmath.log(2)) + mpmath.mpf(1) / 2)
+    else:
+        assert got == value and isinstance(got, Fraction)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,3 +200,14 @@ def test_registered_monoids_are_retrievable():
     register_monoid("sum-alias", lambda arg=None: monoid_from_id("sum"))
     alias = monoid_from_id("sum-alias")
     assert alias.plus(Fraction(3), Fraction(5)) == 3
+
+
+def test_min_plus_compares_mpf_and_fractions_exactly():
+    disc0 = monoid_from_id("disc0:1/2")
+    third = mpmath.mpf(1) / 3  # just below 1/3 in binary
+    assert disc0.plus(Fraction(1, 3), third) is third
+    assert disc0.plus(third, Fraction(1, 3)) is third
+    low = Fraction(-3)
+    assert disc0.plus(low, mpmath.mpf(-2)) is low
+    assert disc0.plus(mpmath.mpf(-2), low) is low
+    assert disc0.plus(INF, third) is third

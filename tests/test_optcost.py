@@ -2,28 +2,27 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_bellman_ford, grid_minimum, wd
+from conftest import (brute_bellman_ford, brute_compile_guard_family, brute_composed_over_gamma,
+                      brute_corner_graph, grid_minimum, outcome, reachable_regions,
+                      region_of, region_reset, region_satisfies, region_zero,
+                      time_successor, wd)
 from watl import fixtures, optcost, rdl, sampling, wrdl
 from watl.core import RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord
-from watl.errors import DomainError
+from watl.errors import DomainError, UnsupportedGuardError
 from watl.monoids import monoid_from_id
 from watl.optcost import (
     build_corner_points,
+    compile_guard_family,
     decide_avg_threshold,
     decide_sum_threshold,
     inf_cost,
-    reachable_regions,
-    region_of,
-    region_reset,
-    region_satisfies,
-    region_zero,
-    time_successor,
     witness_below,
 )
 from watl.weights import INF, NEG_INF, is_finite
@@ -121,6 +120,59 @@ def test_late_guards_need_two_unit_delays():
         for arc in outgoing.get(node, ()):
             heapq.heappush(queue, (elapsed + arc.time, len(seen), arc.dst))
     assert best == 2
+
+
+def _random_corner_automaton(rng):
+    """A random sum automaton with up to 3 clocks (sometimes none), guards
+    of up to two atoms over every relation with constants up to 8, and
+    resets of any subset of the clocks."""
+    locations = tuple(f"l{i}" for i in range(rng.randint(1, 3)))
+    clocks = ("x", "y", "z")[:rng.randint(0, 3)]
+    edges = []
+    for i in range(rng.randint(1, 5)):
+        atoms = tuple(ClockAtom(rng.choice(clocks), rng.choice(RELATIONS), rng.randint(0, 8))
+                      for _ in range(rng.randint(0, 2) if clocks else 0))
+        resets = frozenset(c for c in clocks if rng.random() < 0.4)
+        edges.append(Edge(f"e{i}", rng.choice(locations), rng.choice("ab"),
+                          ClockConstraint(atoms), resets, rng.choice(locations)))
+
+    def some_locations():
+        return tuple(sorted(rng.sample(locations, rng.randint(1, len(locations)))))
+
+    base = TimedAutomaton(("a", "b"), locations, clocks, some_locations(),
+                          some_locations(), tuple(edges))
+
+    def weight():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+    return WeightedTimedAutomaton(base, monoid_from_id("sum"),
+                                  {loc: weight() for loc in locations},
+                                  {e.id: weight() for e in edges})
+
+
+def test_corner_graphs_match_the_region_walk():
+    rng = random.Random(406)
+    seen = {"clockless": 0, "three clocks": 0, "=": 0, "bound >= 7": 0,
+            "multi-clock reset": 0}
+    nodes = 0
+    for _ in range(300):
+        automaton = _random_corner_automaton(rng)
+        graph = build_corner_points(automaton)
+        want = brute_corner_graph(automaton)
+        assert graph.nodes == want.nodes  # same members, same repr order
+        assert graph.arcs == want.arcs    # same arcs, same order
+        assert graph.initial == want.initial
+        assert graph.accepting == want.accepting
+        nodes += len(graph.nodes)
+        base = automaton.base
+        atoms = [a for e in base.edges for a in e.guard.atoms]
+        seen["clockless"] += not base.clocks
+        seen["three clocks"] += len(base.clocks) == 3
+        seen["="] += any(a.rel == "=" for a in atoms)
+        seen["bound >= 7"] += any(a.bound >= 7 for a in atoms)
+        seen["multi-clock reset"] += any(len(e.resets) > 1 for e in base.edges)
+    assert min(seen.values()) >= 50
+    assert nodes >= 20000
 
 
 # --- infimum costs ----------------------------------------------------------
@@ -424,6 +476,55 @@ def test_decisions_are_monotone_under_bisection():
             lo = mid
     assert lo <= 7 <= hi
     assert hi - lo == Fraction(16, 2 ** 8)
+
+
+def test_decisions_match_the_full_translation_path(monkeypatch):
+    rng = random.Random(5)
+    sentences = [sampling.random_restricted_sentence(rng) for _ in range(200)]
+    sum_thetas = (Fraction(0), Fraction(1), Fraction(2))
+    avg_thetas = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+    def decide_all():
+        out = []
+        for i, sentence in enumerate(sentences):
+            out.append(outcome(decide_sum_threshold, sentence, ("a", "b"),
+                                sum_thetas[i % 3], strict=i % 2 == 0))
+            out.append(outcome(decide_avg_threshold, sentence, ("a", "b"),
+                                avg_thetas[i % 3], strict=i % 4 < 2))
+        return out
+
+    got = decide_all()
+    monkeypatch.setattr(optcost, "_composed_over_gamma", brute_composed_over_gamma)
+    monkeypatch.setattr(optcost, "build_corner_points", brute_corner_graph)
+    assert got == decide_all()
+    decided = [r for r in got if not isinstance(r, tuple)]
+    assert sum(r.holds for r in decided) >= 100
+    assert sum(not r.holds for r in decided) >= 50
+    assert sum(r.witness is not None for r in decided) >= 100
+    assert {r[0] for r in got if isinstance(r, tuple)} == {UnsupportedGuardError}
+
+
+def test_guard_families_match_the_per_state_guard_construction():
+    rng = random.Random(5)
+    compiled = 0
+    for _ in range(200):
+        sentence = sampling.random_restricted_sentence(rng)
+        canonical = wrdl.canonicalize(sentence, SUM0)
+        gamma, h, g = wrdl._auxiliary_alphabet(canonical, ("a", "b"), SUM0)
+        args = (wrdl.relabeled_guards(canonical, gamma, h),
+                tuple(zip(canonical.left, canonical.right)), gamma, g,
+                canonical.so_vars, canonical.var)
+        try:
+            want = brute_compile_guard_family(*args)
+        except UnsupportedGuardError as exc:
+            with pytest.raises(UnsupportedGuardError, match=re.escape(str(exc))):
+                compile_guard_family(*args)
+            continue
+        got = compile_guard_family(*args)
+        assert got.automaton == want.automaton
+        assert got.clock_of == want.clock_of
+        compiled += bool(got.automaton.clocks)
+    assert compiled >= 40
 
 
 def test_avg_reduction_identity_on_sampled_words():
