@@ -182,10 +182,9 @@ def _build_graph(wta: WeightedTimedAutomaton):
     self-loop replaces the delay arcs.  Bellman-Ford relaxes arcs in this
     order, which fixes the negative cycle found and the witness pumped.
 
-    Returns (found, arcs, inits): found maps each node, in discovery
-    order, to the (node, edge) of the arc that found it (edge None for a
-    delay) or to None if initial; arcs are (src, dst, cost, time, edge)
-    tuples; inits are the initial nodes in the automaton's order.
+    Returns (found, arcs, inits): found holds every node; arcs are
+    (src, dst, cost, time, edge) tuples; inits are the initial nodes in
+    the automaton's order.
     """
     base = wta.base
     caps = base.max_constants()
@@ -202,8 +201,8 @@ def _build_graph(wta: WeightedTimedAutomaton):
             (checks, mask, e.target, _fraction(wta.wt_edge(e.id)), e))
     zero = (0,) * len(clocks)
     inits = tuple((l, (zero, ()), zero) for l in base.initial)
-    found = dict.fromkeys(inits)
-    queue = list(found)
+    found = set(inits)
+    queue = list(inits)
     arcs = []
     successors = {}
     delays = {}
@@ -211,9 +210,9 @@ def _build_graph(wta: WeightedTimedAutomaton):
     reset_regions = {}
     free = Fraction(0)
 
-    def push(target, source, edge):
+    def push(target):
         if target not in found:
-            found[target] = (source, edge)
+            found.add(target)
             queue.append(target)
 
     while queue:
@@ -241,11 +240,11 @@ def _build_graph(wta: WeightedTimedAutomaton):
             if slide is not None:
                 target = (loc, succ, slide)
                 arcs.append((node, target, free, 0, None))
-                push(target, node, None)
+                push(target)
             if unit is not None:
                 target = (loc, succ, unit)
                 arcs.append((node, target, rates[loc], 1, None))
-                push(target, node, None)
+                push(target)
         fired = enabled.get((loc, region))
         if fired is None:
             fired = enabled[(loc, region)] = []
@@ -261,7 +260,7 @@ def _build_graph(wta: WeightedTimedAutomaton):
             else:
                 target = (target, region, corner)
             arcs.append((node, target, weight, 0, e))
-            push(target, node, e)
+            push(target)
     return found, arcs, inits
 
 
@@ -269,19 +268,6 @@ def _statuses(codes, clocks, max_consts) -> tuple:
     return tuple(
         (c, ("gt",) if code == 2 * cap + 2 else ("in" if code & 1 else "eq", code >> 1))
         for c, (_, cap), code in zip(clocks, max_consts, codes))
-
-
-def _regroup(groups, before, after, edge, clocks) -> tuple:
-    """A node's fractional groups as frozensets, made from its
-    discoverer's by the set operation of the step between them, with
-    fraction bitmasks before and after: a reset subtracts the reset
-    clocks from each group; a delay prepends the clocks leaving an
-    integer, keeps the groups, or drops the largest."""
-    if edge is not None:
-        return tuple(t for t in (g - frozenset(edge.resets) for g in groups) if t)
-    if len(after) > len(before):
-        return (frozenset([clocks[i] for i in _bits(after[0], len(clocks))]),) + groups
-    return groups if len(after) == len(before) else groups[:-1]
 
 
 def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
@@ -293,11 +279,11 @@ def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
 
     The graph is built on integer codes (``_build_graph``); nodes become
     (location, Region, ((clock, value), ...)) tuples only here, once
-    each.  Arcs keep their build order and nodes are sorted by ``repr``.
-    A frozenset's repr orders its members by string hash and build
-    history, so ``_regroup`` rebuilds each node's groups with the set
-    operations a walk over ``Region`` objects performs, and the sort
-    orders the nodes as that walk does.
+    each.  Arcs keep their build order.  Nodes are sorted by location,
+    then the clock codes, then the fractional groups as tuples of clock
+    indices (clocks indexed in sorted order), then the corner values: a
+    key free of string hashes, so the order is the same in every
+    process.
     """
     wta.validate()
     if wta.monoid.id != "sum":
@@ -306,26 +292,27 @@ def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
     _require_finite_weights(wta)
     found, arcs, inits = _build_graph(wta)
     clocks = sorted(wta.base.clocks)
+    width = len(clocks)
     max_consts = tuple(sorted(wta.base.max_constants().items()))
     statuses = {}
     groups = {}
     public = {}
-    for node, origin in found.items():
+    for node in sorted(found, key=lambda n: (
+            n[0], n[1][0], tuple(tuple(_bits(m, width)) for m in n[1][1]), n[2])):
         loc, (codes, fracs), corner = node
-        if origin is None:
-            groups[node] = ()
-        else:
-            parent, edge = origin
-            groups[node] = _regroup(groups[parent], parent[1][1], fracs, edge, clocks)
         named = statuses.get(codes)
         if named is None:
             named = statuses[codes] = _statuses(codes, clocks, max_consts)
-        public[node] = (loc, Region(named, groups[node], max_consts),
+        group = groups.get(fracs)
+        if group is None:
+            group = groups[fracs] = tuple(
+                frozenset(clocks[i] for i in _bits(m, width)) for m in fracs)
+        public[node] = (loc, Region(named, group, max_consts),
                         tuple(zip(clocks, corner)))
     arcs = tuple(CornerArc(public[src], public[dst], cost, time, edge)
                  for src, dst, cost, time, edge in arcs)
     final = set(wta.base.final)
-    ordered = tuple(sorted(public.values(), key=repr))
+    ordered = tuple(public.values())
     accepting = tuple(n for n in ordered if n[0] in final)
     return CornerPointGraph(ordered, arcs, tuple(public[n] for n in inits), accepting)
 
@@ -664,33 +651,21 @@ def witness_below(wta: WeightedTimedAutomaton, result: InfCostResult,
 # Compiling canonical guard families into timed automata
 
 
-def _match_first(formula):
-    """Recognize 'no position strictly precedes v'; returns v."""
+def _match_end(formula):
+    """Recognize 'no position strictly precedes v' or 'no position
+    strictly follows v'; returns ("first", v) or ("last", v)."""
     if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
         w = formula.sub.var
         pair = rdl.match_and(formula.sub.sub)
         if pair:
             p, q = pair
             if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
-                    and isinstance(q.sub, rdl.Leq)):
-                if (p.left == w and q.sub.right == w and p.right == q.sub.left
-                        and p.right != w):
-                    return p.right
-    return None
-
-
-def _match_last(formula):
-    """Recognize 'no position strictly follows v'; returns v."""
-    if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
-        w = formula.sub.var
-        pair = rdl.match_and(formula.sub.sub)
-        if pair:
-            p, q = pair
-            if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
-                    and isinstance(q.sub, rdl.Leq)):
-                if (p.right == w and q.sub.left == w and p.left == q.sub.right
-                        and p.left != w):
-                    return p.left
+                    and isinstance(q.sub, rdl.Leq)
+                    and p.left == q.sub.right and p.right == q.sub.left):
+                if p.left == w != p.right:
+                    return "first", p.right
+                if p.right == w != p.left:
+                    return "last", p.left
     return None
 
 
@@ -729,127 +704,82 @@ def _match_singleton(formula):
     return None
 
 
-class _Analyzer:
-    """Decomposes guards into per-position tests and global parts.
+class _GuardCompiler:
+    """Compiles guards into closures over a per-position context tuple
+    (letter, bits, delta, first, last, tau): the position's letter, the
+    set variables holding there, the guessed truth of each distance atom,
+    whether the position is the first and the last, and the guessed
+    truth of each global part.
 
-    Supported per-position leaves: a concrete letter test, membership of
-    the position in a prefix set variable, a past-distance test (realized
-    as a clock comparison), first/last position, and trivial
-    reflexive orderings.  Global parts are closed formulas of the shape
-    'some position satisfies a per-position test' or 'X is a singleton'.
-    Anything else raises UnsupportedGuardError.
+    Per-position leaves: a concrete letter test, membership of the
+    position in a prefix set variable, a past-distance test (realized as
+    a clock comparison), first/last position, and trivial reflexive
+    orderings.  Global parts are 'X is a singleton' and closed
+    existentials, at any depth; an existential's body compiles with the
+    same method, its bound variable as the position, so parts nested in
+    it come before it.  Compiling records the distance atoms and the
+    global parts.  Anything else raises UnsupportedGuardError.
+    Compiling and the compiled closures each take one stack frame per
+    formula level.
     """
 
     def __init__(self, so_vars):
         self.so = set(so_vars)
+        self.atoms = set()
         self.parts = []
         self._keys = {}
 
-    def _part(self, key, make):
-        if key not in self._keys:
-            self._keys[key] = len(self.parts)
-            self.parts.append(make())
-        return ("global", self._keys[key])
+    def _global(self, key, part):
+        i = self._keys.get(key)
+        if i is None:
+            i = self._keys[key] = len(self.parts)
+            self.parts.append(part)
+        return lambda c: c[5][i]
 
-    def analyze(self, formula, pos):
-        v = _match_first(formula)
-        if v is not None:
-            if v == pos:
-                return ("first",)
-            raise UnsupportedGuardError(
-                f"first-position test on foreign variable {v!r}")
-        v = _match_last(formula)
-        if v is not None:
-            if v == pos:
-                return ("last",)
-            raise UnsupportedGuardError(
-                f"last-position test on foreign variable {v!r}")
+    def compile(self, formula, pos):
+        end = _match_end(formula)
+        if end is not None:
+            kind, v = end
+            if v != pos:
+                raise UnsupportedGuardError(
+                    f"{kind}-position test on foreign variable {v!r}")
+            if kind == "first":
+                return lambda c: c[3]
+            return lambda c: c[4]
         v = _match_singleton(formula)
         if v is not None and v in self.so:
-            return self._part(("sing", v), lambda: ("singleton", v))
+            return self._global(("sing", v), ("singleton", v))
         if isinstance(formula, rdl.Letter):
             if formula.var == pos:
-                return ("letter", formula.letter)
+                letter = formula.letter
+                return lambda c: c[0] == letter
         elif isinstance(formula, rdl.Leq):
             if formula.left == formula.right:
-                return ("true",)
+                return lambda c: True
         elif isinstance(formula, rdl.InSet):
             if formula.var == pos and formula.setvar in self.so:
-                return ("bit", formula.setvar)
+                x = formula.setvar
+                return lambda c: x in c[1]
         elif isinstance(formula, rdl.Dist):
             if formula.var == pos and formula.setvar in self.so:
                 if formula.rel == "=":
                     raise UnsupportedGuardError(
                         "exact-distance tests are outside the compiled fragment")
-                return ("clock", formula.rel, formula.bound, formula.setvar)
+                atom = (formula.rel, formula.bound, formula.setvar)
+                self.atoms.add(atom)
+                return lambda c: c[2][atom]
         elif isinstance(formula, rdl.Not):
-            return ("not", self.analyze(formula.sub, pos))
+            sub = self.compile(formula.sub, pos)
+            return lambda c: not sub(c)
         elif isinstance(formula, rdl.Or):
-            return ("or", self.analyze(formula.left, pos),
-                    self.analyze(formula.right, pos))
+            left = self.compile(formula.left, pos)
+            right = self.compile(formula.right, pos)
+            return lambda c: left(c) or right(c)
         elif isinstance(formula, rdl.ExistsFO):
-            tree = self._local(formula.sub, formula.var)
-            return self._part(("exists", formula),
-                              lambda: ("exists", formula.var, tree))
+            body = self.compile(formula.sub, formula.var)
+            return self._global(("exists", formula), ("exists", body))
         raise UnsupportedGuardError(
             f"guard outside the compiled fragment: {rdl.to_text(formula)}")
-
-    def _local(self, formula, pos):
-        v = _match_first(formula)
-        if v == pos:
-            return ("first",)
-        v = _match_last(formula)
-        if v == pos:
-            return ("last",)
-        if isinstance(formula, rdl.Letter) and formula.var == pos:
-            return ("letter", formula.letter)
-        if isinstance(formula, rdl.Leq) and formula.left == formula.right:
-            return ("true",)
-        if isinstance(formula, rdl.InSet) and formula.var == pos \
-                and formula.setvar in self.so:
-            return ("bit", formula.setvar)
-        if isinstance(formula, rdl.Dist) and formula.var == pos \
-                and formula.setvar in self.so and formula.rel != "=":
-            return ("clock", formula.rel, formula.bound, formula.setvar)
-        if isinstance(formula, rdl.Not):
-            return ("not", self._local(formula.sub, pos))
-        if isinstance(formula, rdl.Or):
-            return ("or", self._local(formula.left, pos),
-                    self._local(formula.right, pos))
-        raise UnsupportedGuardError(
-            f"quantified body outside the per-position fragment: {rdl.to_text(formula)}")
-
-
-def _eval_tree(tree, ctx):
-    kind = tree[0]
-    if kind == "true":
-        return True
-    if kind == "letter":
-        return ctx["letter"] == tree[1]
-    if kind == "bit":
-        return tree[1] in ctx["bits"]
-    if kind == "clock":
-        return ctx["delta"][(tree[1], tree[2], tree[3])]
-    if kind == "first":
-        return ctx["first"]
-    if kind == "last":
-        return ctx["last"]
-    if kind == "global":
-        return ctx["tau"][tree[1]]
-    if kind == "not":
-        return not _eval_tree(tree[1], ctx)
-    return _eval_tree(tree[1], ctx) or _eval_tree(tree[2], ctx)
-
-
-def _clock_atoms_of(tree, acc):
-    kind = tree[0]
-    if kind == "clock":
-        acc.add((tree[1], tree[2], tree[3]))
-    elif kind == "not":
-        _clock_atoms_of(tree[1], acc)
-    elif kind == "or":
-        _clock_atoms_of(tree[1], acc)
-        _clock_atoms_of(tree[2], acc)
 
 
 _COMPLEMENT = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
@@ -872,19 +802,17 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
 
     Set membership is guessed per position; each distance variable gets a
     clock reset at its guessed positions, so past-distance tests become
-    clock guards.  Closed existential parts are guessed up front and
-    verified at the final transition.
+    clock guards.  Global parts (closed existentials and singleton
+    tests, at any depth) are guessed up front and verified along the
+    word: a position satisfying a part's body rejects a false guess, and
+    a true guess needs such a position by the final transition.  A
+    body's truth depends only on the guesses of the parts nested in it,
+    so bottom up every guess of an accepting run is correct.
     """
-    analyzer = _Analyzer(so_vars)
-    trees = [analyzer.analyze(guard, posvar) for guard in guards]
-    parts = analyzer.parts
-    atoms = set()
-    for tree in trees:
-        _clock_atoms_of(tree, atoms)
-    for part in parts:
-        if part[0] == "exists":
-            _clock_atoms_of(part[2], atoms)
-    atoms = sorted(atoms)
+    compiler = _GuardCompiler(so_vars)
+    tests = [compiler.compile(guard, posvar) for guard in guards]
+    parts = compiler.parts
+    atoms = sorted(compiler.atoms)
     clock_vars = sorted({a[2] for a in atoms})
     if len(so_vars) > 4 or len(parts) > 4 or len(atoms) > 4:
         raise UnsupportedGuardError(
@@ -892,9 +820,8 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
             f"({len(so_vars)} set variables, {len(parts)} global parts, "
             f"{len(atoms)} distance atoms)")
     clock_of = {x: f"k_{x}" for x in clock_vars}
-    exists_idx = [i for i, p in enumerate(parts) if p[0] == "exists"]
-    sing_vars = [p[1] for p in parts if p[0] == "singleton"]
-    sing_idx = [i for i, p in enumerate(parts) if p[0] == "singleton"]
+    bodies = [(i, p[1]) for i, p in enumerate(parts) if p[0] == "exists"]
+    singletons = [(i, p[1]) for i, p in enumerate(parts) if p[0] == "singleton"]
 
     bit_choices = [frozenset(s) for r in range(len(so_vars) + 1)
                    for s in itertools.combinations(so_vars, r)]
@@ -920,7 +847,7 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
     resets_of = {bits: frozenset(clock_of[x] for x in bits if x in clock_of)
                  for bits in bit_choices}
 
-    starts = [(0, tau, (False,) * len(parts), (0,) * len(sing_vars))
+    starts = [(0, tau, (False,) * len(parts), (0,) * len(singletons))
               for tau in taus]
     seen = set(starts)
     queue = list(starts)
@@ -936,34 +863,30 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
                 resets = resets_of[bits]
                 for delta, guard in guarded:
                     for last in (False, True):
-                        ctx = {"letter": letter, "bits": bits, "delta": delta,
-                               "first": phase == 0, "last": last, "tau": tau}
+                        ctx = (letter, bits, delta, phase == 0, last, tau)
                         new_wit = list(wit)
                         rejected = False
-                        for i in exists_idx:
-                            _, var, tree = parts[i]
-                            if _eval_tree(tree, ctx):
+                        for i, body in bodies:
+                            if body(ctx):
                                 if not tau[i]:
                                     rejected = True
                                     break
                                 new_wit[i] = True
                         if rejected:
                             continue
-                        truths = [_eval_tree(t, ctx) for t in trees]
+                        truths = [test(ctx) for test in tests]
                         if sum(truths) != 1:
                             continue
                         branch = truths.index(True)
                         if values[branch] != g[letter]:
                             continue
                         new_counts = tuple(
-                            min(2, counts[k] + (1 if x in bits else 0))
-                            for k, x in enumerate(sing_vars))
+                            min(2, count + (1 if x in bits else 0))
+                            for count, (_, x) in zip(counts, singletons))
                         if last:
-                            ok = all(new_wit[i] for i in exists_idx if tau[i])
-                            for k, i in enumerate(sing_idx):
-                                if tau[i] != (new_counts[k] == 1):
-                                    ok = False
-                            if not ok:
+                            if not (all(new_wit[i] for i, _ in bodies if tau[i])
+                                    and all(tau[i] == (count == 1) for (i, _), count
+                                            in zip(singletons, new_counts))):
                                 continue
                             target = accept
                         else:

@@ -411,7 +411,8 @@ def reachable_regions(max_consts) -> frozenset:
 def brute_corner_graph(wta):
     """The corner-point graph walked over ``Region`` objects, with the
     same checks, last-in first-out exploration, arc order and node sort
-    as ``optcost.build_corner_points``: the oracle for its integer codes."""
+    key as ``optcost.build_corner_points``: the oracle for its integer
+    codes."""
     wta.validate()
     if wta.monoid.id != "sum":
         raise DomainError(
@@ -479,24 +480,198 @@ def brute_corner_graph(wta):
             arcs.append(optcost.CornerArc(node, target, Fraction(wta.wt_edge(e.id)), 0, e))
             push(target)
     final = set(base.final)
-    ordered = tuple(sorted(nodes, key=repr))
+    ordered = tuple(sorted(nodes, key=corner_node_key))
     accepting = tuple(n for n in ordered if n[0] in final)
     return optcost.CornerPointGraph(ordered, tuple(arcs), inits, accepting)
 
 
+def corner_node_key(node):
+    """The documented sort key of corner nodes, read off a ``Region``:
+    location, clock codes (2k at k, 2k+1 inside (k, k+1), 2*cap+2 above
+    the cap), fractional groups as sorted clock-index tuples, corner."""
+    loc, region, corner = node
+    caps = dict(region.max_consts)
+    index = {c: i for i, (c, _) in enumerate(region.statuses)}
+    codes = tuple(2 * caps[c] + 2 if s[0] == "gt" else 2 * s[1] + (s[0] == "in")
+                  for c, s in region.statuses)
+    groups = tuple(tuple(sorted(index[c] for c in group)) for group in region.fracs)
+    return loc, codes, groups, tuple(value for _, value in corner)
+
+
+# The oracle guard analysis for ``optcost._GuardCompiler``: guards become tuple
+# trees, read by ``_eval_tree``; quantifier bodies go through a second,
+# per-position recognizer that refuses nested existentials.
+
+
+def _match_first(formula):
+    """Recognize 'no position strictly precedes v'; returns v."""
+    if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
+        w = formula.sub.var
+        pair = rdl.match_and(formula.sub.sub)
+        if pair:
+            p, q = pair
+            if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
+                    and isinstance(q.sub, rdl.Leq)):
+                if (p.left == w and q.sub.right == w and p.right == q.sub.left
+                        and p.right != w):
+                    return p.right
+    return None
+
+
+def _match_last(formula):
+    """Recognize 'no position strictly follows v'; returns v."""
+    if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
+        w = formula.sub.var
+        pair = rdl.match_and(formula.sub.sub)
+        if pair:
+            p, q = pair
+            if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
+                    and isinstance(q.sub, rdl.Leq)):
+                if (p.right == w and q.sub.left == w and p.left == q.sub.right
+                        and p.left != w):
+                    return p.left
+    return None
+
+
+class _Analyzer:
+    """Decomposes guards into per-position tests and global parts.
+
+    Supported per-position leaves: a concrete letter test, membership of
+    the position in a prefix set variable, a past-distance test (realized
+    as a clock comparison), first/last position, and trivial
+    reflexive orderings.  Global parts are closed formulas of the shape
+    'some position satisfies a per-position test' or 'X is a singleton'.
+    Anything else raises UnsupportedGuardError.
+    """
+
+    def __init__(self, so_vars):
+        self.so = set(so_vars)
+        self.parts = []
+        self._keys = {}
+
+    def _part(self, key, make):
+        if key not in self._keys:
+            self._keys[key] = len(self.parts)
+            self.parts.append(make())
+        return ("global", self._keys[key])
+
+    def analyze(self, formula, pos):
+        v = _match_first(formula)
+        if v is not None:
+            if v == pos:
+                return ("first",)
+            raise UnsupportedGuardError(
+                f"first-position test on foreign variable {v!r}")
+        v = _match_last(formula)
+        if v is not None:
+            if v == pos:
+                return ("last",)
+            raise UnsupportedGuardError(
+                f"last-position test on foreign variable {v!r}")
+        v = optcost._match_singleton(formula)
+        if v is not None and v in self.so:
+            return self._part(("sing", v), lambda: ("singleton", v))
+        if isinstance(formula, rdl.Letter):
+            if formula.var == pos:
+                return ("letter", formula.letter)
+        elif isinstance(formula, rdl.Leq):
+            if formula.left == formula.right:
+                return ("true",)
+        elif isinstance(formula, rdl.InSet):
+            if formula.var == pos and formula.setvar in self.so:
+                return ("bit", formula.setvar)
+        elif isinstance(formula, rdl.Dist):
+            if formula.var == pos and formula.setvar in self.so:
+                if formula.rel == "=":
+                    raise UnsupportedGuardError(
+                        "exact-distance tests are outside the compiled fragment")
+                return ("clock", formula.rel, formula.bound, formula.setvar)
+        elif isinstance(formula, rdl.Not):
+            return ("not", self.analyze(formula.sub, pos))
+        elif isinstance(formula, rdl.Or):
+            return ("or", self.analyze(formula.left, pos),
+                    self.analyze(formula.right, pos))
+        elif isinstance(formula, rdl.ExistsFO):
+            tree = self._local(formula.sub, formula.var)
+            return self._part(("exists", formula),
+                              lambda: ("exists", formula.var, tree))
+        raise UnsupportedGuardError(
+            f"guard outside the compiled fragment: {rdl.to_text(formula)}")
+
+    def _local(self, formula, pos):
+        v = _match_first(formula)
+        if v == pos:
+            return ("first",)
+        v = _match_last(formula)
+        if v == pos:
+            return ("last",)
+        if isinstance(formula, rdl.Letter) and formula.var == pos:
+            return ("letter", formula.letter)
+        if isinstance(formula, rdl.Leq) and formula.left == formula.right:
+            return ("true",)
+        if isinstance(formula, rdl.InSet) and formula.var == pos \
+                and formula.setvar in self.so:
+            return ("bit", formula.setvar)
+        if isinstance(formula, rdl.Dist) and formula.var == pos \
+                and formula.setvar in self.so and formula.rel != "=":
+            return ("clock", formula.rel, formula.bound, formula.setvar)
+        if isinstance(formula, rdl.Not):
+            return ("not", self._local(formula.sub, pos))
+        if isinstance(formula, rdl.Or):
+            return ("or", self._local(formula.left, pos),
+                    self._local(formula.right, pos))
+        raise UnsupportedGuardError(
+            f"quantified body outside the per-position fragment: {rdl.to_text(formula)}")
+
+
+def _eval_tree(tree, ctx):
+    kind = tree[0]
+    if kind == "true":
+        return True
+    if kind == "letter":
+        return ctx["letter"] == tree[1]
+    if kind == "bit":
+        return tree[1] in ctx["bits"]
+    if kind == "clock":
+        return ctx["delta"][(tree[1], tree[2], tree[3])]
+    if kind == "first":
+        return ctx["first"]
+    if kind == "last":
+        return ctx["last"]
+    if kind == "global":
+        return ctx["tau"][tree[1]]
+    if kind == "not":
+        return not _eval_tree(tree[1], ctx)
+    return _eval_tree(tree[1], ctx) or _eval_tree(tree[2], ctx)
+
+
+def _clock_atoms_of(tree, acc):
+    kind = tree[0]
+    if kind == "clock":
+        acc.add((tree[1], tree[2], tree[3]))
+    elif kind == "not":
+        _clock_atoms_of(tree[1], acc)
+    elif kind == "or":
+        _clock_atoms_of(tree[1], acc)
+        _clock_atoms_of(tree[2], acc)
+
+
 def brute_compile_guard_family(guards, values, gamma, g, so_vars, posvar):
-    """``optcost.compile_guard_family`` with the clock guard of every
-    guessed delta built and checked for satisfiability inside the state
-    loop: the oracle for the construction that builds them once."""
-    analyzer = optcost._Analyzer(so_vars)
+    """``optcost.compile_guard_family`` through the tuple-tree analysis,
+    with the clock guard of every guessed delta built and checked for
+    satisfiability inside the state loop: the oracle for the closure
+    compiler and for the construction that builds the guards once.  It
+    refuses existentials nested in a quantifier body ("quantified body
+    outside the per-position fragment"), which the compiler decides."""
+    analyzer = _Analyzer(so_vars)
     trees = [analyzer.analyze(guard, posvar) for guard in guards]
     parts = analyzer.parts
     atoms = set()
     for tree in trees:
-        optcost._clock_atoms_of(tree, atoms)
+        _clock_atoms_of(tree, atoms)
     for part in parts:
         if part[0] == "exists":
-            optcost._clock_atoms_of(part[2], atoms)
+            _clock_atoms_of(part[2], atoms)
     atoms = sorted(atoms)
     clock_vars = sorted({a[2] for a in atoms})
     if len(so_vars) > 4 or len(parts) > 4 or len(atoms) > 4:
@@ -545,14 +720,14 @@ def brute_compile_guard_family(guards, values, gamma, g, so_vars, posvar):
                         new_wit = list(wit)
                         rejected = False
                         for i in exists_idx:
-                            if optcost._eval_tree(parts[i][2], ctx):
+                            if _eval_tree(parts[i][2], ctx):
                                 if not tau[i]:
                                     rejected = True
                                     break
                                 new_wit[i] = True
                         if rejected:
                             continue
-                        truths = [optcost._eval_tree(t, ctx) for t in trees]
+                        truths = [_eval_tree(t, ctx) for t in trees]
                         if sum(truths) != 1 or values[truths.index(True)] != g[letter]:
                             continue
                         new_counts = tuple(min(2, counts[k] + (1 if x in bits else 0))

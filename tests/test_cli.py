@@ -277,6 +277,28 @@ def test_decide_average_flavor(tmp_path):
     assert payload["exists"] is True and payload["witness"]
 
 
+def test_decide_handles_an_existential_nested_in_a_global_part(tmp_path):
+    # The inner existential becomes a global part of its own, guessed and
+    # verified like the outer one: the sentence holds exactly on words with
+    # a b, each valued 3 * duration + length.
+    text = "B(ex w1. ex w0. P[b](w0)) & all x. (3, 1)"
+    formula = put_text(tmp_path, "f.txt", text)
+
+    def decide(monoid, theta):
+        result = invoke("decide", "--formula", formula, "--monoid", monoid,
+                        "--theta", theta, "--alphabet", "a,b")
+        assert result.exit_code == 0
+        return result.stdout
+
+    assert decide("sum0", "2") == '{"exists":true,"witness":[["b","0"]]}\n'
+    assert decide("sum0", "1") == '{"exists":false}\n'
+    payload = json.loads(decide("avg0", "4"))
+    assert payload["exists"] is True
+    word = serialize.word_from_list(payload["witness"])
+    assert word.duration > 0
+    assert wrdl.wrdl_eval(wrdl.parse_wrdl(text), word, monoid_from_id("avg0")) < 4
+
+
 # ---------------------------------------------------------------------------
 # Randomized commands
 
