@@ -18,6 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from . import rdl, wrdl
@@ -381,16 +382,50 @@ def _bellman_ford(nodes, arcs, inits):
             {n: arc for n, arc in zip(order, pred) if arc is not None})
 
 
-def _closure(seed, successors) -> set:
-    """Every node reachable from the seed through the adjacency map."""
-    out = set(seed)
-    queue = deque(out)
-    while queue:
-        for nxt in successors.get(queue.popleft(), ()):
-            if nxt not in out:
-                out.add(nxt)
-                queue.append(nxt)
+_SRC, _DST = attrgetter("src"), attrgetter("dst")
+
+
+def _adjacency(arcs, end=_SRC) -> dict:
+    """The arcs grouped by the node at the given end, in arc order."""
+    out = {}
+    for arc in arcs:
+        out.setdefault(end(arc), []).append(arc)
     return out
+
+
+def _bfs(sources, adjacency, ahead=_DST, targets=()):
+    """Breadth-first search from the sources along the arcs of the
+    adjacency map, ``ahead`` naming the node an arc leads to.
+
+    Returns (parent, hit): parent maps every node reached, in the order
+    reached, to the arc that reached it first (None for a source); hit
+    is the first node found in targets, sources first, where the search
+    stops, or None.
+    """
+    parent = dict.fromkeys(sources)
+    for node in parent:
+        if node in targets:
+            return parent, node
+    queue = deque(parent)
+    while queue:
+        for arc in adjacency.get(queue.popleft(), ()):
+            node = ahead(arc)
+            if node not in parent:
+                parent[node] = arc
+                if node in targets:
+                    return parent, node
+                queue.append(node)
+    return parent, None
+
+
+def _path_to(parent, node) -> list:
+    """The arcs of a search tree from its source to the node."""
+    path = []
+    while (arc := parent[node]) is not None:
+        path.append(arc)
+        node = arc.src
+    path.reverse()
+    return path
 
 
 def _useful_subgraph(wta: WeightedTimedAutomaton):
@@ -400,13 +435,9 @@ def _useful_subgraph(wta: WeightedTimedAutomaton):
     acc_nodes = set(graph.accepting)
     acc_arcs = [a for a in graph.arcs
                 if a.edge is not None and a.dst in acc_nodes]
-    forward, backward = {}, {}
-    for a in graph.arcs:
-        forward.setdefault(a.src, []).append(a.dst)
-        backward.setdefault(a.dst, []).append(a.src)
-    reach = _closure(graph.initial, forward)
-    co = _closure({a.src for a in acc_arcs}, backward)
-    useful = reach & co
+    reach, _ = _bfs(graph.initial, _adjacency(graph.arcs))
+    co, _ = _bfs({a.src for a in acc_arcs}, _adjacency(graph.arcs, _DST), _SRC)
+    useful = reach.keys() & co.keys()
     arcs = [a for a in graph.arcs if a.src in useful and a.dst in useful]
     inits = tuple(n for n in graph.initial if n in useful)
     acc_arcs = [a for a in acc_arcs if a.src in useful]
@@ -440,64 +471,6 @@ def _negative_cycle(nodes, arcs, inits, unstable, pred):
         if sum(a.cost for a in cycle) < 0:
             return cycle
     return None
-
-
-def _arc_path(arcs, sources, targets):
-    """A fewest-arc path from any source node to any target node, or None.
-    Returns [] when a source is already a target."""
-    targets = set(targets)
-    seen = set(sources)
-    back = {}
-    dq = deque(sources)
-    hit = None
-    for s in sources:
-        if s in targets:
-            return []
-    out = {}
-    for arc in arcs:
-        out.setdefault(arc.src, []).append(arc)
-    while dq and hit is None:
-        node = dq.popleft()
-        for arc in out.get(node, ()):
-            if arc.dst in seen:
-                continue
-            seen.add(arc.dst)
-            back[arc.dst] = arc
-            if arc.dst in targets:
-                hit = arc.dst
-                break
-            dq.append(arc.dst)
-    if hit is None:
-        return None
-    path = []
-    node = hit
-    while node in back:
-        arc = back[node]
-        path.append(arc)
-        node = arc.src
-    path.reverse()
-    return path
-
-
-def _tight_parents(dist, arcs, inits):
-    """A cycle-free parent assignment realizing the computed distances."""
-    children = {}
-    for arc in arcs:
-        ds, dd = dist[arc.src], dist[arc.dst]
-        if ds is not None and dd is not None and ds + arc.cost == dd:
-            children.setdefault(arc.src, []).append(arc)
-    parent = {}
-    roots = [n for n in inits if dist[n] == Fraction(0)]
-    seen = set(roots)
-    dq = deque(roots)
-    while dq:
-        node = dq.popleft()
-        for arc in children.get(node, ()):
-            if arc.dst not in seen:
-                seen.add(arc.dst)
-                parent[arc.dst] = arc
-                dq.append(arc.dst)
-    return parent, seen
 
 
 def _word_of_path(path) -> Optional[TimedWord]:
@@ -564,18 +537,13 @@ def inf_cost(wta: WeightedTimedAutomaton) -> InfCostResult:
             best_arc = arc
     if best is None:
         return InfCostResult(INF, False, None, None)
-    parent, covered = _tight_parents(dist, arcs, inits)
+    # A search tree over the arcs that realize the least costs.
+    tight = _adjacency(a for a in arcs if dist[a.src] is not None and dist[a.dst] is not None
+                       and dist[a.src] + a.cost == dist[a.dst])
+    parent, _ = _bfs([n for n in inits if dist[n] == 0], tight)
     corner_word = None
-    if best_arc.src in covered:
-        path = []
-        node = best_arc.src
-        while node in parent:
-            arc = parent[node]
-            path.append(arc)
-            node = arc.src
-        path.reverse()
-        path.append(best_arc)
-        corner_word = _word_of_path(path)
+    if best_arc.src in parent:
+        corner_word = _word_of_path(_path_to(parent, best_arc.src) + [best_arc])
     witness = None
     attained = False
     if corner_word is not None:
@@ -602,11 +570,12 @@ def _pumped_witness(wta: WeightedTimedAutomaton, bound, strict: bool):
     if cycle is None:
         return None
     entry = cycle[0].src
-    prefix = _arc_path(arcs, inits, {entry})
-    tail = _arc_path(arcs, [entry], {a.src for a in acc_arcs})
-    if prefix is None or tail is None:
+    out = _adjacency(arcs)
+    parent, hit = _bfs(inits, out, targets={entry})
+    back, end = _bfs([entry], out, targets={a.src for a in acc_arcs})
+    if hit is None or end is None:
         return None
-    end = tail[-1].dst if tail else entry
+    prefix, tail = _path_to(parent, entry), _path_to(back, end)
     last = min((a for a in acc_arcs if a.src == end), key=lambda a: a.cost)
     suffix = tail + [last]
     fixed = sum(a.cost for a in prefix) + sum(a.cost for a in suffix)

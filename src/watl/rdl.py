@@ -22,6 +22,7 @@ connectives; quantifier bodies extend as far right as possible)::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Iterator, Mapping, Optional
 
 from .core import _COMPARE, RELATIONS, TimedWord
@@ -135,22 +136,12 @@ def rdl_last(var):
 
 def big_or(parts):
     parts = list(parts)
-    if not parts:
-        return rdl_false()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts) if parts else rdl_false()
 
 
 def big_and(parts):
     parts = list(parts)
-    if not parts:
-        return rdl_true()
-    out = parts[0]
-    for p in parts[1:]:
-        out = rdl_and(out, p)
-    return out
+    return reduce(rdl_and, parts) if parts else rdl_true()
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +211,18 @@ def variable_names(formula) -> set:
 def _rebuild(node, visit: Callable):
     """Rebuild a formula top-down, left to right.
 
-    ``visit(node)`` returns ``(replacement, descend)``; when ``descend``
-    is true the replacement's children are rebuilt in turn.  ``visit``
-    returns before the walk goes deeper, so the walk takes one stack
-    frame per level, like the other structural recursions here.
+    ``visit(node)`` returns ``(replacement, descend)``: ``descend`` is
+    False to keep the replacement as it is, True to rebuild its children
+    with the same visit, or the visit to rebuild them with (for a binder
+    that changes what names mean in its body).  ``visit`` returns before
+    the walk goes deeper, so the walk takes one stack frame per level,
+    like the other structural recursions here.
     """
     node, descend = visit(node)
-    if not descend or isinstance(node, (Letter, Leq, InSet, Dist)):
+    if descend is False or isinstance(node, (Letter, Leq, InSet, Dist)):
         return node
+    if descend is not True:
+        visit = descend
     if isinstance(node, Not):
         return Not(_rebuild(node.sub, visit))
     if isinstance(node, Or):
@@ -239,41 +234,51 @@ def _rebuild(node, visit: Callable):
     raise TypeError(f"not a formula: {node!r}")
 
 
-def rename_free(formula, old: str, new: str):
-    """Rename the free occurrences of a variable of either kind.
+def _rename_atom(node, renames: Mapping[str, str]):
+    """An atom with the names it carries renamed by the map."""
+    changes = {field: renames[name] for field in _NAME_FIELDS[type(node)]
+               if (name := getattr(node, field)) in renames}
+    return replace(node, **changes) if changes else node
 
-    The kind follows from the case of ``old``.  A binder of ``old``
-    ends the walk; a binder of ``new`` around a free occurrence of
-    ``old`` would capture it, which is rejected.
+
+def rename_free(formula, renames: Mapping[str, str]):
+    """Rename the free occurrences of variables of either kind, all at
+    once, each old name to the new name the map gives it.
+
+    A binder of an old name drops that entry for its body; a binder of a
+    new name around a free occurrence of its old name would capture it,
+    which is rejected.
     """
-    kind = 1 if is_so_name(old) else 0
+    return _rebuild(formula, _renaming(renames)) if renames else formula
+
+
+def _renaming(renames: Mapping[str, str]) -> Callable:
+    """The ``_rebuild`` visit of ``rename_free`` for one map."""
+    targets = set(renames.values())
 
     def visit(node):
-        if isinstance(node, (ExistsFO, ExistsSO)):
-            bound = node.var if isinstance(node, ExistsFO) else node.setvar
-            if bound == old:
-                return node, False
-            if bound == new and old in free_vars(node.sub)[kind]:
-                raise WatlError(f"substitution would capture {new!r}")
-        elif isinstance(node, (Letter, Leq, InSet, Dist)):
-            changes = {field: new for field in _NAME_FIELDS[type(node)]
-                       if getattr(node, field) == old}
-            return (replace(node, **changes) if changes else node), False
-        return node, True
+        if isinstance(node, (Letter, Leq, InSet, Dist)):
+            return _rename_atom(node, renames), False
+        if not isinstance(node, (ExistsFO, ExistsSO)):
+            return node, True
+        bound = node.var if isinstance(node, ExistsFO) else node.setvar
+        if bound in targets:
+            free = free_vars(node.sub)
+            for old, new in renames.items():
+                if new == bound != old and old in free[is_so_name(old)]:
+                    raise WatlError(f"substitution would capture {new!r}")
+        if bound not in renames:
+            return node, True
+        rest = {old: new for old, new in renames.items() if old != bound}
+        return node, _renaming(rest) if rest else False
 
-    return _rebuild(formula, visit)
+    return visit
 
 
 def map_letter_atoms(formula, builder: Callable[[str, str], object]):
     """Replace every letter atom P[a](x) by builder(a, x)."""
     return _rebuild(formula, lambda node: (builder(node.letter, node.var), False)
                     if isinstance(node, Letter) else (node, True))
-
-
-def strip_double_negation(formula):
-    while isinstance(formula, Not) and isinstance(formula.sub, Not):
-        formula = formula.sub.sub
-    return formula
 
 
 def match_and(formula) -> Optional[tuple]:
@@ -342,8 +347,17 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent over a token list, shared by both logics: ``|``
+    binds weaker than ``&`` and both associate to the left.  A logic
+    supplies its tokenizer, the node constructors of the two connectives,
+    and ``unary``."""
+
+    tokenize = staticmethod(_tokenize)
+    disjoin = Or
+    conjoin = staticmethod(rdl_and)
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = self.tokenize(text)
         self.pos = 0
 
     def peek(self):
@@ -371,14 +385,14 @@ class _Parser:
         left = self.and_expr()
         while self.peek()[0] == "|":
             self.next()
-            left = Or(left, self.and_expr())
+            left = self.disjoin(left, self.and_expr())
         return left
 
     def and_expr(self):
         left = self.unary()
         while self.peek()[0] == "&":
             self.next()
-            left = rdl_and(left, self.unary())
+            left = self.conjoin(left, self.unary())
         return left
 
     def unary(self):
@@ -402,9 +416,9 @@ class _Parser:
             if is_fo_name(var):
                 return rdl_forall_fo(var, body)
             return Not(ExistsSO(var, Not(body)))
-        return self.atom()
+        return self.primary()
 
-    def atom(self):
+    def primary(self):
         kind, value, pos = self.next()
         if kind == "(":
             inner = self.or_expr()
@@ -619,12 +633,17 @@ def model_check(formula, word: TimedWord, assignment: Optional[Assignment] = Non
     positions and bitmask position sets (see ``_Compiler``).  Second-order
     quantifiers still enumerate all 2^n position subsets, so this is
     exponential in the word length and intended for desk-scale inputs.
+    A formula nested deeper than the interpreter's recursion limit is
+    refused with a ``WatlError``.
     """
     sigma = assignment or Assignment()
-    validate_assignment(free_vars(formula), word, sigma, "model check")
-    compiler = _Compiler(word, sigma)
-    check = compiler.compile(formula, compiler.fo, compiler.so)
-    return bool(check(compiler.env))
+    try:
+        validate_assignment(free_vars(formula), word, sigma, "model check")
+        compiler = _Compiler(word, sigma)
+        check = compiler.compile(formula, compiler.fo, compiler.so)
+        return bool(check(compiler.env))
+    except RecursionError:
+        raise WatlError("formula nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import itemgetter
 from typing import Optional
 
@@ -99,14 +100,11 @@ def free_vars(formula):
 
 def iter_nodes(formula):
     yield formula
-    if isinstance(formula, (Or, And)):
+    if isinstance(formula, (Or, And, Forall)):
         yield from iter_nodes(formula.left)
         yield from iter_nodes(formula.right)
     elif isinstance(formula, (ExistsFO, ExistsSO)):
         yield from iter_nodes(formula.sub)
-    elif isinstance(formula, Forall):
-        yield from iter_nodes(formula.left)
-        yield from iter_nodes(formula.right)
 
 
 def _all_names(formula) -> set:
@@ -128,13 +126,8 @@ class NameSupply:
     def __init__(self, used):
         self.used = set(used)
 
-    def fresh_fo(self, base="y") -> str:
-        return self._fresh(base)
-
-    def fresh_so(self, base="S") -> str:
-        return self._fresh(base)
-
-    def _fresh(self, base) -> str:
+    def fresh(self, base: str) -> str:
+        """base0, base1, ...: the first one not used yet, now used."""
         i = 0
         while f"{base}{i}" in self.used:
             i += 1
@@ -239,45 +232,13 @@ def _w_tokenize(text: str):
     return tokens
 
 
-class _WParser:
-    def __init__(self, text: str):
-        self.tokens = _w_tokenize(text)
-        self.pos = 0
+class _WParser(rdl._Parser):
+    """The weighted logic's tokens, connectives and prefix forms; the
+    payload of B(...) is parsed by ``rdl.parse_rdl``."""
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        formula = self.or_expr()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise ParseError(f"trailing input starting at {tok[1]!r}", tok[2])
-        return formula
-
-    def or_expr(self):
-        left = self.and_expr()
-        while self.peek()[0] == "|":
-            self.next()
-            left = Or(left, self.and_expr())
-        return left
-
-    def and_expr(self):
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.next()
-            left = And(left, self.unary())
-        return left
+    tokenize = staticmethod(_w_tokenize)
+    disjoin = Or
+    conjoin = And
 
     def unary(self):
         kind, value, pos = self.peek()
@@ -324,7 +285,9 @@ class _WParser:
             numerator = value
             if self.peek()[0] == "/":
                 self.next()
-                denominator = self.expect("NAT")[1]
+                _, denominator, at = self.expect("NAT")
+                if not denominator:
+                    raise ParseError("zero denominator", at)
                 out = Fraction(numerator, denominator)
             else:
                 out = Fraction(numerator)
@@ -621,16 +584,11 @@ class CanonicalSentence:
 
 
 def _value_disjunction(guards, values):
-    return rdl_big_or_w([And(Bool(g), Const(v)) for g, v in zip(guards, values)])
-
-
-def rdl_big_or_w(parts):
-    if not parts:
+    """The sum of B(guard_i) & value_i, folded to the left like
+    ``rdl.big_or``; the weighted logic has no empty sum."""
+    if not guards:
         raise WatlError("empty weighted disjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, [And(Bool(g), Const(v)) for g, v in zip(guards, values)])
 
 
 def _freshen(canonical: CanonicalSentence, names: NameSupply,
@@ -643,15 +601,13 @@ def _freshen(canonical: CanonicalSentence, names: NameSupply,
     if force_var is not None and var != force_var:
         renames[var] = force_var
     elif var in avoid_fo:
-        renames[var] = names.fresh_fo()
+        renames[var] = names.fresh("y")
     for v in canonical.so_vars:
         if v in avoid_so:
-            renames[v] = names.fresh_so()
-    guards = canonical.guards
-    for old, new in renames.items():
-        guards = tuple(rdl.rename_free(g, old, new) for g in guards)
+            renames[v] = names.fresh("S")
     return CanonicalSentence(tuple(renames.get(v, v) for v in canonical.so_vars),
-                             renames.get(var, var), guards,
+                             renames.get(var, var),
+                             tuple(rdl.rename_free(g, renames) for g in canonical.guards),
                              canonical.left, canonical.right)
 
 
@@ -687,7 +643,7 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
                     raise FragmentError(
                         "constants outside a universal quantifier cannot be "
                         "canonicalized")
-            return CanonicalSentence((), names.fresh_fo(), guards, left, tuple(right))
+            return CanonicalSentence((), names.fresh("y"), guards, left, tuple(right))
         if isinstance(node, Forall):
             s1 = to_step_function(node.left, monoid)
             s2 = to_step_function(node.right, monoid)
@@ -716,12 +672,12 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
         if isinstance(node, Or):
             first = canon(node.left)
             second = canon(node.right)
-            shared = names.fresh_fo()
+            shared = names.fresh("y")
             first = _freshen(first, names, force_var=shared)
             second = _freshen(second, names, avoid_so=frozenset(first.so_vars),
                               force_var=shared)
-            selector = names.fresh_so()
-            probe = names.fresh_fo()
+            selector = names.fresh("S")
+            probe = names.fresh("y")
             nonempty = rdl.ExistsFO(probe, rdl.InSet(selector, probe))
             guards = tuple(rdl.rdl_and(rdl.Not(nonempty), g) for g in first.guards)
             guards += tuple(rdl.rdl_and(nonempty, g) for g in second.guards)
@@ -737,9 +693,9 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
         if isinstance(node, ExistsFO):
             inner = canon(node.sub)
             inner = _freshen(inner, names, avoid_fo=frozenset([node.var]))
-            witness = names.fresh_so()
-            z = names.fresh_fo()
-            u = names.fresh_fo()
+            witness = names.fresh("S")
+            z = names.fresh("y")
+            u = names.fresh("y")
             same = rdl.rdl_and(rdl.Leq(u, z), rdl.Leq(z, u))
             singleton = rdl.ExistsFO(z, rdl.rdl_and(
                 rdl.InSet(witness, z),
@@ -778,18 +734,28 @@ def gamma_letter(letter: str, m, mp) -> str:
 def relabeled_guards(canonical: CanonicalSentence, gamma, h) -> tuple:
     """The guard family lifted to an auxiliary alphabet: every letter test
     P[a](x) becomes the disjunction of the gamma letters projecting to a.
-    Second-order binders inside guards are alpha-renamed first so that no
+    In the same walk every second-order binder inside a guard is
+    alpha-renamed to a fresh name (Z0, Z1, ... in walk order), so that no
     bound name collides with another guard's distance variable."""
     supply = NameSupply(set(canonical.so_vars) | {canonical.var} |
                         set().union(*[rdl.variable_names(gd) for gd in canonical.guards]))
-    out = []
-    for guard in canonical.guards:
-        guard = _rename_bound_so(guard, supply)
-        out.append(rdl.map_letter_atoms(
-            guard,
-            lambda letter, var: rdl.big_or([rdl.Letter(c, var) for c in gamma
-                                            if h[c] == letter])))
-    return tuple(out)
+
+    def relabel(bound: dict):
+        """The ``rdl._rebuild`` visit under the given renaming of bound
+        set variables."""
+        def visit(node):
+            if isinstance(node, rdl.Letter):
+                return rdl.big_or([rdl.Letter(c, node.var) for c in gamma
+                                   if h[c] == node.letter]), False
+            if isinstance(node, (rdl.InSet, rdl.Dist)):
+                return rdl._rename_atom(node, bound), False
+            if isinstance(node, rdl.ExistsSO):
+                fresh = supply.fresh("Z")
+                return rdl.ExistsSO(fresh, node.sub), relabel({**bound, node.setvar: fresh})
+            return node, True
+        return visit
+
+    return tuple(rdl._rebuild(guard, relabel({})) for guard in canonical.guards)
 
 
 def _auxiliary_alphabet(canonical: CanonicalSentence, alphabet, monoid) -> tuple:
@@ -859,19 +825,6 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     return NivatTriple(gamma, h, g, body, "sentence")
 
 
-def _rename_bound_so(formula, supply: NameSupply):
-    """Alpha-rename second-order binders to fresh names so that distinct
-    guards cannot share a bound name with another guard's distance
-    variable."""
-    def visit(node):
-        if isinstance(node, rdl.ExistsSO):
-            fresh = supply.fresh_so("Z")
-            return rdl.ExistsSO(fresh, rdl.rename_free(node.sub, node.setvar, fresh)), True
-        return node, True
-
-    return rdl._rebuild(formula, visit)
-
-
 def nivat_to_sentence(triple: NivatTriple, monoid):
     """Translate a triple whose language is a logic sentence back into a
     syntactically restricted weighted sentence.
@@ -900,14 +853,14 @@ def nivat_to_sentence(triple: NivatTriple, monoid):
         body = body.sub
 
     supply = NameSupply(rdl.variable_names(sentence))
-    xvar = {c: supply.fresh_so("X") for c in triple.gamma}
+    xvar = {c: supply.fresh("X") for c in triple.gamma}
     replaced = rdl.map_letter_atoms(
         body,
         lambda letter, var: rdl.rdl_and(rdl.Letter(triple.h.get(letter, letter), var),
                                         rdl.InSet(xvar[letter], var))
         if letter in xvar else rdl.rdl_false())
 
-    p = supply.fresh_fo("p")
+    p = supply.fresh("p")
     part = rdl.rdl_forall_fo(p, rdl.big_or([
         rdl.big_and([rdl.InSet(xvar[c], p)] +
                     [rdl.Not(rdl.InSet(xvar[d], p)) for d in triple.gamma if d != c])
@@ -921,11 +874,10 @@ def nivat_to_sentence(triple: NivatTriple, monoid):
     if not rdl.classify(payload).in_rdl_past:
         raise WatlError("combined boolean payload left the past fragment")
 
-    q = supply.fresh_fo("q")
-    left = rdl_big_or_w([And(Bool(rdl.InSet(xvar[c], q)), Const(triple.g[c][0]))
-                         for c in triple.gamma])
-    right = rdl_big_or_w([And(Bool(rdl.InSet(xvar[c], q)), Const(triple.g[c][1]))
-                          for c in triple.gamma])
+    q = supply.fresh("q")
+    members = [rdl.InSet(xvar[c], q) for c in triple.gamma]
+    left = _value_disjunction(members, [triple.g[c][0] for c in triple.gamma])
+    right = _value_disjunction(members, [triple.g[c][1] for c in triple.gamma])
     out = And(Bool(payload), Forall(q, left, right))
     for v in reversed(prefix):
         out = ExistsSO(v, out)

@@ -85,6 +85,31 @@ def random_rdl_formula(rng, depth=3):
     return rdl.rdl_and(random_rdl_formula(rng, depth - 1), random_rdl_formula(rng, depth - 1))
 
 
+def random_weighted_formula(rng, depth):
+    """A random weighted formula over x, y, z, X, Y whose payloads stay in
+    the past fragment; binders may rebind names bound outside them."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.3:
+            return wrdl.Const(Fraction(rng.randint(0, 2)))
+        payload = random_rdl_formula(rng, depth=2)
+        while not rdl.classify(payload).in_rdl_past:
+            payload = random_rdl_formula(rng, depth=2)
+        return wrdl.Bool(payload)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return wrdl.Or(random_weighted_formula(rng, depth - 1),
+                       random_weighted_formula(rng, depth - 1))
+    if kind == 1:
+        return wrdl.And(random_weighted_formula(rng, depth - 1),
+                        random_weighted_formula(rng, depth - 1))
+    if kind == 2:
+        return wrdl.ExistsFO(rng.choice("xyz"), random_weighted_formula(rng, depth - 1))
+    if kind == 3:
+        return wrdl.Forall(rng.choice("xyz"), random_weighted_formula(rng, depth - 1),
+                           random_weighted_formula(rng, depth - 1))
+    return wrdl.ExistsSO(rng.choice("XY"), random_weighted_formula(rng, depth - 1))
+
+
 def random_short_word(rng, max_len=6):
     """A word over a, b of 1..max_len letters whose delays come from
     {0, 1/2, 1, 2}, so zero delays and distances equal to a bound occur."""

@@ -502,3 +502,30 @@ def test_long_words_evaluate_and_list_runs(tmp_path):
     assert payload["count"] == 1
     assert len(payload["runs"][0]["edges"]) == 1500
     assert payload["runs"][0]["value"] == "750"
+
+
+@pytest.mark.parametrize("command", ["wrdl-eval", "decide"])
+@pytest.mark.parametrize("text", ["1/0", "all x.(1, -3/0)"])
+def test_zero_denominators_are_refused_cleanly(tmp_path, command, text):
+    formula = put_text(tmp_path, "f.txt", text)
+    word = put_json(tmp_path, "w.json", [["a", "1"]])
+    extra = ("--word", word) if command == "wrdl-eval" else ("--theta", "1")
+    result = invoke(command, "--formula", formula, "--monoid", "sum0", *extra)
+    assert_clean_refusal(result)
+    assert "zero denominator (column" in result.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "ex x. " + " & ".join(["P[a](x)"] * 400),
+    "ex x. " + " | ".join(["P[a](x)"] * 3000),
+], ids=["conjuncts", "disjuncts"])
+@pytest.mark.parametrize("command", ["rdl-check", "wrdl-eval"])
+def test_long_connective_chains_are_refused_cleanly(tmp_path, text, command):
+    word = put_json(tmp_path, "w.json", [["a", "1"]])
+    extra = ()
+    if command == "wrdl-eval":
+        text, extra = f"B({text})", ("--monoid", "sum0")
+    formula = put_text(tmp_path, "f.txt", text)
+    result = invoke(command, "--formula", formula, "--word", word, *extra)
+    assert_clean_refusal(result)
+    assert result.stderr == "Error: formula nested too deeply\n"

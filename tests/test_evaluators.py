@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from conftest import (brute_model_check, brute_wrdl_eval, outcome, random_rdl_formula,
-                      random_short_word, wd)
+                      random_short_word, random_weighted_formula, wd)
 from watl import fixtures, monoids, rdl, sampling, wrdl
 from watl.errors import DomainError, FragmentError, WatlError
 from watl.monoids import monoid_from_id
@@ -69,31 +69,6 @@ def test_distance_atoms_match_the_oracle_on_every_set_and_position():
                         {"x": x}, {"X": {p for p in range(1, n + 1) if mask >> (p - 1) & 1}})
                     assert rdl.model_check(atom, word, sigma) is \
                         brute_model_check(atom, word, sigma)
-
-
-def random_weighted_formula(rng, depth):
-    """A random weighted formula over x, y, z, X, Y whose payloads stay in
-    the past fragment; binders may rebind names bound outside them."""
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.3:
-            return Const(Fraction(rng.randint(0, 2)))
-        payload = random_rdl_formula(rng, depth=2)
-        while not rdl.classify(payload).in_rdl_past:
-            payload = random_rdl_formula(rng, depth=2)
-        return Bool(payload)
-    kind = rng.randrange(5)
-    if kind == 0:
-        return Or(random_weighted_formula(rng, depth - 1),
-                  random_weighted_formula(rng, depth - 1))
-    if kind == 1:
-        return And(random_weighted_formula(rng, depth - 1),
-                   random_weighted_formula(rng, depth - 1))
-    if kind == 2:
-        return ExistsFO(rng.choice("xyz"), random_weighted_formula(rng, depth - 1))
-    if kind == 3:
-        return Forall(rng.choice("xyz"), random_weighted_formula(rng, depth - 1),
-                      random_weighted_formula(rng, depth - 1))
-    return ExistsSO(rng.choice("XY"), random_weighted_formula(rng, depth - 1))
 
 
 @pytest.mark.parametrize("monoid_id", PV_MONOIDS)

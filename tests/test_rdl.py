@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import wd
+from conftest import outcome, random_rdl_formula, wd
 from watl import sampling, wrdl
 from watl.errors import ParseError, WatlError
 from watl.monoids import monoid_from_id
@@ -237,23 +237,23 @@ def test_prefix_must_cover_exactly_the_distance_variables():
 
 def test_renaming_stops_at_a_binder_of_the_old_name():
     formula = parse_rdl("P[a](x) | ex x. P[b](x)")
-    assert rename_free(formula, "x", "z") == parse_rdl("P[a](z) | ex x. P[b](x)")
+    assert rename_free(formula, {"x": "z"}) == parse_rdl("P[a](z) | ex x. P[b](x)")
     formula = parse_rdl("X(y) | EX X. X(y)")
-    assert rename_free(formula, "X", "W") == parse_rdl("W(y) | EX X. X(y)")
+    assert rename_free(formula, {"X": "W"}) == parse_rdl("W(y) | EX X. X(y)")
 
 
 def test_renaming_raises_only_on_real_capture():
     # y is bound here, but x does not occur free below the binder
     formula = parse_rdl("P[a](x) | ex y. P[b](y)")
-    assert rename_free(formula, "x", "y") == parse_rdl("P[a](y) | ex y. P[b](y)")
+    assert rename_free(formula, {"x": "y"}) == parse_rdl("P[a](y) | ex y. P[b](y)")
     with pytest.raises(WatlError, match="capture"):
-        rename_free(parse_rdl("ex y. x <= y"), "x", "y")
+        rename_free(parse_rdl("ex y. x <= y"), {"x": "y"})
     with pytest.raises(WatlError, match="capture"):
-        rename_free(parse_rdl("EX Y. (Y(x) | dpast[<1](X,x))"), "X", "Y")
+        rename_free(parse_rdl("EX Y. (Y(x) | dpast[<1](X,x))"), {"X": "Y"})
 
 
 def test_renaming_and_name_collection_never_touch_letters():
-    assert rename_free(Letter("x", "x"), "x", "y") == Letter("x", "y")
+    assert rename_free(Letter("x", "x"), {"x": "y"}) == Letter("x", "y")
     formula = parse_rdl("EX X. ex y. (X(y) & dpast[>=1](Z,x)) | P[q](w) | u <= v")
     assert variable_names(formula) == {"X", "y", "Z", "x", "w", "u", "v"}
 
@@ -271,7 +271,7 @@ def test_renaming_free_guard_variables_keeps_the_verdict():
             for old in sorted(fo | so):
                 new = "Fresh" if is_so_name(old) else "fresh"
                 assert new not in variable_names(guard)
-                renamed = rename_free(guard, old, new)
+                renamed = rename_free(guard, {old: new})
                 kind = 1 if is_so_name(old) else 0
                 assert old not in free_vars(renamed)[kind]
                 assert new in free_vars(renamed)[kind]
@@ -281,6 +281,48 @@ def test_renaming_free_guard_variables_keeps_the_verdict():
                 assert model_check(renamed, word, moved) == model_check(guard, word, sigma)
                 binder = ExistsSO if kind else ExistsFO
                 with pytest.raises(WatlError, match="capture"):
-                    rename_free(binder(new, guard), old, new)
+                    rename_free(binder(new, guard), {old: new})
                 renamed_count += 1
     assert renamed_count > 50
+
+
+def chain_of_single_renamings(formula, renames):
+    for old, new in renames.items():
+        formula = rename_free(formula, {old: new})
+    return formula
+
+
+def test_a_renaming_map_equals_its_chain_of_single_renamings():
+    # Targets are never renamed themselves, so the order of the chain does
+    # not matter; a target may be bound in the formula and so capture.
+    rng = random.Random(4343)
+    captured = renamed = 0
+    for _ in range(400):
+        formula = random_rdl_formula(rng, depth=4)
+        fo, so = free_vars(formula)
+        free = sorted(fo | so)
+        if not free:
+            continue
+        olds = rng.sample(free, rng.randint(1, len(free)))
+        renames = {}
+        for old in olds:
+            pool = ("X", "Y", "Fresh") if is_so_name(old) else ("x", "y", "z", "fresh")
+            renames[old] = rng.choice([n for n in pool if n not in olds])
+        got = outcome(rename_free, formula, renames)
+        want = outcome(chain_of_single_renamings, formula, renames)
+        if isinstance(want, tuple):
+            assert want[0] is WatlError and "capture" in want[1]
+            assert isinstance(got, tuple) and got[0] is WatlError and "capture" in got[1]
+            captured += 1
+        else:
+            assert got == want
+            renamed += got != formula
+    assert captured >= 30 and renamed >= 100
+
+
+def test_a_renaming_map_renames_simultaneously():
+    assert rename_free(parse_rdl("x <= y"), {"x": "y", "y": "x"}) == parse_rdl("y <= x")
+    assert rename_free(parse_rdl("X(x) | EX X. X(x)"), {"X": "Y", "x": "z"}) == \
+        parse_rdl("Y(z) | EX X. X(z)")
+    with pytest.raises(WatlError, match="capture"):
+        rename_free(parse_rdl("ex y. x <= y"), {"y": "x", "x": "y"})
