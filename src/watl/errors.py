@@ -20,10 +20,11 @@ class ParseError(WatlError):
     """Raised on malformed guard strings or formula text.
 
     ``position`` is the zero-based offset into the source text; messages
-    show it as a one-based column.
+    show it as a one-based column after the ``reason``.
     """
 
     def __init__(self, message, position=None):
+        self.reason = message
         self.position = position
         if position is not None:
             message = f"{message} (column {position + 1})"

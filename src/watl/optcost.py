@@ -18,7 +18,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Optional
 
 from . import rdl, wrdl
@@ -165,7 +164,8 @@ def _reset(region, mask):
 
 
 def _build_graph(wta: WeightedTimedAutomaton):
-    """The corner-point graph of the automaton on integer codes.
+    """The corner-point graph of a sum-weighted automaton on integer codes,
+    after checking that the automaton is valid, sum-weighted and finite.
 
     Clocks are indexed in sorted order.  A region is a pair (codes,
     fracs): codes gives each clock 2k at the integer k, 2k+1 in (k, k+1)
@@ -177,16 +177,23 @@ def _build_graph(wta: WeightedTimedAutomaton):
     are compiled into checks, reset masks and Fraction weights once, and
     successors, delay corners, enabled edges and resets are cached.
 
-    Nodes (location, region, corner) are explored last in, first out.
-    Each appends its free delay arc, its unit delay arc (cost the rate),
-    then one arc per enabled edge in edge order; above every cap a unit
-    self-loop replaces the delay arcs.  Bellman-Ford relaxes arcs in this
-    order, which fixes the negative cycle found and the witness pumped.
+    Nodes (location, region, corner) are numbered in the order found and
+    explored last in, first out.  Each appends its free delay arc, its
+    unit delay arc (cost the rate), then one arc per enabled edge in edge
+    order; above every cap a unit self-loop replaces the delay arcs.
+    Bellman-Ford relaxes arcs in this order, which fixes the negative
+    cycle found and the witness pumped.
 
-    Returns (found, arcs, inits): found holds every node; arcs are
-    (src, dst, cost, time, edge) tuples; inits are the initial nodes in
-    the automaton's order.
+    Returns (nodes, arcs, inits): nodes lists the nodes by number; arcs
+    are (src, dst, cost, time, edge) tuples over node numbers, with a
+    Fraction cost; inits are the initial nodes' numbers in the
+    automaton's order.
     """
+    wta.validate()
+    if wta.monoid.id != "sum":
+        raise DomainError(
+            f"corner-point graphs need the sum monoid, got {wta.monoid.id!r}")
+    _require_finite_weights(wta)
     base = wta.base
     caps = base.max_constants()
     clocks = sorted(base.clocks)
@@ -201,8 +208,10 @@ def _build_graph(wta: WeightedTimedAutomaton):
         edges_by_source.setdefault(e.source, []).append(
             (checks, mask, e.target, _fraction(wta.wt_edge(e.id)), e))
     zero = (0,) * len(clocks)
-    inits = tuple((l, (zero, ()), zero) for l in base.initial)
-    found = set(inits)
+    starts = [(l, (zero, ()), zero) for l in base.initial]
+    nodes = list(dict.fromkeys(starts))
+    ids = {node: i for i, node in enumerate(nodes)}
+    inits = tuple(ids[node] for node in starts)
     queue = list(inits)
     arcs = []
     successors = {}
@@ -212,16 +221,19 @@ def _build_graph(wta: WeightedTimedAutomaton):
     free = Fraction(0)
 
     def push(target):
-        if target not in found:
-            found.add(target)
-            queue.append(target)
+        i = ids.get(target)
+        if i is None:
+            i = ids[target] = len(nodes)
+            nodes.append(target)
+            queue.append(i)
+        return i
 
     while queue:
-        node = queue.pop()
-        loc, region, corner = node
+        src = queue.pop()
+        loc, region, corner = nodes[src]
         codes = region[0]
         if codes == tops:
-            arcs.append((node, node, rates[loc], 1, None))
+            arcs.append((src, src, rates[loc], 1, None))
         else:
             moves = delays.get((region, corner))
             if moves is None:
@@ -239,13 +251,9 @@ def _build_graph(wta: WeightedTimedAutomaton):
                     unit if unit in succ_corners else None)
             succ, slide, unit = moves
             if slide is not None:
-                target = (loc, succ, slide)
-                arcs.append((node, target, free, 0, None))
-                push(target)
+                arcs.append((src, push((loc, succ, slide)), free, 0, None))
             if unit is not None:
-                target = (loc, succ, unit)
-                arcs.append((node, target, rates[loc], 1, None))
-                push(target)
+                arcs.append((src, push((loc, succ, unit)), rates[loc], 1, None))
         fired = enabled.get((loc, region))
         if fired is None:
             fired = enabled[(loc, region)] = []
@@ -260,9 +268,8 @@ def _build_graph(wta: WeightedTimedAutomaton):
                           tuple(0 if mask >> i & 1 else value for i, value in enumerate(corner)))
             else:
                 target = (target, region, corner)
-            arcs.append((node, target, weight, 0, e))
-            push(target)
-    return found, arcs, inits
+            arcs.append((src, push(target), weight, 0, e))
+    return nodes, arcs, inits
 
 
 def _statuses(codes, clocks, max_consts) -> tuple:
@@ -278,82 +285,81 @@ def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
     closures approached from inside), which is what lets infima sit on
     the boundary of a strict guard without being attained there.
 
-    The graph is built on integer codes (``_build_graph``); nodes become
-    (location, Region, ((clock, value), ...)) tuples only here, once
-    each.  Arcs keep their build order.  Nodes are sorted by location,
-    then the clock codes, then the fractional groups as tuples of clock
-    indices (clocks indexed in sorted order), then the corner values: a
-    key free of string hashes, so the order is the same in every
-    process.
+    The graph is built on integer codes (``_build_graph``), where the
+    cost search also runs; this public view turns its nodes into
+    (location, Region, ((clock, value), ...)) tuples, once each, and its
+    arcs into ``CornerArc``s in build order.  Nodes are sorted by
+    location, then the clock codes, then the fractional groups as tuples
+    of clock indices (clocks indexed in sorted order), then the corner
+    values: a key free of string hashes, so the order is the same in
+    every process.
     """
-    wta.validate()
-    if wta.monoid.id != "sum":
-        raise DomainError(
-            f"corner-point graphs need the sum monoid, got {wta.monoid.id!r}")
-    _require_finite_weights(wta)
-    found, arcs, inits = _build_graph(wta)
+    nodes, arcs, inits = _build_graph(wta)
     clocks = sorted(wta.base.clocks)
     width = len(clocks)
     max_consts = tuple(sorted(wta.base.max_constants().items()))
+
+    def key(i):
+        loc, (codes, fracs), corner = nodes[i]
+        return loc, codes, tuple(tuple(_bits(m, width)) for m in fracs), corner
+
     statuses = {}
     groups = {}
-    public = {}
-    for node in sorted(found, key=lambda n: (
-            n[0], n[1][0], tuple(tuple(_bits(m, width)) for m in n[1][1]), n[2])):
-        loc, (codes, fracs), corner = node
+    public = [None] * len(nodes)
+    order = sorted(range(len(nodes)), key=key)
+    for i in order:
+        loc, (codes, fracs), corner = nodes[i]
         named = statuses.get(codes)
         if named is None:
             named = statuses[codes] = _statuses(codes, clocks, max_consts)
         group = groups.get(fracs)
         if group is None:
             group = groups[fracs] = tuple(
-                frozenset(clocks[i] for i in _bits(m, width)) for m in fracs)
-        public[node] = (loc, Region(named, group, max_consts),
-                        tuple(zip(clocks, corner)))
+                frozenset(clocks[j] for j in _bits(m, width)) for m in fracs)
+        public[i] = (loc, Region(named, group, max_consts), tuple(zip(clocks, corner)))
     arcs = tuple(CornerArc(public[src], public[dst], cost, time, edge)
                  for src, dst, cost, time, edge in arcs)
     final = set(wta.base.final)
-    ordered = tuple(public.values())
+    ordered = tuple(public[i] for i in order)
     accepting = tuple(n for n in ordered if n[0] in final)
-    return CornerPointGraph(ordered, arcs, tuple(public[n] for n in inits), accepting)
+    return CornerPointGraph(ordered, arcs, tuple(public[i] for i in inits), accepting)
 
 
-def _bellman_ford(nodes, arcs, inits):
+def _scaled(cost: Fraction, scale: int) -> int:
+    return cost.numerator * (scale // cost.denominator)
+
+
+def _bellman_ford(nodes, arcs, inits, size):
     """Least path costs from the initial nodes, found by relaxing every
     arc in order for at most one round per node.
 
-    Returns (dist, unstable, pred): dist maps each node to its least cost
-    as a Fraction, or None when unreached; pred maps each relaxed node to
-    the arc that last lowered its cost; unstable lists the targets of the
-    arcs that could still be relaxed after the last round, each once, in
-    the order of the first such arc, and is empty when the costs
-    converged.
+    Nodes are numbers below size; nodes holds those of the graph, whose
+    count bounds the rounds, and arcs are ``_build_graph`` tuples between
+    them.  Costs are multiplied by scale, the least common multiple of
+    the cost denominators, so every sum and comparison is exact on ints.
 
-    The rounds run on exact integers: nodes become list indices, and
-    every cost is multiplied by the least common multiple of the cost
-    denominators, which keeps every sum and comparison exact and in the
-    same order.  The results become Fractions and node keys again only at
-    the end.  The arcs are relaxed in their given order with a strict
-    comparison, so dist, pred and unstable are exactly those of relaxing
-    the Fractions themselves.  That matters: ``_negative_cycle`` walks
-    pred back from the unstable nodes in list order, and another
-    relaxation order (a work queue, or stopping at the first cycle of the
-    pred graph) can pick a different negative cycle and so pump a
-    different witness, or none.  For the same reason unstable is kept in
-    arc order rather than as a set, whose order would follow the string
-    hashes inside the nodes and so change with PYTHONHASHSEED.
+    Returns (dist, unstable, pred, scale): dist[n] is the least cost of
+    node n times scale, or None when unreached; pred[n] is the arc that
+    last lowered it, or None; unstable lists the targets of the arcs that
+    could still be relaxed after the last round, each once, in the order
+    of the first such arc, and is empty when the costs converged.
+
+    The arcs are relaxed in their given order with a strict comparison,
+    so dist, pred and unstable are exactly those of relaxing the
+    Fractions themselves.  That matters: ``_negative_cycle`` walks pred
+    back from the unstable nodes in list order, and another relaxation
+    order (a work queue, or stopping at the first cycle of the pred
+    graph) can pick a different negative cycle and so pump a different
+    witness, or none.
     """
-    order = list(nodes)
-    index = {n: i for i, n in enumerate(order)}
-    scale = math.lcm(*{a.cost.denominator for a in arcs})
-    rows = [(index[a.src], index[a.dst],
-             a.cost.numerator * (scale // a.cost.denominator), a) for a in arcs]
-    dist = [None] * len(order)
-    pred = [None] * len(order)
+    scale = math.lcm(*{arc[2].denominator for arc in arcs})
+    rows = [(arc[0], arc[1], _scaled(arc[2], scale), arc) for arc in arcs]
+    dist = [None] * size
+    pred = [None] * size
     for n in inits:
-        dist[index[n]] = 0
+        dist[n] = 0
     converged = False
-    for _ in range(len(order)):
+    for _ in range(len(nodes)):
         changed = False
         for s, d, cost, arc in rows:
             ds = dist[s]
@@ -376,26 +382,14 @@ def _bellman_ford(nodes, arcs, inits):
                 continue
             dd = dist[d]
             if dd is None or ds + cost < dd:
-                unstable[arc.dst] = None
-    return ({n: None if v is None else Fraction(v, scale) for n, v in zip(order, dist)},
-            list(unstable),
-            {n: arc for n, arc in zip(order, pred) if arc is not None})
+                unstable[d] = None
+    return dist, list(unstable), pred, scale
 
 
-_SRC, _DST = attrgetter("src"), attrgetter("dst")
-
-
-def _adjacency(arcs, end=_SRC) -> dict:
-    """The arcs grouped by the node at the given end, in arc order."""
-    out = {}
-    for arc in arcs:
-        out.setdefault(end(arc), []).append(arc)
-    return out
-
-
-def _bfs(sources, adjacency, ahead=_DST, targets=()):
+def _bfs(sources, adjacency, ahead=1, targets=()):
     """Breadth-first search from the sources along the arcs of the
-    adjacency map, ``ahead`` naming the node an arc leads to.
+    adjacency lists (one per node number), ``ahead`` the position in an
+    arc of the node it leads to.
 
     Returns (parent, hit): parent maps every node reached, in the order
     reached, to the arc that reached it first (None for a source); hit
@@ -408,8 +402,8 @@ def _bfs(sources, adjacency, ahead=_DST, targets=()):
             return parent, node
     queue = deque(parent)
     while queue:
-        for arc in adjacency.get(queue.popleft(), ()):
-            node = ahead(arc)
+        for arc in adjacency[queue.popleft()]:
+            node = arc[ahead]
             if node not in parent:
                 parent[node] = arc
                 if node in targets:
@@ -423,53 +417,60 @@ def _path_to(parent, node) -> list:
     path = []
     while (arc := parent[node]) is not None:
         path.append(arc)
-        node = arc.src
+        node = arc[0]
     path.reverse()
     return path
 
 
 def _useful_subgraph(wta: WeightedTimedAutomaton):
     """The corner-point graph restricted to nodes lying on some path from
-    an initial node to the source of an accepting discrete arc."""
-    graph = build_corner_points(wta)
-    acc_nodes = set(graph.accepting)
-    acc_arcs = [a for a in graph.arcs
-                if a.edge is not None and a.dst in acc_nodes]
-    reach, _ = _bfs(graph.initial, _adjacency(graph.arcs))
-    co, _ = _bfs({a.src for a in acc_arcs}, _adjacency(graph.arcs, _DST), _SRC)
+    an initial node to the source of an accepting discrete arc.
+
+    Returns (nodes, useful, arcs, inits, acc_arcs): every node of the
+    graph by number, the set of useful node numbers, the arcs between
+    useful nodes and the useful initial nodes (both in build order), and
+    the discrete arcs from useful nodes into final locations.
+    """
+    nodes, arcs, inits = _build_graph(wta)
+    final = set(wta.base.final)
+    out = [[] for _ in nodes]
+    into = [[] for _ in nodes]
+    for arc in arcs:
+        out[arc[0]].append(arc)
+        into[arc[1]].append(arc)
+    acc_arcs = [arc for arc in arcs if arc[4] is not None and arc[4].target in final]
+    reach, _ = _bfs(inits, out)
+    co, _ = _bfs([arc[0] for arc in acc_arcs], into, 0)
     useful = reach.keys() & co.keys()
-    arcs = [a for a in graph.arcs if a.src in useful and a.dst in useful]
-    inits = tuple(n for n in graph.initial if n in useful)
-    acc_arcs = [a for a in acc_arcs if a.src in useful]
-    return useful, arcs, inits, acc_arcs
+    arcs = [arc for arc in arcs if arc[0] in useful and arc[1] in useful]
+    inits = tuple(n for n in inits if n in useful)
+    acc_arcs = [arc for arc in acc_arcs if arc[0] in useful]
+    return nodes, useful, arcs, inits, acc_arcs
 
 
-def _negative_cycle(nodes, arcs, inits, unstable, pred):
+def _negative_cycle(nodes, unstable, pred):
     """Extract one negative-cost cycle after a failed convergence, as a
-    forward-ordered arc list."""
-    bound = len(nodes)
+    forward-ordered arc list: walk pred back from each unstable node for
+    as many steps as the graph has nodes, then around the cycle there."""
     for start in unstable:
         node = start
-        ok = True
-        for _ in range(bound):
-            arc = pred.get(node)
+        for _ in range(len(nodes)):
+            arc = pred[node]
             if arc is None:
-                ok = False
                 break
-            node = arc.src
-        if not ok:
-            continue
-        cycle = []
-        cur = node
-        while True:
-            arc = pred[cur]
-            cycle.append(arc)
-            cur = arc.src
-            if cur == node:
-                break
-        cycle.reverse()
-        if sum(a.cost for a in cycle) < 0:
-            return cycle
+            node = arc[0]
+        else:
+            cycle = []
+            cur = node
+            while True:
+                arc = pred[cur]
+                cycle.append(arc)
+                cur = arc[0]
+                if cur == node:
+                    break
+            cycle.reverse()
+            if sum(arc[2] for arc in cycle) < 0:
+                return cycle
     return None
 
 
@@ -477,11 +478,11 @@ def _word_of_path(path) -> Optional[TimedWord]:
     letters = []
     delays = []
     pending = Fraction(0)
-    for arc in path:
-        if arc.edge is None:
-            pending += arc.time
+    for *_, time, edge in path:
+        if edge is None:
+            pending += time
         else:
-            letters.append(arc.edge.label)
+            letters.append(edge.label)
             delays.append(pending)
             pending = Fraction(0)
     if not letters:
@@ -519,31 +520,38 @@ def inf_cost(wta: WeightedTimedAutomaton) -> InfCostResult:
     (sound for the minimum).  Returns inf when no accepting run exists
     and -inf when runs of unboundedly negative weight exist.
     """
-    useful, arcs, inits, acc_arcs = _useful_subgraph(wta)
+    nodes, useful, arcs, inits, acc_arcs = _useful_subgraph(wta)
     if not acc_arcs or not inits:
         return InfCostResult(INF, False, None, None)
-    dist, unstable, _ = _bellman_ford(useful, arcs, inits)
+    dist, unstable, _, scale = _bellman_ford(useful, arcs, inits, len(nodes))
     if unstable:
         return InfCostResult(NEG_INF, False, None, None)
+    # An accepting arc may end outside the useful subgraph, so its cost
+    # may need a finer scale than the arcs relaxed.
+    fine = math.lcm(scale, *{arc[2].denominator for arc in acc_arcs})
     best = None
     best_arc = None
     for arc in acc_arcs:
-        ds = dist[arc.src]
+        ds = dist[arc[0]]
         if ds is None:
             continue
-        value = ds + arc.cost
+        value = ds * (fine // scale) + _scaled(arc[2], fine)
         if best is None or value < best:
             best = value
             best_arc = arc
     if best is None:
         return InfCostResult(INF, False, None, None)
     # A search tree over the arcs that realize the least costs.
-    tight = _adjacency(a for a in arcs if dist[a.src] is not None and dist[a.dst] is not None
-                       and dist[a.src] + a.cost == dist[a.dst])
+    tight = [[] for _ in nodes]
+    for arc in arcs:
+        ds, dd = dist[arc[0]], dist[arc[1]]
+        if ds is not None and dd is not None and ds + _scaled(arc[2], scale) == dd:
+            tight[arc[0]].append(arc)
     parent, _ = _bfs([n for n in inits if dist[n] == 0], tight)
     corner_word = None
-    if best_arc.src in parent:
-        corner_word = _word_of_path(_path_to(parent, best_arc.src) + [best_arc])
+    if best_arc[0] in parent:
+        corner_word = _word_of_path(_path_to(parent, best_arc[0]) + [best_arc])
+    best = Fraction(best, fine)
     witness = None
     attained = False
     if corner_word is not None:
@@ -562,26 +570,28 @@ def _below(value, bound, strict: bool) -> bool:
 def _pumped_witness(wta: WeightedTimedAutomaton, bound, strict: bool):
     """A word of behavior below the bound built by pumping a negative
     cycle of the corner-point graph, with its exact value, or None."""
-    useful, arcs, inits, acc_arcs = _useful_subgraph(wta)
+    nodes, useful, arcs, inits, acc_arcs = _useful_subgraph(wta)
     if not acc_arcs or not inits:
         return None
-    dist, unstable, pred = _bellman_ford(useful, arcs, inits)
-    cycle = _negative_cycle(useful, arcs, inits, unstable, pred)
+    _, unstable, pred, _ = _bellman_ford(useful, arcs, inits, len(nodes))
+    cycle = _negative_cycle(useful, unstable, pred)
     if cycle is None:
         return None
-    entry = cycle[0].src
-    out = _adjacency(arcs)
+    entry = cycle[0][0]
+    out = [[] for _ in nodes]
+    for arc in arcs:
+        out[arc[0]].append(arc)
     parent, hit = _bfs(inits, out, targets={entry})
-    back, end = _bfs([entry], out, targets={a.src for a in acc_arcs})
+    back, end = _bfs([entry], out, targets={arc[0] for arc in acc_arcs})
     if hit is None or end is None:
         return None
     prefix, tail = _path_to(parent, entry), _path_to(back, end)
-    last = min((a for a in acc_arcs if a.src == end), key=lambda a: a.cost)
+    last = min((arc for arc in acc_arcs if arc[0] == end), key=lambda arc: arc[2])
     suffix = tail + [last]
-    fixed = sum(a.cost for a in prefix) + sum(a.cost for a in suffix)
-    lap = sum(a.cost for a in cycle)
-    fixed_letters = sum(a.edge is not None for a in prefix + suffix)
-    lap_letters = sum(a.edge is not None for a in cycle)
+    fixed = sum(arc[2] for arc in prefix) + sum(arc[2] for arc in suffix)
+    lap = sum(arc[2] for arc in cycle)
+    fixed_letters = sum(arc[4] is not None for arc in prefix + suffix)
+    lap_letters = sum(arc[4] is not None for arc in cycle)
     laps = 1
     # Words past 4000 letters are never probed, so stop pumping once the
     # word would outgrow that.

@@ -22,7 +22,7 @@ connectives; quantifier bodies extend as far right as possible)::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import reduce, wraps
 from typing import Callable, Iterator, Mapping, Optional
 
 from .core import _COMPARE, RELATIONS, TimedWord
@@ -357,6 +357,7 @@ class _Parser:
     conjoin = staticmethod(rdl_and)
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = self.tokenize(text)
         self.pos = 0
 
@@ -626,6 +627,21 @@ class _Compiler:
         return k, compile_sub(node.sub, {**fo, node.var: k}, so), range(1, self.n + 1)
 
 
+def refuse_deep(func: Callable) -> Callable:
+    """Let func refuse a formula nested deeper than the interpreter's
+    recursion limit with ``WatlError("formula nested too deeply")``
+    instead of a raw ``RecursionError``."""
+
+    @wraps(func)
+    def guarded(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except RecursionError:
+            raise WatlError("formula nested too deeply") from None
+    return guarded
+
+
+@refuse_deep
 def model_check(formula, word: TimedWord, assignment: Optional[Assignment] = None) -> bool:
     """Decide word, assignment |= formula.
 
@@ -637,13 +653,10 @@ def model_check(formula, word: TimedWord, assignment: Optional[Assignment] = Non
     refused with a ``WatlError``.
     """
     sigma = assignment or Assignment()
-    try:
-        validate_assignment(free_vars(formula), word, sigma, "model check")
-        compiler = _Compiler(word, sigma)
-        check = compiler.compile(formula, compiler.fo, compiler.so)
-        return bool(check(compiler.env))
-    except RecursionError:
-        raise WatlError("formula nested too deeply") from None
+    validate_assignment(free_vars(formula), word, sigma, "model check")
+    compiler = _Compiler(word, sigma)
+    check = compiler.compile(formula, compiler.fo, compiler.so)
+    return bool(check(compiler.env))
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +673,7 @@ class RdlClassification:
     exists_rdl_past_sentence: bool
 
 
+@refuse_deep
 def classify(formula) -> RdlClassification:
     """Fragment membership used by the weighted logic.
 
@@ -669,6 +683,12 @@ def classify(formula) -> RdlClassification:
     EX X1. ... EX Xm. body where {X1..Xm} is exactly the set of distance
     variables of the body and the body is in the past fragment.
     """
+    return _classify(formula)
+
+
+def _classify(formula) -> RdlClassification:
+    """``classify`` letting a RecursionError through, for callers that
+    refuse deep formulas with an error of their own (the parsers)."""
     fo, so = free_vars(formula)
     dvars = dist_vars(formula)
     is_sentence = not fo and not so

@@ -142,7 +142,7 @@ def validate_formula(formula, monoid: Optional[TimedPvMonoid] = None) -> None:
     problems = []
     for node in iter_nodes(formula):
         if isinstance(node, Bool):
-            if not rdl.classify(node.payload).in_rdl_past:
+            if not rdl._classify(node.payload).in_rdl_past:
                 problems.append(
                     f"boolean payload {rdl.to_text(node.payload)} leaves the past fragment")
         elif isinstance(node, Const):
@@ -268,7 +268,14 @@ class _WParser(rdl._Parser):
     def primary(self):
         kind, value, pos = self.next()
         if kind == "RDL":
-            return Bool(rdl.parse_rdl(value))
+            try:
+                return Bool(rdl.parse_rdl(value))
+            except ParseError as exc:
+                if exc.position is None:
+                    raise
+                # a column in the whole input, not in the payload
+                start = self.text.index("(", pos) + 1
+                raise ParseError(exc.reason, start + exc.position) from None
         if kind == "(":
             inner = self.or_expr()
             self.expect(")")
@@ -429,6 +436,7 @@ class _WeightedCompiler(rdl._Compiler):
         raise TypeError(f"not a weighted formula: {node!r}")
 
 
+@rdl.refuse_deep
 def wrdl_eval(formula, word: TimedWord, monoid, assignment=None) -> Weight:
     """Evaluate a weighted formula at a word under an assignment.
 
@@ -492,6 +500,7 @@ def _restricted(node, under_forall) -> bool:
     raise TypeError(f"not a weighted formula: {node!r}")
 
 
+@rdl.refuse_deep
 def wrdl_classify(formula) -> WrdlClassification:
     fo, so = free_vars(formula)
     sentence = not fo and not so
@@ -611,6 +620,7 @@ def _freshen(canonical: CanonicalSentence, names: NameSupply,
                              canonical.left, canonical.right)
 
 
+@rdl.refuse_deep
 def canonicalize(formula, monoid) -> CanonicalSentence:
     """Transform a syntactically restricted sentence to canonical form.
 

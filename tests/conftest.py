@@ -1,7 +1,10 @@
 """Shared helpers plus the acceptance summary printed after each run."""
 
 import itertools
+import math
+from collections import deque
 from fractions import Fraction
+from operator import attrgetter
 
 import mpmath
 
@@ -12,8 +15,8 @@ from watl.errors import DomainError, UnsupportedGuardError
 from watl.monoids import WeightPairWord, monoid_from_id, sum_over
 from watl.optcost import Region
 from watl.transform import NivatTriple, comp_automaton, product_intersect
-from watl.weights import INF
-from watl.wta import run_weight
+from watl.weights import INF, NEG_INF, is_finite
+from watl.wta import behavior, run_weight
 
 
 def wd(*entries):
@@ -521,6 +524,240 @@ def corner_node_key(node):
                   for c, s in region.statuses)
     groups = tuple(tuple(sorted(index[c] for c in group)) for group in region.fracs)
     return loc, codes, groups, tuple(value for _, value in corner)
+
+
+# --- the Region-node cost search: oracle for optcost's search on node numbers
+#
+# optcost's earlier search over the nodes and arcs of ``build_corner_points``,
+# kept as it was: the reach and co-reach searches over node-keyed dicts,
+# Bellman-Ford over node keys, the negative-cycle walk and witness pumping.
+
+
+_SRC, _DST = attrgetter("src"), attrgetter("dst")
+
+
+def keyed_bellman_ford(nodes, arcs, inits):
+    """``brute_bellman_ford`` on exact integers over indexed nodes: every
+    cost times the least common multiple of the cost denominators, the
+    arcs relaxed in the same order, the results Fractions and node keys
+    again at the end (equal to the Fraction oracle's, only faster)."""
+    order = list(nodes)
+    index = {n: i for i, n in enumerate(order)}
+    scale = math.lcm(*{a.cost.denominator for a in arcs})
+    rows = [(index[a.src], index[a.dst],
+             a.cost.numerator * (scale // a.cost.denominator), a) for a in arcs]
+    dist = [None] * len(order)
+    pred = [None] * len(order)
+    for n in inits:
+        dist[index[n]] = 0
+    converged = False
+    for _ in range(len(order)):
+        changed = False
+        for s, d, cost, arc in rows:
+            ds = dist[s]
+            if ds is None:
+                continue
+            candidate = ds + cost
+            dd = dist[d]
+            if dd is None or candidate < dd:
+                dist[d] = candidate
+                pred[d] = arc
+                changed = True
+        if not changed:
+            converged = True
+            break
+    unstable = {}
+    if not converged:
+        for s, d, cost, arc in rows:
+            ds = dist[s]
+            if ds is None:
+                continue
+            dd = dist[d]
+            if dd is None or ds + cost < dd:
+                unstable[arc.dst] = None
+    return ({n: None if v is None else Fraction(v, scale) for n, v in zip(order, dist)},
+            list(unstable),
+            {n: arc for n, arc in zip(order, pred) if arc is not None})
+
+
+def _adjacency(arcs, end=_SRC) -> dict:
+    """The arcs grouped by the node at the given end, in arc order."""
+    out = {}
+    for arc in arcs:
+        out.setdefault(end(arc), []).append(arc)
+    return out
+
+
+def _bfs(sources, adjacency, ahead=_DST, targets=()):
+    """Breadth-first search from the sources along the arcs of the
+    adjacency map: (parent, first node found in targets or None)."""
+    parent = dict.fromkeys(sources)
+    for node in parent:
+        if node in targets:
+            return parent, node
+    queue = deque(parent)
+    while queue:
+        for arc in adjacency.get(queue.popleft(), ()):
+            node = ahead(arc)
+            if node not in parent:
+                parent[node] = arc
+                if node in targets:
+                    return parent, node
+                queue.append(node)
+    return parent, None
+
+
+def _path_to(parent, node) -> list:
+    path = []
+    while (arc := parent[node]) is not None:
+        path.append(arc)
+        node = arc.src
+    path.reverse()
+    return path
+
+
+def _useful_subgraph(graph):
+    acc_nodes = set(graph.accepting)
+    acc_arcs = [a for a in graph.arcs
+                if a.edge is not None and a.dst in acc_nodes]
+    reach, _ = _bfs(graph.initial, _adjacency(graph.arcs))
+    co, _ = _bfs({a.src for a in acc_arcs}, _adjacency(graph.arcs, _DST), _SRC)
+    useful = reach.keys() & co.keys()
+    arcs = [a for a in graph.arcs if a.src in useful and a.dst in useful]
+    inits = tuple(n for n in graph.initial if n in useful)
+    acc_arcs = [a for a in acc_arcs if a.src in useful]
+    return useful, arcs, inits, acc_arcs
+
+
+def _negative_cycle(nodes, arcs, inits, unstable, pred):
+    bound = len(nodes)
+    for start in unstable:
+        node = start
+        ok = True
+        for _ in range(bound):
+            arc = pred.get(node)
+            if arc is None:
+                ok = False
+                break
+            node = arc.src
+        if not ok:
+            continue
+        cycle = []
+        cur = node
+        while True:
+            arc = pred[cur]
+            cycle.append(arc)
+            cur = arc.src
+            if cur == node:
+                break
+        cycle.reverse()
+        if sum(a.cost for a in cycle) < 0:
+            return cycle
+    return None
+
+
+def _word_of_path(path):
+    letters = []
+    delays = []
+    pending = Fraction(0)
+    for arc in path:
+        if arc.edge is None:
+            pending += arc.time
+        else:
+            letters.append(arc.edge.label)
+            delays.append(pending)
+            pending = Fraction(0)
+    if not letters:
+        return None
+    return TimedWord.from_pairs(zip(letters, delays))
+
+
+def brute_inf_cost(wta, corner_graph=optcost.build_corner_points):
+    """``optcost.inf_cost`` searched over the ``Region`` nodes and
+    ``CornerArc``s of a public corner graph (``build_corner_points`` or
+    ``brute_corner_graph``): the oracle for the search on node numbers."""
+    useful, arcs, inits, acc_arcs = _useful_subgraph(corner_graph(wta))
+    if not acc_arcs or not inits:
+        return optcost.InfCostResult(INF, False, None, None)
+    dist, unstable, _ = keyed_bellman_ford(useful, arcs, inits)
+    if unstable:
+        return optcost.InfCostResult(NEG_INF, False, None, None)
+    best = None
+    best_arc = None
+    for arc in acc_arcs:
+        ds = dist[arc.src]
+        if ds is None:
+            continue
+        value = ds + arc.cost
+        if best is None or value < best:
+            best = value
+            best_arc = arc
+    if best is None:
+        return optcost.InfCostResult(INF, False, None, None)
+    tight = _adjacency(a for a in arcs if dist[a.src] is not None and dist[a.dst] is not None
+                       and dist[a.src] + a.cost == dist[a.dst])
+    parent, _ = _bfs([n for n in inits if dist[n] == 0], tight)
+    corner_word = None
+    if best_arc.src in parent:
+        corner_word = _word_of_path(_path_to(parent, best_arc.src) + [best_arc])
+    witness = None
+    attained = False
+    if corner_word is not None:
+        for candidate in optcost._perturbations(corner_word):
+            if behavior(wta, candidate) == best:
+                witness = candidate
+                attained = True
+                break
+    return optcost.InfCostResult(best, attained, witness, corner_word)
+
+
+def _brute_pumped_witness(wta, bound, strict, corner_graph):
+    useful, arcs, inits, acc_arcs = _useful_subgraph(corner_graph(wta))
+    if not acc_arcs or not inits:
+        return None
+    dist, unstable, pred = keyed_bellman_ford(useful, arcs, inits)
+    cycle = _negative_cycle(useful, arcs, inits, unstable, pred)
+    if cycle is None:
+        return None
+    entry = cycle[0].src
+    out = _adjacency(arcs)
+    parent, hit = _bfs(inits, out, targets={entry})
+    back, end = _bfs([entry], out, targets={a.src for a in acc_arcs})
+    if hit is None or end is None:
+        return None
+    prefix, tail = _path_to(parent, entry), _path_to(back, end)
+    last = min((a for a in acc_arcs if a.src == end), key=lambda a: a.cost)
+    suffix = tail + [last]
+    fixed = sum(a.cost for a in prefix) + sum(a.cost for a in suffix)
+    lap = sum(a.cost for a in cycle)
+    fixed_letters = sum(a.edge is not None for a in prefix + suffix)
+    lap_letters = sum(a.edge is not None for a in cycle)
+    laps = 1
+    while laps <= 4096 and fixed_letters + laps * lap_letters <= 4000:
+        if optcost._below(fixed + laps * lap, bound, strict):
+            word = _word_of_path(prefix + cycle * laps + suffix)
+            if word is not None:
+                for candidate in optcost._perturbations(word):
+                    value = behavior(wta, candidate)
+                    if optcost._below(value, bound, strict):
+                        return candidate, value
+        laps *= 2
+    return None
+
+
+def brute_witness_below(wta, result, bound, strict=True,
+                        corner_graph=optcost.build_corner_points):
+    """``optcost.witness_below`` with the negative cycle pumped on the
+    ``Region`` nodes of a public corner graph."""
+    if result.value is NEG_INF:
+        return _brute_pumped_witness(wta, bound, strict, corner_graph)
+    if not is_finite(result.value) or result.corner_word is None:
+        return None
+    for candidate in optcost._perturbations(result.corner_word):
+        value = behavior(wta, candidate)
+        if optcost._below(value, bound, strict):
+            return candidate, value
+    return None
 
 
 # The oracle guard analysis for ``optcost._GuardCompiler``: guards become tuple

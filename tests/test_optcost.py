@@ -1,6 +1,7 @@
 """Corner-point graphs, infimum costs, and the threshold deciders."""
 
 import itertools
+import math
 import os
 import random
 import re
@@ -11,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (brute_bellman_ford, brute_compile_guard_family, brute_composed_over_gamma,
-                      brute_corner_graph, grid_minimum, outcome, reachable_regions,
-                      region_of, region_reset, region_satisfies, region_zero,
-                      time_successor, wd)
+                      brute_corner_graph, brute_inf_cost, brute_witness_below, grid_minimum,
+                      keyed_bellman_ford, outcome, reachable_regions, region_of, region_reset,
+                      region_satisfies, region_zero, time_successor, wd)
 from watl import fixtures, optcost, rdl, sampling, wrdl
 from watl.core import (RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord,
                        accepts)
@@ -269,6 +270,9 @@ def test_witnesses_below_a_bound_are_real_words(monkeypatch):
     assert witness_below(bounded, result, Fraction(7), strict=True) is None
     witness, value = witness_below(bounded, result, Fraction(7), strict=False)
     assert value == 7
+    # the spy saw every word built: the two finite infima's corner words
+    # and one pumped word per bound reached
+    assert built == [1, 131, 2051, 1]
 
 
 def test_infimum_is_a_lower_bound_on_sampled_behaviors():
@@ -324,21 +328,56 @@ def test_integer_bellman_ford_matches_the_fraction_oracle():
     for _ in range(150):
         automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2,
                                             max_edges=4)
-        whole = build_corner_points(automaton)
-        useful, arcs, inits, _ = optcost._useful_subgraph(automaton)
-        for graph in ((whole.nodes, whole.arcs, whole.initial),
-                      (useful, arcs, inits)):
-            dist, unstable, pred = optcost._bellman_ford(*graph)
-            want_dist, want_unstable, want_pred = brute_bellman_ford(*graph)
-            assert dist == want_dist
-            assert pred == want_pred
-            # Same members in the same iteration order, so _negative_cycle
-            # starts its walks from the same nodes.
-            assert list(unstable) == list(want_unstable)
+        nodes, arcs, inits = optcost._build_graph(automaton)
+        _, useful, useful_arcs, useful_inits, _ = optcost._useful_subgraph(automaton)
+
+        def named(arc):
+            return optcost.CornerArc(nodes[arc[0]], nodes[arc[1]], *arc[2:])
+
+        for graph in ((range(len(nodes)), arcs, inits),
+                      (useful, useful_arcs, useful_inits)):
+            members, numbered, starts = graph
+            dist, unstable, pred, scale = optcost._bellman_ford(*graph, len(nodes))
+            keyed = ([nodes[n] for n in members], [named(a) for a in numbered],
+                     [nodes[n] for n in starts])
+            want_dist, want_unstable, want_pred = want = brute_bellman_ford(*keyed)
+            # the Region-node search of the oracle relaxes node keys on ints
+            assert keyed_bellman_ford(*keyed) == want
+            assert {nodes[n]: None if dist[n] is None else Fraction(dist[n], scale)
+                    for n in members} == want_dist
+            assert {nodes[n]: named(pred[n]) for n in members
+                    if pred[n] is not None} == want_pred
+            assert all(dist[n] is None and pred[n] is None
+                       for n in range(len(nodes)) if n not in members)
+            # Same members in the same order, so _negative_cycle starts its
+            # walks from the same nodes.
+            assert [nodes[n] for n in unstable] == want_unstable
             negative += bool(unstable)
-            fractional += any(a.cost.denominator > 1 for a in graph[1])
+            fractional += any(a[2].denominator > 1 for a in numbered)
     assert 150 <= negative <= 250
     assert fractional >= 200
+
+
+def _fraction_bellman_ford(calls):
+    """``optcost._bellman_ford`` answered by the Fraction oracle over the
+    same node numbers, counting its calls."""
+
+    def bellman_ford(nodes, arcs, inits, size):
+        calls.append(len(arcs))
+        views = [optcost.CornerArc(*arc) for arc in arcs]
+        numbered = {id(view): arc for view, arc in zip(views, arcs)}
+        dist, unstable, pred = brute_bellman_ford(nodes, views, inits)
+        scale = math.lcm(*{arc[2].denominator for arc in arcs})
+        scaled = [None] * size
+        for n, value in dist.items():
+            if value is not None:
+                assert (value * scale).denominator == 1
+                scaled[n] = int(value * scale)
+        arcs_to = [None] * size
+        for n, view in pred.items():
+            arcs_to[n] = numbered[id(view)]
+        return scaled, unstable, arcs_to, scale
+    return bellman_ford
 
 
 def test_infima_and_witnesses_match_the_fraction_oracle(monkeypatch):
@@ -359,11 +398,45 @@ def test_infima_and_witnesses_match_the_fraction_oracle(monkeypatch):
         cases.append((automaton, result, bounds, found))
     assert sum(r.value is NEG_INF for _, r, _, _ in cases) >= 5
     assert sum(bool(f and f[0]) for _, _, _, f in cases) >= 15
-    monkeypatch.setattr(optcost, "_bellman_ford", brute_bellman_ford)
+    calls = []
+    monkeypatch.setattr(optcost, "_bellman_ford", _fraction_bellman_ford(calls))
     for automaton, result, bounds, found in cases:
         assert inf_cost(automaton) == result
         assert [witness_below(automaton, result, b, strict)
                 for b, strict in bounds] == found
+    # every infimum below inf went through the oracle, and so did every
+    # minus-infinity witness search
+    assert len(calls) >= sum((r.value is not INF) + (r.value is NEG_INF)
+                             for _, r, _, _ in cases)
+
+
+def test_the_search_matches_the_region_node_oracle():
+    # The cost search runs on node numbers; the oracle runs the same
+    # search over the Region nodes and CornerArcs of build_corner_points.
+    draws = minus_infinity = witnesses = 0
+    for seed in (404, 405, 406, 1671):
+        rng = random.Random(seed)
+        for _ in range(150):
+            automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2,
+                                                max_edges=6)
+            result = inf_cost(automaton)
+            assert result == brute_inf_cost(automaton)
+            if result.value is NEG_INF:
+                bounds = [(Fraction(-20), True)]
+                minus_infinity += 1
+            elif is_finite(result.value):
+                bounds = [(result.value + 1, True), (result.value, False),
+                          (result.value, True)]
+            else:
+                bounds = []
+            for bound, strict in bounds:
+                found = witness_below(automaton, result, bound, strict)
+                assert found == brute_witness_below(automaton, result, bound, strict)
+                witnesses += found is not None
+            draws += 1
+    assert draws >= 600
+    assert minus_infinity >= 100
+    assert witnesses >= 300
 
 
 _HASH_SEED_SCRIPT = """
@@ -394,6 +467,35 @@ def test_minus_infinity_witnesses_do_not_depend_on_the_hash_seed():
                                       capture_output=True, check=True, timeout=300).stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"value=-inf") >= 20
+
+
+_DECIDE_SCRIPT = """
+import random
+from fractions import Fraction
+from watl import sampling
+from watl.optcost import decide_avg_threshold, decide_sum_threshold
+rng = random.Random(5)
+for i in range(50):
+    sentence = sampling.random_restricted_sentence(rng)
+    strict = i % 2 == 0
+    print(decide_sum_threshold(sentence, ("a", "b"), Fraction(i % 3), strict=strict))
+    print(decide_avg_threshold(sentence, ("a", "b"), Fraction(1 + i % 3, 2), strict=strict))
+"""
+
+
+def test_decisions_do_not_depend_on_the_hash_seed():
+    # Sentences, locations and corner nodes hold strings; the verdicts
+    # and witnesses must not follow their hashes.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        outputs.append(subprocess.run([sys.executable, "-c", _DECIDE_SCRIPT], env=env,
+                                      capture_output=True, check=True, timeout=300).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"DecisionResult(") == 100
+    assert outputs[0].count(b"witness=TimedWord(") >= 60
 
 
 def _two_branch_automaton(extra_locations=(), extra_edges=(), extra_rates=None):
@@ -427,9 +529,10 @@ def test_negative_cycles_off_the_useful_subgraph_are_ignored(edges, trap_explore
     result = inf_cost(with_cycle)
     assert result == inf_cost(_two_branch_automaton())
     assert result.value == Fraction(7, 3) and result.attained
-    graph = build_corner_points(with_cycle)
-    assert any(n[0] == "trap" for n in graph.nodes) == trap_explored
-    _, unstable, _ = optcost._bellman_ford(graph.nodes, graph.arcs, graph.initial)
+    nodes, arcs, inits = optcost._build_graph(with_cycle)
+    assert any(n[0] == "trap" for n in nodes) == trap_explored
+    assert any(n[0] == "trap" for n in build_corner_points(with_cycle).nodes) == trap_explored
+    _, unstable, _, _ = optcost._bellman_ford(range(len(nodes)), arcs, inits, len(nodes))
     # where the corner graph reaches the trap, its loop is a negative cycle
     assert bool(unstable) == trap_explored
 
@@ -544,7 +647,11 @@ def test_decisions_match_the_full_translation_path(monkeypatch):
     got = decide_all()
     assert not [r for r in got if isinstance(r, tuple)]  # no draw raises
     monkeypatch.setattr(optcost, "_composed_over_gamma", brute_composed_over_gamma)
-    monkeypatch.setattr(optcost, "build_corner_points", brute_corner_graph)
+    monkeypatch.setattr(optcost, "inf_cost",
+                        lambda wta: brute_inf_cost(wta, brute_corner_graph))
+    monkeypatch.setattr(optcost, "witness_below",
+                        lambda wta, result, bound, strict=True: brute_witness_below(
+                            wta, result, bound, strict, brute_corner_graph))
     want = decide_all()
     nested = []
     for k, (result, oracle) in enumerate(zip(got, want)):

@@ -49,6 +49,9 @@ MALFORMED_WRDL = [
     ("(1", "expected ')', found None (column 3)"),
     ("1 2", "trailing input starting at 2 (column 3)"),
     ("B P[a](x)", "unexpected character '[' (column 4)"),
+    # columns inside a B(...) payload count from the start of the input
+    ("B(P[a](x) | X)", "expected '(', found None (column 14)"),
+    ("1 | B ( P[a](x) P[b](y))", "trailing input starting at 'b' (column 17)"),
 ]
 
 

@@ -76,6 +76,27 @@ def test_deeply_nested_formulas_that_parse_also_evaluate():
     assert wrdl_eval(formula, word, SUM0) == SUM0.one
 
 
+def test_formulas_too_deep_to_walk_are_refused_cleanly():
+    # parse_rdl accepts 400 conjuncts, but each & is !(!a | !b), which
+    # nests deeper than the recursive walkers can follow
+    text = "ex x. " + " & ".join(["P[a](x)"] * 400)
+    deep = rdl.parse_rdl(text)
+    word = wd(("a", 1))
+    calls = (lambda: wrdl_eval(Bool(deep), word, SUM0),
+             lambda: canonicalize(Bool(deep), SUM0),
+             lambda: wrdl_classify(Bool(deep)),
+             lambda: rdl.classify(deep),
+             lambda: rdl.model_check(deep, word))
+    for call in calls:
+        with pytest.raises(WatlError) as info:
+            call()
+        assert type(info.value) is WatlError
+        assert str(info.value) == "formula nested too deeply"
+    # the parser still refuses the same formula with a ParseError
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_wrdl("B(" + text + ")", SUM0)
+
+
 def test_deeply_nested_payloads_translate():
     formula = parse_wrdl("B(" + "!" * 900 + "ex x. P[a](x))", SUM0)
     triple = sentence_to_nivat(canonicalize(formula, SUM0), ("a",), SUM0)
