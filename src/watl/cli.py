@@ -31,7 +31,7 @@ from .wta import behavior, run_weight
                    "the preimages are enumerated: for sentence languages, "
                    "recognizable ones over a non-idempotent monoid, and monoids "
                    "without a step-wise valuation.")
-@click.option("--max-word-len", type=int, default=4, show_default=True,
+@click.option("--max-word-len", type=click.IntRange(min=1), default=4, show_default=True,
               help="Length bound for generated words.")
 @click.pass_context
 def main(ctx, seed, cap_preimages, max_word_len):
@@ -182,7 +182,7 @@ def runs_command(model_path, word_path, timestamps):
 
 @main.command("classify")
 @_MODEL
-@click.option("--samples", type=int, default=50, show_default=True,
+@click.option("--samples", type=click.IntRange(min=1), default=50, show_default=True,
               help="Number of random words for the ambiguity probe.")
 @click.pass_context
 @_guard
@@ -444,10 +444,8 @@ def decide_command(formula_path, monoid_id, theta, alphabet_text, non_strict):
     if alphabet_text:
         alphabet = _split_alphabet(alphabet_text)
     else:
-        letters = sorted({sub.letter for node in wrdl.iter_nodes(formula)
-                          if isinstance(node, wrdl.Bool)
-                          for sub in rdl.iter_subformulas(node.payload)
-                          if isinstance(sub, rdl.Letter)})
+        letters = sorted({node.letter for node, _, _ in rdl._walk(formula, wrdl._SYNTAX)
+                          if isinstance(node, rdl.Letter)})
         alphabet = tuple(letters) or ("a",)
     threshold = parse_weight(theta)
     if not is_finite(threshold):
@@ -472,7 +470,7 @@ def decide_command(formula_path, monoid_id, theta, alphabet_text, non_strict):
 
 @main.command("check-axioms")
 @_MONOID
-@click.option("--samples", type=int, default=1000, show_default=True,
+@click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Number of random samples per law.")
 @click.pass_context
 @_guard
@@ -495,7 +493,7 @@ def check_axioms_command(ctx, monoid_id, samples):
               help="Differential suite to run.")
 @click.option("--seed", type=int, default=None,
               help="Seed for this suite (defaults to the global seed).")
-@click.option("--count", type=int, default=100, show_default=True,
+@click.option("--count", type=click.IntRange(min=1), default=100, show_default=True,
               help="Number of cases.")
 @click.pass_context
 @_guard

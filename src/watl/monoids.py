@@ -363,7 +363,10 @@ class DiscountMonoid(TimedValuationMonoid):
     tolerance = 1e-9
 
     def __init__(self, lam: Fraction):
-        lam = lam if isinstance(lam, Fraction) else Fraction(lam)
+        try:
+            lam = Fraction(lam)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"malformed discount factor {lam!r}") from None
         if not (0 < lam < 1):
             raise DomainError(f"discount factor must satisfy 0 < lam < 1, got {lam}")
         self.lam = lam
@@ -483,11 +486,11 @@ def _pv(base: TimedValuationMonoid, id: str) -> TimedPvMonoid:
 _FACTORIES = {
     "sum": lambda arg: SumMonoid(),
     "avg": lambda arg: AvgMonoid(),
-    "disc": lambda arg: DiscountMonoid(Fraction(arg)),
+    "disc": lambda arg: DiscountMonoid(arg),
     "prod": lambda arg: ProductMonoid(),
     "sum0": lambda arg: _pv(SumMonoid(), "sum0"),
     "avg0": lambda arg: _pv(AvgMonoid(), "avg0"),
-    "disc0": lambda arg: _pv(DiscountMonoid(Fraction(arg)), f"disc0:{Fraction(arg)}"),
+    "disc0": lambda arg: _pv(DiscountMonoid(arg), f"disc0:{Fraction(arg)}"),
 }
 
 

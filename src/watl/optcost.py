@@ -918,12 +918,6 @@ class DecisionResult:
     strict: bool = True
 
 
-def _as_canonical(sentence, monoid) -> tuple:
-    if isinstance(sentence, CanonicalSentence):
-        return sentence, sentence.to_formula()
-    return wrdl.canonicalize(sentence, monoid), sentence
-
-
 def _composed_over_gamma(canonical, alphabet, pv):
     """The sum-weighted automaton over the auxiliary alphabet whose
     behavior at a gamma word equals the sentence value of the projected
@@ -949,10 +943,6 @@ def _composed_over_gamma(canonical, alphabet, pv):
     return product, h
 
 
-def _project(word: TimedWord, h) -> TimedWord:
-    return TimedWord.from_pairs((h[letter], t) for letter, t in word.entries)
-
-
 def decide_sum_threshold(sentence, alphabet, threshold,
                          monoid: Optional[TimedPvMonoid] = None,
                          strict: bool = True) -> DecisionResult:
@@ -969,27 +959,38 @@ def decide_sum_threshold(sentence, alphabet, threshold,
     pv = monoid or monoid_from_id("sum0")
     if not isinstance(pv, TimedPvMonoid) or pv.base.id != "sum":
         raise DomainError("sum threshold decisions need the sum0 monoid")
+    return _decide(sentence, alphabet, threshold, pv, strict, average=False)
+
+
+def _decide(sentence, alphabet, threshold, pv: TimedPvMonoid, strict: bool,
+            average: bool) -> DecisionResult:
+    """Both deciders: an average searches the rate-shifted product under
+    the positive-duration gate for a value below zero, its witness must
+    last a positive time, and its infimum is reported as the shifted one."""
     threshold = Fraction(threshold)
-    canonical, formula = _as_canonical(sentence, pv)
+    if isinstance(sentence, CanonicalSentence):
+        canonical, formula = sentence, sentence.to_formula()
+    else:
+        canonical, formula = wrdl.canonicalize(sentence, pv), sentence
     composed = _composed_over_gamma(canonical, alphabet, pv)
     if composed is None:
-        return DecisionResult(False, threshold, INF, None, None, None, strict)
+        return DecisionResult(False, threshold, None if average else INF, None, None, None, strict)
     product, h = composed
-    result = inf_cost(product)
-    holds = result.value < threshold or (
-        not strict and result.value == threshold and result.attained)
-    witness = None
-    witness_value = None
+    searched = _require_positive_duration(_shift_rates(product, threshold)) if average else product
+    bound = Fraction(0) if average else threshold
+    result = inf_cost(searched)
+    holds = result.value < bound or (
+        not strict and result.value == bound and result.attained)
+    witness = witness_value = None
     if holds:
-        found = witness_below(product, result, threshold, strict)
+        found = witness_below(searched, result, bound, strict)
         if found is not None:
-            candidate = _project(found[0], h)
+            candidate = TimedWord.from_pairs((h[c], t) for c, t in found[0].entries)
             exact = wrdl.wrdl_eval(formula, candidate, pv)
-            if _below(exact, threshold, strict):
-                witness = candidate
-                witness_value = exact
-    return DecisionResult(holds, threshold, result.value, None,
-                          witness, witness_value, strict)
+            if _below(exact, threshold, strict) and (not average or candidate.duration > 0):
+                witness, witness_value = candidate, exact
+    infima = (None, result.value) if average else (result.value, None)
+    return DecisionResult(holds, threshold, *infima, witness, witness_value, strict)
 
 
 def _shift_rates(wta: WeightedTimedAutomaton, delta: Fraction) -> WeightedTimedAutomaton:
@@ -1048,27 +1049,4 @@ def decide_avg_threshold(sentence, alphabet, threshold,
     (minus infinity also answers yes); the weak variant additionally
     accepts an attained shifted infimum of exactly zero.
     """
-    pv = monoid_from_id("avg0")
-    threshold = Fraction(threshold)
-    canonical, formula = _as_canonical(sentence, pv)
-    composed = _composed_over_gamma(canonical, alphabet, pv)
-    if composed is None:
-        return DecisionResult(False, threshold, None, None, None, None, strict)
-    product, h = composed
-    shifted = _shift_rates(product, threshold)
-    gated = _require_positive_duration(shifted)
-    result = inf_cost(gated)
-    holds = result.value < 0 or (
-        not strict and result.value == 0 and result.attained)
-    witness = None
-    witness_value = None
-    if holds:
-        found = witness_below(gated, result, Fraction(0), strict)
-        if found is not None:
-            candidate = _project(found[0], h)
-            exact = wrdl.wrdl_eval(formula, candidate, pv)
-            if _below(exact, threshold, strict) and candidate.duration > 0:
-                witness = candidate
-                witness_value = exact
-    return DecisionResult(holds, threshold, None, result.value,
-                          witness, witness_value, strict)
+    return _decide(sentence, alphabet, threshold, monoid_from_id("avg0"), strict, average=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce, wraps
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import _COMPARE, RELATIONS, TimedWord
 from .errors import ParseError, WatlError
@@ -159,29 +159,92 @@ def iter_subformulas(formula) -> Iterator:
         yield from iter_subformulas(formula.sub)
 
 
+class _Shape(NamedTuple):
+    """What the shared walk needs to know of one node class."""
+
+    children: tuple         # the fields holding subformulas, left to right
+    binder: Optional[str]   # the field holding the name a binder binds
+    text: Callable          # node -> the texts before, between and after its children
+    inner: Optional[dict] = None  # the syntax of its children, if not its own
+
+
+class _Syntax(dict):
+    """The node classes of one logic, each mapped to its ``_Shape``; ``what``
+    names the logic's formulas in the TypeError on a node of any other
+    class, and with ``what`` None such a node is passed over."""
+
+    def __init__(self, what: Optional[str], shapes: dict):
+        super().__init__(shapes)
+        self.what = what
+
+    def refuse(self, node) -> None:
+        if self.what is not None:
+            raise TypeError(f"not a {self.what}: {node!r}")
+
+
+_SYNTAX = _Syntax("formula", {
+    Letter: _Shape((), None, lambda f: (f"P[{f.letter}]({f.var})",)),
+    Leq: _Shape((), None, lambda f: (f"{f.left} <= {f.right}",)),
+    InSet: _Shape((), None, lambda f: (f"{f.setvar}({f.var})",)),
+    Dist: _Shape((), None, lambda f: (f"dpast[{f.rel}{f.bound}]({f.setvar},{f.var})",)),
+    Not: _Shape(("sub",), None, lambda f: ("!(", ")")),
+    Or: _Shape(("left", "right"), None, lambda f: ("(", " | ", ")")),
+    ExistsFO: _Shape(("sub",), "var", lambda f: (f"(ex {f.var}. ", ")")),
+    ExistsSO: _Shape(("sub",), "setvar", lambda f: (f"(EX {f.setvar}. ", ")")),
+})
+
+# The variable names each node carries; a binder carries the name it
+# binds, and a field named ``setvar`` holds a second-order name.
+_NAME_FIELDS = {Letter: ("var",), Leq: ("left", "right"), InSet: ("setvar", "var"),
+                Dist: ("setvar", "var"), ExistsFO: ("var",), ExistsSO: ("setvar",)}
+
+
+def _walk(formula, syntax: _Syntax, text: bool = False):
+    """Yield ``(node, shape, bound)`` for every node of a formula, top-down
+    and left to right, from an explicit stack, so no depth is too deep;
+    ``bound`` holds the (second-order?, name) pairs bound around the node,
+    and a node the syntax passes over comes with shape None.  With
+    ``text``, yield instead the texts that, joined, render the formula."""
+    stack = [(formula, syntax, frozenset())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        if item.__class__ is str:      # a text piece
+            yield item
+            continue
+        node, syntax, bound = item
+        shape = syntax.get(type(node)) or syntax.refuse(node)
+        if text:
+            pieces = shape.text(node)
+            yield pieces[0]
+        else:
+            yield node, shape, bound
+        if shape is None or not shape.children:
+            continue
+        if shape.binder is not None:
+            bound = bound | {(shape.binder == "setvar", getattr(node, shape.binder))}
+        syntax, after = shape.inner or syntax, len(shape.children)
+        for field in reversed(shape.children):
+            if text:
+                push(pieces[after])
+                after -= 1
+            push((getattr(node, field), syntax, bound))
+
+
+def _free_vars(formula, syntax: _Syntax) -> tuple:
+    free = (set(), set())
+    for node, shape, bound in _walk(formula, syntax):
+        if not shape.children:
+            for field in _NAME_FIELDS.get(type(node), ()):
+                key = (field == "setvar", getattr(node, field))
+                if key not in bound:
+                    free[key[0]].add(key[1])
+    return frozenset(free[0]), frozenset(free[1])
+
+
 def free_vars(formula):
     """(free first-order vars, free second-order vars)."""
-    if isinstance(formula, Letter):
-        return frozenset([formula.var]), frozenset()
-    if isinstance(formula, Leq):
-        return frozenset([formula.left, formula.right]), frozenset()
-    if isinstance(formula, InSet):
-        return frozenset([formula.var]), frozenset([formula.setvar])
-    if isinstance(formula, Dist):
-        return frozenset([formula.var]), frozenset([formula.setvar])
-    if isinstance(formula, Not):
-        return free_vars(formula.sub)
-    if isinstance(formula, Or):
-        lf, ls = free_vars(formula.left)
-        rf, rs = free_vars(formula.right)
-        return lf | rf, ls | rs
-    if isinstance(formula, ExistsFO):
-        fo, so = free_vars(formula.sub)
-        return fo - {formula.var}, so
-    if isinstance(formula, ExistsSO):
-        fo, so = free_vars(formula.sub)
-        return fo, so - {formula.setvar}
-    raise TypeError(f"not a formula: {formula!r}")
+    return _free_vars(formula, _SYNTAX)
 
 
 def dist_vars(formula) -> frozenset:
@@ -197,41 +260,49 @@ def so_quantified_vars(formula) -> frozenset:
     )
 
 
-# The variable names each node carries; a binder carries the name it binds.
-_NAME_FIELDS = {Letter: ("var",), Leq: ("left", "right"), InSet: ("setvar", "var"),
-                Dist: ("setvar", "var"), ExistsFO: ("var",), ExistsSO: ("setvar",)}
-
-
 def variable_names(formula) -> set:
     """Every variable name occurring in the formula, bound or free."""
     return {getattr(sub, field) for sub in iter_subformulas(formula)
             for field in _NAME_FIELDS.get(type(sub), ())}
 
 
-def _rebuild(node, visit: Callable):
-    """Rebuild a formula top-down, left to right.
+def _rebuild(formula, visit: Callable):
+    """Rebuild a formula top-down, left to right, from an explicit stack.
 
     ``visit(node)`` returns ``(replacement, descend)``: ``descend`` is
     False to keep the replacement as it is, True to rebuild its children
     with the same visit, or the visit to rebuild them with (for a binder
-    that changes what names mean in its body).  ``visit`` returns before
-    the walk goes deeper, so the walk takes one stack frame per level,
-    like the other structural recursions here.
-    """
-    node, descend = visit(node)
-    if descend is False or isinstance(node, (Letter, Leq, InSet, Dist)):
-        return node
-    if descend is not True:
-        visit = descend
-    if isinstance(node, Not):
-        return Not(_rebuild(node.sub, visit))
-    if isinstance(node, Or):
-        return Or(_rebuild(node.left, visit), _rebuild(node.right, visit))
-    if isinstance(node, ExistsFO):
-        return ExistsFO(node.var, _rebuild(node.sub, visit))
-    if isinstance(node, ExistsSO):
-        return ExistsSO(node.setvar, _rebuild(node.sub, visit))
-    raise TypeError(f"not a formula: {node!r}")
+    that changes what names mean in its body).  A replacement whose
+    children all come back unchanged is returned as it is, so subtrees
+    the visit leaves alone are shared with the input, not copied."""
+    done = []                  # rebuilt subformulas, the latest last
+    stack = [(formula, visit)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, visit = pop()
+        if visit is None:      # its children are rebuilt, on top of done
+            sub = done.pop()
+            if type(node) is Or:
+                left = done.pop()
+                if left is not node.left or sub is not node.right:
+                    node = Or(left, sub)
+            elif sub is not node.sub:
+                node = Not(sub) if type(node) is Not else replace(node, sub=sub)
+            done.append(node)
+            continue
+        node, descend = visit(node)
+        if descend is False or not (_SYNTAX.get(type(node)) or _SYNTAX.refuse(node)).children:
+            done.append(node)
+            continue
+        push((node, None))
+        if descend is not True:
+            visit = descend
+        if type(node) is Or:
+            push((node.right, visit))
+            push((node.left, visit))
+        else:
+            push((node.sub, visit))
+    return done[0]
 
 
 def _rename_atom(node, renames: Mapping[str, str]):
@@ -475,23 +546,7 @@ def parse_rdl(text: str):
 
 def to_text(formula) -> str:
     """Render a formula; parse_rdl(to_text(f)) == f."""
-    if isinstance(formula, Letter):
-        return f"P[{formula.letter}]({formula.var})"
-    if isinstance(formula, Leq):
-        return f"{formula.left} <= {formula.right}"
-    if isinstance(formula, InSet):
-        return f"{formula.setvar}({formula.var})"
-    if isinstance(formula, Dist):
-        return f"dpast[{formula.rel}{formula.bound}]({formula.setvar},{formula.var})"
-    if isinstance(formula, Not):
-        return f"!({to_text(formula.sub)})"
-    if isinstance(formula, Or):
-        return f"({to_text(formula.left)} | {to_text(formula.right)})"
-    if isinstance(formula, ExistsFO):
-        return f"(ex {formula.var}. {to_text(formula.sub)})"
-    if isinstance(formula, ExistsSO):
-        return f"(EX {formula.setvar}. {to_text(formula.sub)})"
-    raise TypeError(f"not a formula: {formula!r}")
+    return "".join(_walk(formula, _SYNTAX, text=True))
 
 
 # ---------------------------------------------------------------------------

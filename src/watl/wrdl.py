@@ -72,52 +72,36 @@ class ExistsSO:
     sub: object
 
 
-WrdlFormula = object
+_SYNTAX = rdl._Syntax("weighted formula", {
+    Bool: rdl._Shape(("payload",), None, lambda f: ("B(", ")"), rdl._SYNTAX),
+    Const: rdl._Shape((), None, lambda f: (format_weight(f.value),)),
+    Or: rdl._SYNTAX[rdl.Or],
+    And: rdl._Shape(("left", "right"), None, lambda f: ("(", " & ", ")")),
+    ExistsFO: rdl._SYNTAX[rdl.ExistsFO],
+    Forall: rdl._Shape(("left", "right"), "var", lambda f: (f"(all {f.var}. (", ", ", "))")),
+    ExistsSO: rdl._SYNTAX[rdl.ExistsSO],
+})
+
+_NAME_FIELDS = {**rdl._NAME_FIELDS, ExistsFO: ("var",), Forall: ("var",), ExistsSO: ("setvar",)}
+
+# The weighted nodes alone: payloads are not entered, other nodes passed over.
+_NODES = rdl._Syntax(None, {**_SYNTAX, Bool: _SYNTAX[Bool]._replace(children=())})
 
 
 def free_vars(formula):
     """(free first-order vars, free second-order vars)."""
-    if isinstance(formula, Bool):
-        return rdl.free_vars(formula.payload)
-    if isinstance(formula, Const):
-        return frozenset(), frozenset()
-    if isinstance(formula, (Or, And)):
-        lf, ls = free_vars(formula.left)
-        rf, rs = free_vars(formula.right)
-        return lf | rf, ls | rs
-    if isinstance(formula, ExistsFO):
-        fo, so = free_vars(formula.sub)
-        return fo - {formula.var}, so
-    if isinstance(formula, Forall):
-        lf, ls = free_vars(formula.left)
-        rf, rs = free_vars(formula.right)
-        return (lf | rf) - {formula.var}, ls | rs
-    if isinstance(formula, ExistsSO):
-        fo, so = free_vars(formula.sub)
-        return fo, so - {formula.setvar}
-    raise TypeError(f"not a weighted formula: {formula!r}")
+    return rdl._free_vars(formula, _SYNTAX)
 
 
 def iter_nodes(formula):
-    yield formula
-    if isinstance(formula, (Or, And, Forall)):
-        yield from iter_nodes(formula.left)
-        yield from iter_nodes(formula.right)
-    elif isinstance(formula, (ExistsFO, ExistsSO)):
-        yield from iter_nodes(formula.sub)
+    """The weighted nodes of a formula, top-down and left to right."""
+    return map(itemgetter(0), rdl._walk(formula, _NODES))
 
 
 def _all_names(formula) -> set:
     """Every variable name occurring anywhere, bound or free."""
-    names = set()
-    for node in iter_nodes(formula):
-        if isinstance(node, Bool):
-            names |= rdl.variable_names(node.payload)
-        elif isinstance(node, (ExistsFO, Forall)):
-            names.add(node.var)
-        elif isinstance(node, ExistsSO):
-            names.add(node.setvar)
-    return names
+    return {getattr(node, field) for node, _, _ in rdl._walk(formula, _SYNTAX)
+            for field in _NAME_FIELDS.get(type(node), ())}
 
 
 class NameSupply:
@@ -316,21 +300,7 @@ def parse_wrdl(text: str, monoid: Optional[TimedPvMonoid] = None):
 
 
 def to_text(formula) -> str:
-    if isinstance(formula, Bool):
-        return f"B({rdl.to_text(formula.payload)})"
-    if isinstance(formula, Const):
-        return format_weight(formula.value)
-    if isinstance(formula, Or):
-        return f"({to_text(formula.left)} | {to_text(formula.right)})"
-    if isinstance(formula, And):
-        return f"({to_text(formula.left)} & {to_text(formula.right)})"
-    if isinstance(formula, ExistsFO):
-        return f"(ex {formula.var}. {to_text(formula.sub)})"
-    if isinstance(formula, Forall):
-        return f"(all {formula.var}. ({to_text(formula.left)}, {to_text(formula.right)}))"
-    if isinstance(formula, ExistsSO):
-        return f"(EX {formula.setvar}. {to_text(formula.sub)})"
-    raise TypeError(f"not a weighted formula: {formula!r}")
+    return "".join(rdl._walk(formula, _SYNTAX, text=True))
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +436,7 @@ def wrdl_eval(formula, word: TimedWord, monoid, assignment=None) -> Weight:
 
 def almost_boolean(formula) -> bool:
     """Built from tests and constants with | and & only."""
-    if isinstance(formula, (Bool, Const)):
-        return True
-    if isinstance(formula, (Or, And)):
-        return almost_boolean(formula.left) and almost_boolean(formula.right)
-    return False
+    return all(isinstance(node, (Bool, Const, Or, And)) for node in iter_nodes(formula))
 
 
 @dataclass(frozen=True)
@@ -480,34 +446,33 @@ class WrdlClassification:
     syntactically_restricted: bool
 
 
-def _restricted(node, under_forall) -> bool:
-    if isinstance(node, Const):
-        return under_forall
-    if isinstance(node, Bool):
-        return True
-    if isinstance(node, Or):
-        return _restricted(node.left, under_forall) and _restricted(node.right, under_forall)
-    if isinstance(node, And):
-        shape = (almost_boolean(node.left) and almost_boolean(node.right)) \
-            or isinstance(node.left, Bool) or isinstance(node.right, Bool)
-        return shape and _restricted(node.left, under_forall) \
-            and _restricted(node.right, under_forall)
-    if isinstance(node, Forall):
-        return almost_boolean(node.left) and almost_boolean(node.right) \
-            and _restricted(node.left, True) and _restricted(node.right, True)
-    if isinstance(node, (ExistsFO, ExistsSO)):
-        return _restricted(node.sub, under_forall)
-    raise TypeError(f"not a weighted formula: {node!r}")
+# The weighted nodes outside the operands of universals.
+_OUTSIDE_FORALL = rdl._Syntax("weighted formula",
+                              {**_NODES, Forall: _NODES[Forall]._replace(children=())})
 
 
-@rdl.refuse_deep
+def _restricted(formula) -> bool:
+    """No constant outside a universal, universals over almost boolean
+    operands (in which every node qualifies, so they are not entered),
+    and conjunctions over almost boolean operands or with a test."""
+    for node, _, _ in rdl._walk(formula, _OUTSIDE_FORALL):
+        if isinstance(node, Const):
+            return False
+        if isinstance(node, And) and Bool in (type(node.left), type(node.right)):
+            continue
+        if isinstance(node, (And, Forall)) and not (
+                almost_boolean(node.left) and almost_boolean(node.right)):
+            return False
+    return True
+
+
 def wrdl_classify(formula) -> WrdlClassification:
     fo, so = free_vars(formula)
     sentence = not fo and not so
     return WrdlClassification(
         is_sentence=sentence,
         almost_boolean=almost_boolean(formula),
-        syntactically_restricted=sentence and _restricted(formula, False),
+        syntactically_restricted=sentence and _restricted(formula),
     )
 
 

@@ -15,7 +15,7 @@ from watl.errors import DomainError, UnsupportedGuardError
 from watl.monoids import WeightPairWord, monoid_from_id, sum_over
 from watl.optcost import Region
 from watl.transform import NivatTriple, comp_automaton, product_intersect
-from watl.weights import INF, NEG_INF, is_finite
+from watl.weights import INF, NEG_INF, format_weight, is_finite
 from watl.wta import behavior, run_weight
 
 
@@ -111,6 +111,90 @@ def random_weighted_formula(rng, depth):
         return wrdl.Forall(rng.choice("xyz"), random_weighted_formula(rng, depth - 1),
                            random_weighted_formula(rng, depth - 1))
     return wrdl.ExistsSO(rng.choice("XY"), random_weighted_formula(rng, depth - 1))
+
+
+def brute_free_vars(formula):
+    """The structural-recursion oracle for ``rdl.free_vars``."""
+    if isinstance(formula, rdl.Letter):
+        return frozenset([formula.var]), frozenset()
+    if isinstance(formula, rdl.Leq):
+        return frozenset([formula.left, formula.right]), frozenset()
+    if isinstance(formula, (rdl.InSet, rdl.Dist)):
+        return frozenset([formula.var]), frozenset([formula.setvar])
+    if isinstance(formula, rdl.Not):
+        return brute_free_vars(formula.sub)
+    if isinstance(formula, rdl.Or):
+        lf, ls = brute_free_vars(formula.left)
+        rf, rs = brute_free_vars(formula.right)
+        return lf | rf, ls | rs
+    if isinstance(formula, rdl.ExistsFO):
+        fo, so = brute_free_vars(formula.sub)
+        return fo - {formula.var}, so
+    if isinstance(formula, rdl.ExistsSO):
+        fo, so = brute_free_vars(formula.sub)
+        return fo, so - {formula.setvar}
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def brute_wrdl_free_vars(formula):
+    """The structural-recursion oracle for ``wrdl.free_vars``."""
+    if isinstance(formula, wrdl.Bool):
+        return brute_free_vars(formula.payload)
+    if isinstance(formula, wrdl.Const):
+        return frozenset(), frozenset()
+    if isinstance(formula, (wrdl.Or, wrdl.And, wrdl.Forall)):
+        lf, ls = brute_wrdl_free_vars(formula.left)
+        rf, rs = brute_wrdl_free_vars(formula.right)
+        bound = {formula.var} if isinstance(formula, wrdl.Forall) else set()
+        return (lf | rf) - bound, ls | rs
+    if isinstance(formula, wrdl.ExistsFO):
+        fo, so = brute_wrdl_free_vars(formula.sub)
+        return fo - {formula.var}, so
+    if isinstance(formula, wrdl.ExistsSO):
+        fo, so = brute_wrdl_free_vars(formula.sub)
+        return fo, so - {formula.setvar}
+    raise TypeError(f"not a weighted formula: {formula!r}")
+
+
+def brute_to_text(formula):
+    """The structural-recursion oracle for ``rdl.to_text``."""
+    if isinstance(formula, rdl.Letter):
+        return f"P[{formula.letter}]({formula.var})"
+    if isinstance(formula, rdl.Leq):
+        return f"{formula.left} <= {formula.right}"
+    if isinstance(formula, rdl.InSet):
+        return f"{formula.setvar}({formula.var})"
+    if isinstance(formula, rdl.Dist):
+        return f"dpast[{formula.rel}{formula.bound}]({formula.setvar},{formula.var})"
+    if isinstance(formula, rdl.Not):
+        return f"!({brute_to_text(formula.sub)})"
+    if isinstance(formula, rdl.Or):
+        return f"({brute_to_text(formula.left)} | {brute_to_text(formula.right)})"
+    if isinstance(formula, rdl.ExistsFO):
+        return f"(ex {formula.var}. {brute_to_text(formula.sub)})"
+    if isinstance(formula, rdl.ExistsSO):
+        return f"(EX {formula.setvar}. {brute_to_text(formula.sub)})"
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def brute_wrdl_to_text(formula):
+    """The structural-recursion oracle for ``wrdl.to_text``."""
+    text = brute_wrdl_to_text
+    if isinstance(formula, wrdl.Bool):
+        return f"B({brute_to_text(formula.payload)})"
+    if isinstance(formula, wrdl.Const):
+        return format_weight(formula.value)
+    if isinstance(formula, wrdl.Or):
+        return f"({text(formula.left)} | {text(formula.right)})"
+    if isinstance(formula, wrdl.And):
+        return f"({text(formula.left)} & {text(formula.right)})"
+    if isinstance(formula, wrdl.ExistsFO):
+        return f"(ex {formula.var}. {text(formula.sub)})"
+    if isinstance(formula, wrdl.Forall):
+        return f"(all {formula.var}. ({text(formula.left)}, {text(formula.right)}))"
+    if isinstance(formula, wrdl.ExistsSO):
+        return f"(EX {formula.setvar}. {text(formula.sub)})"
+    raise TypeError(f"not a weighted formula: {formula!r}")
 
 
 def random_short_word(rng, max_len=6):

@@ -490,6 +490,40 @@ def test_bad_thresholds_are_refused_cleanly(tmp_path, theta):
     assert_clean_refusal(result)
 
 
+@pytest.mark.parametrize("command, monoid", [("eval", "disc:abc"), ("eval", "disc0:1/0"),
+                                             ("wrdl-eval", "disc0:zz"),
+                                             ("behavior", "disc:1/0")])
+def test_malformed_discount_factors_are_refused_cleanly(tmp_path, command, monoid):
+    word = put_json(tmp_path, "w.json", [["a", "1"]])
+    if command == "eval":
+        args = ("--monoid", monoid, "--pairs", put_json(tmp_path, "p.json", [["1", "1", "1"]]))
+    elif command == "wrdl-eval":
+        args = ("--monoid", monoid, "--word", word,
+                "--formula", put_text(tmp_path, "f.txt", "all x.(1, 1)"))
+    else:
+        data = serialize.wta_to_dict(fixtures.first_letter_rates())
+        data["monoid"] = monoid
+        args = ("--model", put_json(tmp_path, "m.json", data), "--word", word)
+    result = invoke(command, *args)
+    assert_clean_refusal(result)
+    assert result.stderr == f"Error: malformed discount factor {monoid.partition(':')[2]!r}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("--max-word-len", "0", "fuzz", "--suite", "nivat", "--count", "2"),
+    ("check-axioms", "--monoid", "sum", "--samples", "-3"),
+    ("fuzz", "--suite", "wrdl", "--count", "-2"),
+    ("fuzz", "--suite", "nivat", "--count", "0"),
+    ("classify", "--model", "MODEL", "--samples", "0"),
+])
+def test_counts_below_one_are_refused(tmp_path, args):
+    model = wta_file(tmp_path, "m.json", fixtures.first_letter_rates())
+    result = invoke(*(model if arg == "MODEL" else arg for arg in args))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    assert "Invalid value" in result.stderr and ">=1" in result.stderr
+
+
 def test_long_words_evaluate_and_list_runs(tmp_path):
     model = wta_file(tmp_path, "m.json", fixtures.duration_meter())
     word = put_json(tmp_path, "w.json", [["a", "1/2"]] * 1500)

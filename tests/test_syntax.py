@@ -1,12 +1,16 @@
-"""Concrete syntax of both logics: the exact messages of malformed input
-and parse(to_text(f)) == f on random formulas."""
+"""Concrete syntax of both logics: the exact messages of malformed input,
+parse(to_text(f)) == f on random formulas, and the shared walk behind
+printing and free variables against the structural-recursion oracles."""
 
 import random
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_rdl_formula, random_weighted_formula
+from conftest import (brute_free_vars, brute_to_text, brute_wrdl_free_vars,
+                      brute_wrdl_to_text, outcome, random_rdl_formula,
+                      random_weighted_formula)
 from watl import rdl, wrdl
 from watl.errors import ParseError
 from watl.weights import INF, NEG_INF
@@ -93,3 +97,59 @@ def test_wrdl_text_round_trips_on_random_formulas():
 def test_constants_round_trip(value):
     formula = wrdl.And(wrdl.Const(value), wrdl.Bool(rdl.Letter("a", "x")))
     assert wrdl.parse_wrdl(wrdl.to_text(formula)) == formula
+
+
+def _plant(formula, junk, rng):
+    """The formula with one random leaf, possibly inside a payload,
+    replaced by junk."""
+    inner = [f.name for f in fields(formula) if is_dataclass(getattr(formula, f.name))]
+    if not inner:
+        return junk
+    field = rng.choice(inner)
+    return replace(formula, **{field: _plant(getattr(formula, field), junk, rng)})
+
+
+_BINDERS = (rdl.ExistsFO, rdl.ExistsSO, wrdl.ExistsFO, wrdl.ExistsSO, wrdl.Forall)
+
+
+def _shadows(node, bound=frozenset()):
+    """Whether some binder rebinds a name bound around it."""
+    if isinstance(node, _BINDERS):
+        name = getattr(node, "var", None) or node.setvar
+        if name in bound:
+            return True
+        bound = bound | {name}
+    return any(_shadows(getattr(node, f.name), bound) for f in fields(node)
+               if is_dataclass(getattr(node, f.name)))
+
+
+@pytest.mark.parametrize("logic", ["rdl", "wrdl"])
+def test_the_walk_matches_the_recursive_oracles(logic):
+    if logic == "rdl":
+        draw = lambda rng: random_rdl_formula(rng, depth=5)
+        pairs = ((rdl.free_vars, brute_free_vars), (rdl.to_text, brute_to_text))
+        junks = ("junk", 7, wrdl.Const(Fraction(1)))
+    else:
+        draw = lambda rng: random_weighted_formula(rng, depth=4)
+        pairs = ((wrdl.free_vars, brute_wrdl_free_vars), (wrdl.to_text, brute_wrdl_to_text))
+        junks = ("junk", 7, rdl.Letter("a", "x"), wrdl.Const(Fraction(1)))
+    rng = random.Random(9191)
+    shadowed, refusals = 0, []
+    for _ in range(400):
+        formula = draw(rng)
+        for walk, oracle in pairs:
+            assert walk(formula) == oracle(formula)
+        if logic == "rdl":
+            assert rdl.rename_free(formula, {"q": "r"}) is formula
+        shadowed += _shadows(formula)
+        broken = _plant(formula, rng.choice(junks), rng)
+        for walk, oracle in pairs:
+            got = outcome(walk, broken)
+            assert got == outcome(oracle, broken)
+            if got[0] is TypeError:
+                refusals.append(got[1].partition(":")[0])
+    assert shadowed >= 50
+    assert len(refusals) >= 600
+    # junk both in payloads and in weighted positions
+    labels = {"not a formula"} | ({"not a weighted formula"} if logic == "wrdl" else set())
+    assert set(refusals) == labels

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import wd
-from watl import rdl, sampling
+from conftest import (brute_free_vars, brute_to_text, brute_wrdl_free_vars,
+                      brute_wrdl_to_text, wd)
+from watl import rdl, sampling, wrdl
 from watl.errors import DomainError, FragmentError, ParseError, WatlError
 from watl.fixtures import average_cost_sentence, squared_length_sentence
 from watl.monoids import monoid_from_id
@@ -21,6 +22,7 @@ from watl.wrdl import (
     ExistsSO,
     Forall,
     Or,
+    WrdlClassification,
     canonicalize,
     nivat_to_sentence,
     parse_wrdl,
@@ -76,15 +78,42 @@ def test_deeply_nested_formulas_that_parse_also_evaluate():
     assert wrdl_eval(formula, word, SUM0) == SUM0.one
 
 
+def _conjunction_chain(n):
+    """ex x. P[a](x) & ... & P[a](x) with n conjuncts, and its printed body."""
+    body = "!((!(" * (n - 1) + "P[a](x)" + ") | !(P[a](x))))" * (n - 1)
+    return rdl.parse_rdl("ex x. " + " & ".join(["P[a](x)"] * n)), body
+
+
+def test_formulas_too_deep_to_recurse_are_walked():
+    # 400 conjuncts nest deeper than a recursive walk can follow; the
+    # printed form is checked against the oracle on 60 conjuncts
+    deep, body = _conjunction_chain(400)
+    small, small_body = _conjunction_chain(60)
+    assert brute_to_text(small) == f"(ex x. {small_body})"
+    assert brute_wrdl_to_text(Bool(small)) == f"B((ex x. {small_body}))"
+    assert brute_free_vars(small) == brute_wrdl_free_vars(Bool(small)) == (frozenset(),) * 2
+    assert brute_free_vars(small.sub) == (frozenset("x"), frozenset())
+    for formula, text in ((small, small_body), (deep, body)):
+        assert rdl.to_text(formula) == f"(ex x. {text})"
+        assert to_text(Bool(formula)) == f"B((ex x. {text}))"
+        assert rdl.free_vars(formula) == wrdl.free_vars(Bool(formula)) == (frozenset(),) * 2
+        assert rdl.free_vars(formula.sub) == (frozenset("x"), frozenset())
+        assert rdl.rename_free(formula, {"x": "y"}) is formula
+        renamed = rdl.rename_free(formula.sub, {"x": "y"})
+        assert rdl.to_text(renamed) == text.replace("(x)", "(y)")
+        relettered = rdl.map_letter_atoms(formula, lambda a, var: rdl.Letter("b", var))
+        assert rdl.to_text(relettered) == f"(ex x. {text})".replace("P[a]", "P[b]")
+        assert wrdl_classify(Bool(formula)) == WrdlClassification(True, True, True)
+
+
 def test_formulas_too_deep_to_walk_are_refused_cleanly():
     # parse_rdl accepts 400 conjuncts, but each & is !(!a | !b), which
-    # nests deeper than the recursive walkers can follow
+    # nests deeper than the recursive evaluators and classifiers can follow
     text = "ex x. " + " & ".join(["P[a](x)"] * 400)
     deep = rdl.parse_rdl(text)
     word = wd(("a", 1))
     calls = (lambda: wrdl_eval(Bool(deep), word, SUM0),
              lambda: canonicalize(Bool(deep), SUM0),
-             lambda: wrdl_classify(Bool(deep)),
              lambda: rdl.classify(deep),
              lambda: rdl.model_check(deep, word))
     for call in calls:
