@@ -1,18 +1,29 @@
 """Infimum run cost of sum-weighted timed automata and threshold
 decisions for restricted weighted sentences.
 
-The infimum is computed on the corner-point graph: nodes pair a location
-with a clock region and one of the region's corner valuations, delay
-arcs move to the time successor either for free (when the corner lies on
-the shared boundary) or at one unit of the location rate, and discrete
-arcs follow edges whose guard holds throughout the region.  Optimal
-corner paths are limits of concrete runs, so shortest-path costs equal
-the infimum over run weights; a negative cycle that is both reachable
-and co-reachable witnesses an infimum of minus infinity.
+The infimum is computed on the corner-point graph (Bouyer, Brinksma and
+Larsen): nodes pair a location with a clock region and one of the
+region's corner valuations, delay arcs move to the time successor either
+for free (when the corner lies on the shared boundary) or at one unit of
+the location rate, and discrete arcs follow edges whose guard holds
+throughout the region.  Optimal corner paths are limits of concrete
+runs, so shortest-path costs equal the infimum over run weights; a
+negative cycle that is both reachable and co-reachable witnesses an
+infimum of minus infinity.
+
+Attainment and witnesses are exact and need no evaluation of candidate
+words.  The runs along one region path form a relatively open convex set
+of delays with the path's corner paths in its closure, and the cost is
+linear on it.  The infimum is therefore attained exactly when all corner
+paths of some accepting region path cost it, which a search over the
+arcs on least-cost paths decides, and the attaining word is the point
+built along that region path on exact valuations.  A word below a bound
+is a convex combination of a corner path below it and such a point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -90,8 +101,12 @@ class CornerPointGraph:
 class InfCostResult:
     """value is the infimum of run weights; when it is finite and some
     concrete word achieves it exactly, attained is True and witness holds
-    such a word.  corner_word is the integral word read off the optimal
-    corner path (also when the infimum is only approached)."""
+    such a word.  Both are decided exactly: attained says that some
+    accepting region path has all its corner paths at the infimum, and
+    the witness is a point inside that region path, on a shortest such
+    path.  corner_word is the integral word read off the optimal corner
+    path (also when the infimum is only approached, when it may have no
+    run at all)."""
 
     value: Weight
     attained: bool
@@ -426,10 +441,11 @@ def _useful_subgraph(wta: WeightedTimedAutomaton):
     """The corner-point graph restricted to nodes lying on some path from
     an initial node to the source of an accepting discrete arc.
 
-    Returns (nodes, useful, arcs, inits, acc_arcs): every node of the
-    graph by number, the set of useful node numbers, the arcs between
-    useful nodes and the useful initial nodes (both in build order), and
-    the discrete arcs from useful nodes into final locations.
+    Returns (nodes, useful, arcs, inits, acc_arcs, out): every node of
+    the graph by number, the set of useful node numbers, the arcs between
+    useful nodes and the useful initial nodes (both in build order), the
+    discrete arcs from useful nodes into final locations, and every
+    node's arcs in the whole graph, in build order.
     """
     nodes, arcs, inits = _build_graph(wta)
     final = set(wta.base.final)
@@ -445,7 +461,7 @@ def _useful_subgraph(wta: WeightedTimedAutomaton):
     arcs = [arc for arc in arcs if arc[0] in useful and arc[1] in useful]
     inits = tuple(n for n in inits if n in useful)
     acc_arcs = [arc for arc in acc_arcs if arc[0] in useful]
-    return nodes, useful, arcs, inits, acc_arcs
+    return nodes, useful, arcs, inits, acc_arcs, out
 
 
 def _negative_cycle(nodes, unstable, pred):
@@ -490,26 +506,175 @@ def _word_of_path(path) -> Optional[TimedWord]:
     return TimedWord.from_pairs(zip(letters, delays))
 
 
-def _perturbations(word: TimedWord):
-    """The corner word plus nearby rational variants used to probe
-    whether the infimum is actually reached."""
-    yield word
-    letters = word.letters
-    delays = word.delays
-    seen = {delays}
-    for j in range(1, 7):
-        eps = Fraction(1, 2 ** j)
-        variants = (
-            tuple(t + eps for t in delays),
-            tuple(t - eps if t > eps else t for t in delays),
-            tuple(t + eps if t == 0 else t for t in delays),
-            tuple(t - eps if t > eps else t + eps for t in delays),
-            tuple(t + eps if t == 0 else (t - eps if t > eps else t) for t in delays),
-        )
-        for d in variants:
-            if d not in seen:
-                seen.add(d)
-                yield TimedWord.from_pairs(zip(letters, d))
+def _inner_delay(values, caps) -> Fraction:
+    """The delay that moves a valuation into its time-successor region:
+    half the open interval before the next integer when a clock sits on
+    an integer at most its cap, else up to that integer (1 above every
+    cap)."""
+    parts = [value % 1 for value, cap in zip(values, caps) if value <= cap]
+    gap = 1 - max(parts, default=Fraction(0))
+    return gap / 2 if 0 in parts else gap
+
+
+class _Search:
+    """One cost search of a sum-weighted automaton: the corner-point
+    graph, its useful part and one Bellman-Ford over it, from which the
+    infimum, its attainment and the words below a bound are all read."""
+
+    def __init__(self, wta: WeightedTimedAutomaton):
+        self.wta = wta
+        self.value = INF
+        nodes, useful, arcs, inits, acc_arcs, self.out = _useful_subgraph(wta)
+        self.nodes, self.inits, self.acc_arcs = nodes, inits, acc_arcs
+        if not acc_arcs or not inits:
+            return
+        dist, unstable, pred, scale = _bellman_ford(useful, arcs, inits, len(nodes))
+        if unstable:
+            self.value = NEG_INF
+            self.cycle = functools.partial(_negative_cycle, useful, unstable, pred)
+            return
+        # An accepting arc may end outside the useful subgraph, so its cost
+        # may need a finer scale than the arcs relaxed.
+        fine = math.lcm(scale, *{arc[2].denominator for arc in acc_arcs})
+        best = None
+        best_arc = None
+        for arc in acc_arcs:
+            ds = dist[arc[0]]
+            if ds is None:
+                continue
+            value = ds * (fine // scale) + _scaled(arc[2], fine)
+            if best is None or value < best:
+                best = value
+                best_arc = arc
+        if best is None:
+            return
+        self.value = Fraction(best, fine)
+        self.dist, self.scale, self.fine, self.best = dist, scale, fine, best
+        # A search tree over the arcs that realize the least costs; at
+        # convergence every arc of the Bellman-Ford tree is one of them.
+        tight = [[] for _ in nodes]
+        for arc in arcs:
+            ds, dd = dist[arc[0]], dist[arc[1]]
+            if ds is not None and dd is not None and ds + _scaled(arc[2], scale) == dd:
+                tight[arc[0]].append(arc)
+        self.starts = [n for n in inits if dist[n] == 0]
+        parent, _ = _bfs(self.starts, tight)
+        self.corner_path = _path_to(parent, best_arc[0]) + [best_arc]
+
+    @functools.cached_property
+    def attaining(self) -> Optional[TimedWord]:
+        """A word valued exactly the finite infimum, or None if none is.
+
+        Breadth-first over region paths: a state is the tuple of corner
+        nodes, of one location and region, that the corner paths of a
+        region path reach, and a step is the delay or one edge.  Every
+        corner of a region has an arc for each step the region allows, so
+        a step goes on when all its arcs from the state are tight, and
+        ends the search with the point of its region path when it fires a
+        final edge and all its arcs reach the infimum."""
+        dist, scale, fine, best = self.dist, self.scale, self.fine, self.best
+        final = set(self.wta.base.final)
+        parent = {(n,): None for n in self.starts}
+        queue = deque(parent)
+        while queue:
+            state = queue.popleft()
+            steps = {}
+            for n in state:
+                for arc in self.out[n]:
+                    steps.setdefault(arc[4] and arc[4].id, []).append(arc)
+            for arcs in steps.values():
+                edge = arcs[0][4]
+                if edge is not None and edge.target in final and all(
+                        dist[s] * (fine // scale) + _scaled(cost, fine) == best
+                        for s, _, cost, _, _ in arcs):
+                    path = [arcs[0]]
+                    while parent[state] is not None:
+                        state, step = parent[state]
+                        path.append(step)
+                    letters, _, delays, _, _ = self._interior(path[::-1])
+                    return TimedWord.from_pairs(zip(letters, delays))
+                if all(dist[d] is not None and dist[s] + _scaled(cost, scale) == dist[d]
+                       for s, d, cost, _, _ in arcs):
+                    nxt = tuple(sorted({arc[1] for arc in arcs}))
+                    if nxt not in parent:
+                        parent[nxt] = (state, arcs[0])
+                        queue.append(nxt)
+        return None
+
+    def _interior(self, path):
+        """Follow the region path of a corner path from the zero valuation
+        on exact valuations, each delay step by ``_inner_delay``.  Returns
+        the letters, the corner path's delays (its unit delay arcs), the
+        point's delays, and the two costs."""
+        base = self.wta.base
+        clocks = sorted(base.clocks)
+        caps = base.max_constants()
+        caps = [caps[c] for c in clocks]
+        values = [Fraction(0)] * len(clocks)
+        loc = self.nodes[path[0][0]][0]
+        letters, corner, point = [], [], []
+        corner_cost = point_cost = point_wait = Fraction(0)
+        corner_wait = 0
+        for _, _, cost, time, edge in path:
+            corner_cost += cost
+            if edge is None:
+                delay = _inner_delay(values, caps)
+                values = [value + delay for value in values]
+                corner_wait += time
+                point_wait += delay
+                point_cost += _fraction(self.wta.wt_location(loc)) * delay
+            else:
+                letters.append(edge.label)
+                corner.append(Fraction(corner_wait))
+                point.append(point_wait)
+                corner_wait, point_wait = 0, Fraction(0)
+                values = [Fraction(0) if c in edge.resets else value
+                          for c, value in zip(clocks, values)]
+                point_cost += cost
+                loc = edge.target
+        return letters, corner, point, corner_cost, point_cost
+
+    def _word_below(self, path, bound) -> TimedWord:
+        """A word below the bound on the region path of a corner path of
+        cost c below it: the point, when its cost p is below the bound,
+        else (1 - l)*corner + l*point with l = (bound - c) / (2 (p - c)),
+        which lies inside for l > 0 and costs (c + bound) / 2."""
+        letters, corner, point, c, p = self._interior(path)
+        if p >= bound:
+            weight = (bound - c) / (2 * (p - c))
+            point = [x + weight * (y - x) for x, y in zip(corner, point)]
+        return TimedWord.from_pairs(zip(letters, point))
+
+    def _pumped(self, bound) -> Optional[TimedWord]:
+        """A word below the bound for an infimum of minus infinity: the
+        negative cycle entered on a shortest path and left on a shortest
+        path to the cheapest accepting arc, with the least number of laps
+        that brings this corner path below the bound."""
+        cycle = self.cycle()
+        if cycle is None:
+            return None
+        entry = cycle[0][0]
+        # Shortest paths to a useful node only pass useful nodes, so the
+        # searches over the whole graph find the same ones.
+        parent, _ = _bfs(self.inits, self.out, targets={entry})
+        back, end = _bfs([entry], self.out, targets={arc[0] for arc in self.acc_arcs})
+        last = min((arc for arc in self.acc_arcs if arc[0] == end), key=lambda arc: arc[2])
+        prefix, suffix = _path_to(parent, entry), _path_to(back, end) + [last]
+        fixed = sum(arc[2] for arc in prefix) + sum(arc[2] for arc in suffix)
+        lap = sum(arc[2] for arc in cycle)
+        laps = 0 if fixed < bound else (fixed - bound) // -lap + 1
+        return self._word_below(prefix + cycle * laps + suffix, bound)
+
+    def below(self, bound, strict: bool) -> Optional[TimedWord]:
+        """A word below the bound (strictly, or weakly when strict is False),
+        or None when no word is."""
+        if self.value is NEG_INF:
+            return self._pumped(bound)
+        if is_finite(self.value) and self.value < bound:
+            return self._word_below(self.corner_path, bound)
+        if not strict and self.value == bound:
+            return self.attaining
+        return None
 
 
 def inf_cost(wta: WeightedTimedAutomaton) -> InfCostResult:
@@ -520,109 +685,39 @@ def inf_cost(wta: WeightedTimedAutomaton) -> InfCostResult:
     (sound for the minimum).  Returns inf when no accepting run exists
     and -inf when runs of unboundedly negative weight exist.
     """
-    nodes, useful, arcs, inits, acc_arcs = _useful_subgraph(wta)
-    if not acc_arcs or not inits:
-        return InfCostResult(INF, False, None, None)
-    dist, unstable, _, scale = _bellman_ford(useful, arcs, inits, len(nodes))
-    if unstable:
-        return InfCostResult(NEG_INF, False, None, None)
-    # An accepting arc may end outside the useful subgraph, so its cost
-    # may need a finer scale than the arcs relaxed.
-    fine = math.lcm(scale, *{arc[2].denominator for arc in acc_arcs})
-    best = None
-    best_arc = None
-    for arc in acc_arcs:
-        ds = dist[arc[0]]
-        if ds is None:
-            continue
-        value = ds * (fine // scale) + _scaled(arc[2], fine)
-        if best is None or value < best:
-            best = value
-            best_arc = arc
-    if best is None:
-        return InfCostResult(INF, False, None, None)
-    # A search tree over the arcs that realize the least costs.
-    tight = [[] for _ in nodes]
-    for arc in arcs:
-        ds, dd = dist[arc[0]], dist[arc[1]]
-        if ds is not None and dd is not None and ds + _scaled(arc[2], scale) == dd:
-            tight[arc[0]].append(arc)
-    parent, _ = _bfs([n for n in inits if dist[n] == 0], tight)
-    corner_word = None
-    if best_arc[0] in parent:
-        corner_word = _word_of_path(_path_to(parent, best_arc[0]) + [best_arc])
-    best = Fraction(best, fine)
-    witness = None
-    attained = False
-    if corner_word is not None:
-        for candidate in _perturbations(corner_word):
-            if behavior(wta, candidate) == best:
-                witness = candidate
-                attained = True
-                break
-    return InfCostResult(best, attained, witness, corner_word)
+    search = _Search(wta)
+    if not is_finite(search.value):
+        return InfCostResult(search.value, False, None, None)
+    witness = search.attaining
+    return InfCostResult(search.value, witness is not None, witness,
+                         _word_of_path(search.corner_path))
 
 
 def _below(value, bound, strict: bool) -> bool:
     return value < bound or (not strict and value <= bound)
 
 
-def _pumped_witness(wta: WeightedTimedAutomaton, bound, strict: bool):
-    """A word of behavior below the bound built by pumping a negative
-    cycle of the corner-point graph, with its exact value, or None."""
-    nodes, useful, arcs, inits, acc_arcs = _useful_subgraph(wta)
-    if not acc_arcs or not inits:
-        return None
-    _, unstable, pred, _ = _bellman_ford(useful, arcs, inits, len(nodes))
-    cycle = _negative_cycle(useful, unstable, pred)
-    if cycle is None:
-        return None
-    entry = cycle[0][0]
-    out = [[] for _ in nodes]
-    for arc in arcs:
-        out[arc[0]].append(arc)
-    parent, hit = _bfs(inits, out, targets={entry})
-    back, end = _bfs([entry], out, targets={arc[0] for arc in acc_arcs})
-    if hit is None or end is None:
-        return None
-    prefix, tail = _path_to(parent, entry), _path_to(back, end)
-    last = min((arc for arc in acc_arcs if arc[0] == end), key=lambda arc: arc[2])
-    suffix = tail + [last]
-    fixed = sum(arc[2] for arc in prefix) + sum(arc[2] for arc in suffix)
-    lap = sum(arc[2] for arc in cycle)
-    fixed_letters = sum(arc[4] is not None for arc in prefix + suffix)
-    lap_letters = sum(arc[4] is not None for arc in cycle)
-    laps = 1
-    # Words past 4000 letters are never probed, so stop pumping once the
-    # word would outgrow that.
-    while laps <= 4096 and fixed_letters + laps * lap_letters <= 4000:
-        if _below(fixed + laps * lap, bound, strict):
-            word = _word_of_path(prefix + cycle * laps + suffix)
-            if word is not None:
-                for candidate in _perturbations(word):
-                    value = behavior(wta, candidate)
-                    if _below(value, bound, strict):
-                        return candidate, value
-        laps *= 2
-    return None
-
-
 def witness_below(wta: WeightedTimedAutomaton, result: InfCostResult,
                   bound, strict: bool = True) -> Optional[tuple]:
     """A concrete word whose behavior lies below the bound (strictly, or
-    weakly when strict is False), with its exact value, or None.
+    weakly when strict is False), with its exact value, or None when no
+    word does.
 
-    Finite infima are probed near the optimal corner path; an infimum of
-    minus infinity is chased by pumping a negative corner cycle.
+    An attaining witness of the result answers when its value is below
+    the bound.  Otherwise one cost search builds the word: an infimum
+    below the bound moves its optimal corner path inside its region path,
+    and an infimum of minus infinity first pumps a negative corner cycle
+    for the least number of laps that brings the corner path below the
+    bound.  The value reported is the word's behavior, which is below
+    the bound by construction: at most the cost of the run built, and
+    less when another run of the word is cheaper.
     """
-    if result.value is NEG_INF:
-        return _pumped_witness(wta, bound, strict)
-    if not is_finite(result.value) or result.corner_word is None:
-        return None
-    for candidate in _perturbations(result.corner_word):
-        value = behavior(wta, candidate)
-        if _below(value, bound, strict):
-            return candidate, value
+    if result.attained and _below(result.value, bound, strict):
+        return result.witness, result.value
+    if result.value is NEG_INF or (is_finite(result.value) and result.value < bound):
+        word = _Search(wta).below(bound, strict)
+        if word is not None:
+            return word, behavior(wta, word)
     return None
 
 
@@ -978,18 +1073,18 @@ def _decide(sentence, alphabet, threshold, pv: TimedPvMonoid, strict: bool,
     product, h = composed
     searched = _require_positive_duration(_shift_rates(product, threshold)) if average else product
     bound = Fraction(0) if average else threshold
-    result = inf_cost(searched)
-    holds = result.value < bound or (
-        not strict and result.value == bound and result.attained)
+    search = _Search(searched)
+    value = search.value
+    holds = value < bound or (not strict and value == bound and search.attaining is not None)
     witness = witness_value = None
     if holds:
-        found = witness_below(searched, result, bound, strict)
+        found = search.below(bound, strict)
         if found is not None:
-            candidate = TimedWord.from_pairs((h[c], t) for c, t in found[0].entries)
+            candidate = TimedWord.from_pairs((h[c], t) for c, t in found.entries)
             exact = wrdl.wrdl_eval(formula, candidate, pv)
             if _below(exact, threshold, strict) and (not average or candidate.duration > 0):
                 witness, witness_value = candidate, exact
-    infima = (None, result.value) if average else (result.value, None)
+    infima = (None, value) if average else (value, None)
     return DecisionResult(holds, threshold, *infima, witness, witness_value, strict)
 
 

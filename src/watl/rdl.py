@@ -260,10 +260,15 @@ def so_quantified_vars(formula) -> frozenset:
     )
 
 
+def _names(formula, syntax: _Syntax, fields: dict) -> set:
+    """The names in the given fields of every node the syntax walks."""
+    return {getattr(node, field) for node, _, _ in _walk(formula, syntax)
+            for field in fields.get(type(node), ())}
+
+
 def variable_names(formula) -> set:
     """Every variable name occurring in the formula, bound or free."""
-    return {getattr(sub, field) for sub in iter_subformulas(formula)
-            for field in _NAME_FIELDS.get(type(sub), ())}
+    return _names(formula, _SYNTAX, _NAME_FIELDS)
 
 
 def _rebuild(formula, visit: Callable):

@@ -98,12 +98,6 @@ def iter_nodes(formula):
     return map(itemgetter(0), rdl._walk(formula, _NODES))
 
 
-def _all_names(formula) -> set:
-    """Every variable name occurring anywhere, bound or free."""
-    return {getattr(node, field) for node, _, _ in rdl._walk(formula, _SYNTAX)
-            for field in _NAME_FIELDS.get(type(node), ())}
-
-
 class NameSupply:
     """Fresh variable names avoiding everything seen so far."""
 
@@ -601,7 +595,7 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
     validate_formula(formula, monoid)
     if not wrdl_classify(formula).syntactically_restricted:
         raise FragmentError("canonical form needs a syntactically restricted sentence")
-    names = NameSupply(_all_names(formula))
+    names = NameSupply(rdl._names(formula, _SYNTAX, _NAME_FIELDS))
 
     def canon(node) -> CanonicalSentence:
         if almost_boolean(node):

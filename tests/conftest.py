@@ -1,5 +1,6 @@
 """Shared helpers plus the acceptance summary printed after each run."""
 
+import dataclasses
 import itertools
 import math
 from collections import deque
@@ -713,33 +714,6 @@ def _useful_subgraph(graph):
     return useful, arcs, inits, acc_arcs
 
 
-def _negative_cycle(nodes, arcs, inits, unstable, pred):
-    bound = len(nodes)
-    for start in unstable:
-        node = start
-        ok = True
-        for _ in range(bound):
-            arc = pred.get(node)
-            if arc is None:
-                ok = False
-                break
-            node = arc.src
-        if not ok:
-            continue
-        cycle = []
-        cur = node
-        while True:
-            arc = pred[cur]
-            cycle.append(arc)
-            cur = arc.src
-            if cur == node:
-                break
-        cycle.reverse()
-        if sum(a.cost for a in cycle) < 0:
-            return cycle
-    return None
-
-
 def _word_of_path(path):
     letters = []
     delays = []
@@ -756,11 +730,56 @@ def _word_of_path(path):
     return TimedWord.from_pairs(zip(letters, delays))
 
 
+def brute_attained(graph, value, length) -> bool:
+    """Whether some accepting region path of at most ``length`` arcs has
+    all its corner paths at ``value``: the corner paths of a public corner
+    graph from each initial node, grouped by the region path they follow.
+
+    A group is the set of (node, least cost, greatest cost) over the last
+    nodes its corner paths reach; a step (the delay, or one edge) extends
+    every path of the group, and every node of a group has an arc for
+    every step that one of them has (checked).  A group already seen is
+    not explored again."""
+    out = _adjacency(graph.arcs)
+    accepting = set(graph.accepting)
+    layer = [frozenset({(node, Fraction(0), Fraction(0))}) for node in graph.initial]
+    seen = set(layer)
+    for _ in range(length):
+        following = []
+        for group in layer:
+            steps = {}
+            for node, _, _ in group:
+                for arc in out.get(node, ()):
+                    steps.setdefault(arc.edge, {}).setdefault(node, []).append(arc)
+            for edge, by_node in steps.items():
+                assert len(by_node) == len(group), "a corner misses a step of its region"
+                costs = {}
+                for node, low, high in group:
+                    for arc in by_node[node]:
+                        was = costs.get(arc.dst, (low + arc.cost, high + arc.cost))
+                        costs[arc.dst] = (min(was[0], low + arc.cost),
+                                          max(was[1], high + arc.cost))
+                if (edge is not None and all(dst in accepting for dst in costs)
+                        and all(low == high == value for low, high in costs.values())):
+                    return True
+                nxt = frozenset((dst, low, high) for dst, (low, high) in costs.items())
+                if nxt not in seen:
+                    seen.add(nxt)
+                    following.append(nxt)
+        layer = following
+    return False
+
+
 def brute_inf_cost(wta, corner_graph=optcost.build_corner_points):
-    """``optcost.inf_cost`` searched over the ``Region`` nodes and
-    ``CornerArc``s of a public corner graph (``build_corner_points`` or
-    ``brute_corner_graph``): the oracle for the search on node numbers."""
-    useful, arcs, inits, acc_arcs = _useful_subgraph(corner_graph(wta))
+    """``optcost.inf_cost`` without its witness: the value and corner word
+    searched over the ``Region`` nodes and ``CornerArc``s of a public
+    corner graph (``build_corner_points`` or ``brute_corner_graph``), and
+    attainment by ``brute_attained`` up to twice the optimal corner path's
+    length: an optimal corner path may end in an open region whose
+    corners cost differently, where an attaining region path goes on
+    delaying to the face that holds the optimal corner."""
+    graph = corner_graph(wta)
+    useful, arcs, inits, acc_arcs = _useful_subgraph(graph)
     if not acc_arcs or not inits:
         return optcost.InfCostResult(INF, False, None, None)
     dist, unstable, _ = keyed_bellman_ford(useful, arcs, inits)
@@ -781,67 +800,46 @@ def brute_inf_cost(wta, corner_graph=optcost.build_corner_points):
     tight = _adjacency(a for a in arcs if dist[a.src] is not None and dist[a.dst] is not None
                        and dist[a.src] + a.cost == dist[a.dst])
     parent, _ = _bfs([n for n in inits if dist[n] == 0], tight)
-    corner_word = None
-    if best_arc.src in parent:
-        corner_word = _word_of_path(_path_to(parent, best_arc.src) + [best_arc])
-    witness = None
-    attained = False
-    if corner_word is not None:
-        for candidate in optcost._perturbations(corner_word):
-            if behavior(wta, candidate) == best:
-                witness = candidate
-                attained = True
-                break
-    return optcost.InfCostResult(best, attained, witness, corner_word)
+    path = _path_to(parent, best_arc.src) + [best_arc]
+    return optcost.InfCostResult(best, brute_attained(graph, best, 2 * len(path)), None,
+                                 _word_of_path(path))
 
 
-def _brute_pumped_witness(wta, bound, strict, corner_graph):
-    useful, arcs, inits, acc_arcs = _useful_subgraph(corner_graph(wta))
-    if not acc_arcs or not inits:
-        return None
-    dist, unstable, pred = keyed_bellman_ford(useful, arcs, inits)
-    cycle = _negative_cycle(useful, arcs, inits, unstable, pred)
-    if cycle is None:
-        return None
-    entry = cycle[0].src
-    out = _adjacency(arcs)
-    parent, hit = _bfs(inits, out, targets={entry})
-    back, end = _bfs([entry], out, targets={a.src for a in acc_arcs})
-    if hit is None or end is None:
-        return None
-    prefix, tail = _path_to(parent, entry), _path_to(back, end)
-    last = min((a for a in acc_arcs if a.src == end), key=lambda a: a.cost)
-    suffix = tail + [last]
-    fixed = sum(a.cost for a in prefix) + sum(a.cost for a in suffix)
-    lap = sum(a.cost for a in cycle)
-    fixed_letters = sum(a.edge is not None for a in prefix + suffix)
-    lap_letters = sum(a.edge is not None for a in cycle)
-    laps = 1
-    while laps <= 4096 and fixed_letters + laps * lap_letters <= 4000:
-        if optcost._below(fixed + laps * lap, bound, strict):
-            word = _word_of_path(prefix + cycle * laps + suffix)
-            if word is not None:
-                for candidate in optcost._perturbations(word):
-                    value = behavior(wta, candidate)
-                    if optcost._below(value, bound, strict):
-                        return candidate, value
-        laps *= 2
-    return None
+def check_inf_cost(wta, result, corner_graph=optcost.build_corner_points) -> None:
+    """Assert that ``result`` is ``inf_cost(wta)`` as the Region-node oracle
+    has it, and that an attaining witness is valued the infimum."""
+    want = brute_inf_cost(wta, corner_graph)
+    assert dataclasses.replace(result, witness=None) == want
+    assert (result.witness is not None) == result.attained
+    if result.attained:
+        assert behavior(wta, result.witness) == result.value
 
 
-def brute_witness_below(wta, result, bound, strict=True,
-                        corner_graph=optcost.build_corner_points):
-    """``optcost.witness_below`` with the negative cycle pumped on the
-    ``Region`` nodes of a public corner graph."""
-    if result.value is NEG_INF:
-        return _brute_pumped_witness(wta, bound, strict, corner_graph)
-    if not is_finite(result.value) or result.corner_word is None:
+def check_witness_below(wta, result, bound, strict, found) -> None:
+    """Assert that ``witness_below`` found a word exactly when one exists,
+    and that the word is valued as claimed and below the bound."""
+    value = result.value
+    exists = value is NEG_INF or (is_finite(value) and (
+        value < bound or (not strict and value == bound and result.attained)))
+    assert (found is not None) == exists
+    if found is not None:
+        word, claimed = found
+        assert behavior(wta, word) == claimed
+        assert optcost._below(claimed, bound, strict)
+
+
+class BruteSearch:
+    """``optcost._Search`` answered by ``brute_inf_cost`` over the
+    Region-object corner graph: the infimum and whether it is attained,
+    but no witness."""
+
+    def __init__(self, wta):
+        result = brute_inf_cost(wta, brute_corner_graph)
+        self.value = result.value
+        self.attaining = result.attained or None
+
+    def below(self, bound, strict):
         return None
-    for candidate in optcost._perturbations(result.corner_word):
-        value = behavior(wta, candidate)
-        if optcost._below(value, bound, strict):
-            return candidate, value
-    return None
 
 
 # The oracle guard analysis for ``optcost._GuardCompiler``: guards become tuple

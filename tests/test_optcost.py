@@ -1,5 +1,6 @@
 """Corner-point graphs, infimum costs, and the threshold deciders."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -11,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (brute_bellman_ford, brute_compile_guard_family, brute_composed_over_gamma,
-                      brute_corner_graph, brute_inf_cost, brute_witness_below, grid_minimum,
-                      keyed_bellman_ford, outcome, reachable_regions, region_of, region_reset,
-                      region_satisfies, region_zero, time_successor, wd)
+from conftest import (BruteSearch, brute_bellman_ford, brute_compile_guard_family,
+                      brute_composed_over_gamma, brute_corner_graph, check_inf_cost,
+                      check_witness_below, grid_minimum, keyed_bellman_ford, outcome,
+                      reachable_regions, region_of, region_reset, region_satisfies, region_zero,
+                      time_successor, wd)
 from watl import fixtures, optcost, rdl, sampling, wrdl
 from watl.core import (RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord,
                        accepts)
@@ -236,43 +238,39 @@ def test_negative_cycles_drive_the_cost_to_minus_infinity():
 
 
 def test_witnesses_below_a_bound_are_real_words(monkeypatch):
-    built = []
-    word_of_path = optcost._word_of_path
+    evaluated = []
+    evaluate = optcost.behavior
 
-    def recording_word_of_path(path):
-        word = word_of_path(path)
-        built.append(0 if word is None else len(word))
-        return word
+    def recording_behavior(wta, word):
+        evaluated.append(len(word))
+        return evaluate(wta, word)
 
-    monkeypatch.setattr(optcost, "_word_of_path", recording_word_of_path)
+    monkeypatch.setattr(optcost, "behavior", recording_behavior)
 
     automaton = fixtures.priced_strict_guard()
     result = inf_cost(automaton)
     witness, value = witness_below(automaton, result, Fraction(-1, 2), strict=True)
-    assert value < Fraction(-1, 2)
+    # the corner word (a,1) is valued inf; (a,3/4) lies halfway to the bound
+    assert witness == wd(("a", Fraction(3, 4))) and value == Fraction(-3, 4)
     assert behavior(automaton, witness) == value
 
     pumped = fixtures.priced_negative_cycle()
     result = inf_cost(pumped)
-    witness, value = witness_below(pumped, result, Fraction(-50), strict=True)
-    assert value < -50
-    assert behavior(pumped, witness) == value
-    witness, value = witness_below(pumped, result, Fraction(-1000), strict=True)
-    assert value == -1026 and len(witness) == 2051
-    assert behavior(pumped, witness) == value
-    # one lap costs -1 and reads two letters, so -3000 needs a word longer
-    # than the 4000 letters ever probed, and none is built
-    assert witness_below(pumped, result, Fraction(-3000), strict=True) is None
-    assert max(built) <= 4000
+    # one lap costs -1 and reads two letters, after a one-letter path of
+    # cost -1: the least number of laps below the bound, however long
+    for bound in (-50, -1000, -3000):
+        witness, value = witness_below(pumped, result, Fraction(bound), strict=True)
+        assert value == bound - 1 and len(witness) == -2 * bound + 1
+        assert behavior(pumped, witness) == value
 
     bounded = fixtures.priced_min_wait()
     result = inf_cost(bounded)
     assert witness_below(bounded, result, Fraction(7), strict=True) is None
     witness, value = witness_below(bounded, result, Fraction(7), strict=False)
-    assert value == 7
-    # the spy saw every word built: the two finite infima's corner words
-    # and one pumped word per bound reached
-    assert built == [1, 131, 2051, 1]
+    assert witness == result.witness and value == 7
+    # one behavior call per word built, none for an attaining witness
+    # (valued the infimum) nor in inf_cost
+    assert evaluated == [1, 101, 2001, 6001]
 
 
 def test_infimum_is_a_lower_bound_on_sampled_behaviors():
@@ -302,6 +300,45 @@ def test_grid_search_never_beats_the_infimum():
         assert minimum - result.value <= Fraction(1, 4)
 
 
+def _zero_weights(base):
+    return WeightedTimedAutomaton(base, monoid_from_id("sum"),
+                                  {loc: Fraction(0) for loc in base.locations},
+                                  {e.id: Fraction(0) for e in base.edges})
+
+
+def test_a_corner_word_on_a_strict_guard_does_not_hide_attainment():
+    base = sampling.random_automaton(random.Random(1671), alphabet=("a",), max_locations=4,
+                                     max_clocks=3, max_edges=8)
+    automaton = _zero_weights(base)
+    result = inf_cost(automaton)
+    # the corner word (a,1)(a,3) has no run, but (a,1)(a,7/2) is valued 0
+    assert result.corner_word == wd(("a", 1), ("a", 3))
+    assert behavior(automaton, result.corner_word) is INF
+    assert behavior(automaton, wd(("a", 1), ("a", Fraction(7, 2)))) == 0
+    assert result.value == 0 and result.attained
+    assert behavior(automaton, result.witness) == 0
+    assert witness_below(automaton, result, Fraction(0), strict=False) == (result.witness, 0)
+
+
+def test_zero_weight_automata_attain_every_finite_infimum():
+    # Every corner path costs 0, so every accepting region path attains.
+    reached = 0
+    rng = random.Random(1671)
+    for k in range(200):
+        if k % 2:
+            automaton = _zero_weights(_random_corner_automaton(rng).base)
+        else:
+            automaton = _zero_weights(sampling.random_automaton(
+                rng, alphabet=("a",), max_locations=4, max_clocks=3, max_edges=8))
+        result = inf_cost(automaton)
+        assert result.attained == (result.value != INF)
+        if result.attained:
+            assert result.value == 0
+            assert behavior(automaton, result.witness) == 0
+            reached += 1
+    assert reached >= 100
+
+
 # --- Bellman-Ford -------------------------------------------------------------
 
 
@@ -329,7 +366,7 @@ def test_integer_bellman_ford_matches_the_fraction_oracle():
         automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2,
                                             max_edges=4)
         nodes, arcs, inits = optcost._build_graph(automaton)
-        _, useful, useful_arcs, useful_inits, _ = optcost._useful_subgraph(automaton)
+        _, useful, useful_arcs, useful_inits, _, _ = optcost._useful_subgraph(automaton)
 
         def named(arc):
             return optcost.CornerArc(nodes[arc[0]], nodes[arc[1]], *arc[2:])
@@ -411,31 +448,36 @@ def test_infima_and_witnesses_match_the_fraction_oracle(monkeypatch):
 
 
 def test_the_search_matches_the_region_node_oracle():
-    # The cost search runs on node numbers; the oracle runs the same
-    # search over the Region nodes and CornerArcs of build_corner_points.
+    # The cost search runs on node numbers; the oracle runs the search
+    # for the value and corner word over the Region nodes and CornerArcs
+    # of build_corner_points, and groups their corner paths by region
+    # path for attainment.  Every witness is checked on its behavior.
     draws = minus_infinity = witnesses = 0
+    attained = {True: 0, False: 0}
     for seed in (404, 405, 406, 1671):
         rng = random.Random(seed)
         for _ in range(150):
             automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2,
                                                 max_edges=6)
             result = inf_cost(automaton)
-            assert result == brute_inf_cost(automaton)
+            check_inf_cost(automaton, result)
             if result.value is NEG_INF:
                 bounds = [(Fraction(-20), True)]
                 minus_infinity += 1
             elif is_finite(result.value):
                 bounds = [(result.value + 1, True), (result.value, False),
                           (result.value, True)]
+                attained[result.attained] += 1
             else:
                 bounds = []
             for bound, strict in bounds:
                 found = witness_below(automaton, result, bound, strict)
-                assert found == brute_witness_below(automaton, result, bound, strict)
+                check_witness_below(automaton, result, bound, strict, found)
                 witnesses += found is not None
             draws += 1
     assert draws >= 600
     assert minus_infinity >= 100
+    assert attained[True] >= 100 and attained[False] >= 5
     assert witnesses >= 300
 
 
@@ -496,6 +538,34 @@ def test_decisions_do_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"DecisionResult(") == 100
     assert outputs[0].count(b"witness=TimedWord(") >= 60
+
+
+_RUNAWAY_SCRIPT = """
+import random
+from fractions import Fraction
+from test_optcost import _rational_sum_automaton
+from watl.optcost import inf_cost, witness_below
+from watl.wta import behavior
+rng = random.Random(401)
+for _ in range(103):
+    automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2, max_edges=6)
+result = inf_cost(automaton)
+word, value = witness_below(automaton, result, Fraction(-20), True)
+assert behavior(automaton, word) == value
+print(result.value, value < -20)
+"""
+
+
+def test_pumping_a_cycle_on_a_strict_guard_ends():
+    # Draw 102: the negative cycle fires two edges in zero time, one
+    # behind a strict guard, so every pumped corner word has no run.  A
+    # hang fails at the timeout instead of stalling the suite.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    out = subprocess.run([sys.executable, "-c", _RUNAWAY_SCRIPT],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, check=True, timeout=10).stdout
+    assert out == b"-inf True\n"
 
 
 def _two_branch_automaton(extra_locations=(), extra_edges=(), extra_rates=None):
@@ -616,6 +686,35 @@ def test_decisions_are_monotone_under_bisection():
     assert hi - lo == Fraction(16, 2 ** 8)
 
 
+def test_every_yes_on_the_pool_carries_a_witness():
+    # The 200 sentences drawn with their alphabets from Random(5), as the
+    # benchmark's decide workload draws them.  Sentence 171 (over a, b)
+    # answers yes on averages at 2 and 5 with shifted infimum -inf.
+    rng = random.Random(5)
+    pool = []
+    for _ in range(200):
+        alphabet = ("a",) if rng.random() < 0.5 else ("a", "b")
+        pool.append((alphabet, sampling.random_restricted_sentence(rng, alphabet)))
+    yes = 0
+    for alphabet, sentence in pool:
+        for theta in (Fraction(0), Fraction(2), Fraction(5)):
+            for decide, pv in ((decide_sum_threshold, SUM0), (decide_avg_threshold, AVG0)):
+                result = decide(sentence, alphabet, theta)
+                if not result.holds:
+                    continue
+                yes += 1
+                assert result.witness is not None
+                value = wrdl.wrdl_eval(sentence, result.witness, pv)
+                assert value == result.witness_value
+                assert is_finite(value) and value < theta
+                assert pv is SUM0 or result.witness.duration > 0
+    alphabet, sentence = pool[171]
+    for theta in (Fraction(2), Fraction(5)):
+        result = decide_avg_threshold(sentence, alphabet, theta)
+        assert result.shifted_infimum is NEG_INF and result.witness is not None
+    assert yes >= 600
+
+
 # The message of the oracle's refusal of existentials nested in a
 # quantifier body, which the closure compiler turns into global parts.
 _NESTED = "quantified body outside the per-position fragment"
@@ -646,20 +745,13 @@ def test_decisions_match_the_full_translation_path(monkeypatch):
 
     got = decide_all()
     assert not [r for r in got if isinstance(r, tuple)]  # no draw raises
+    # the oracle path: the full translation and the Region-node search,
+    # which reports no witness
     monkeypatch.setattr(optcost, "_composed_over_gamma", brute_composed_over_gamma)
-    monkeypatch.setattr(optcost, "inf_cost",
-                        lambda wta: brute_inf_cost(wta, brute_corner_graph))
-    monkeypatch.setattr(optcost, "witness_below",
-                        lambda wta, result, bound, strict=True: brute_witness_below(
-                            wta, result, bound, strict, brute_corner_graph))
+    monkeypatch.setattr(optcost, "_Search", BruteSearch)
     want = decide_all()
     nested = []
     for k, (result, oracle) in enumerate(zip(got, want)):
-        if not (isinstance(oracle, tuple) and oracle[0] is UnsupportedGuardError
-                and oracle[1].startswith(_NESTED)):
-            assert result == oracle
-            continue
-        nested.append(result)
         sentence = sentences[k // 2]
         pv, positive = (SUM0, False) if k % 2 == 0 else (AVG0, True)
         if result.holds:
@@ -667,6 +759,12 @@ def test_decisions_match_the_full_translation_path(monkeypatch):
             assert wrdl.wrdl_eval(sentence, result.witness, pv) == result.witness_value
             assert optcost._below(result.witness_value, result.threshold, result.strict)
             assert result.witness.duration > 0 or not positive
+        if not (isinstance(oracle, tuple) and oracle[0] is UnsupportedGuardError
+                and oracle[1].startswith(_NESTED)):
+            assert dataclasses.replace(result, witness=None, witness_value=None) == oracle
+            continue
+        nested.append(result)
+        if result.holds:
             continue
         for word in _PROBES:
             if word.duration > 0 or not positive:

@@ -106,6 +106,20 @@ def test_formulas_too_deep_to_recurse_are_walked():
         assert wrdl_classify(Bool(formula)) == WrdlClassification(True, True, True)
 
 
+def test_guards_too_deep_to_recurse_are_relabeled():
+    # relabeled_guards collects the names in use with rdl.variable_names
+    deep, body = _conjunction_chain(400)
+    assert rdl.variable_names(deep) == {"x"}
+    guard = rdl.Or(deep.sub, rdl.ExistsSO("Z0", rdl.InSet("Z0", "x")))
+    canonical = CanonicalSentence((), "x", (guard, rdl.Not(guard)),
+                                  (Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
+    first, second = wrdl.relabeled_guards(canonical, ("c", "d"), {"c": "a", "d": "b"})
+    # Z0 is in use, so the bound copies become Z1 and Z2 in walk order
+    text = f"({body.replace('P[a]', 'P[c]')} | (EX Z1. Z1(x)))"
+    assert rdl.to_text(first) == text
+    assert rdl.to_text(second) == f"!({text.replace('Z1', 'Z2')})"
+
+
 def test_formulas_too_deep_to_walk_are_refused_cleanly():
     # parse_rdl accepts 400 conjuncts, but each & is !(!a | !b), which
     # nests deeper than the recursive evaluators and classifiers can follow
