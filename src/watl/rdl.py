@@ -371,13 +371,22 @@ def match_and(formula) -> Optional[tuple]:
 # Concrete syntax
 
 
-_SYMBOLS = ("<=", "(", ")", "[", "]", ",", ".", "!", "|", "&")
+class _Lexicon(NamedTuple):
+    """The tokens of one logic besides names, naturals and white space."""
+
+    symbols: tuple    # (text, token kind) pairs, in the order they are tried
+    opener: str       # the one name that may open a longer token
+    longer: Callable  # (text, tokens, start, end of the name) -> the end of
+                      # the longer token it appended, or None for a plain name
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
+def _tokenize(text: str, lexicon: _Lexicon, i: int = 0, opened: Optional[int] = None):
+    """The tokens of ``text`` from ``i`` on as (kind, value, start) triples,
+    ending in EOF at the end of the text; with ``opened``, the position of
+    an open parenthesis, they end instead in EOF at the parenthesis that
+    balances it."""
+    tokens, n, depth = [], len(text), 0
+    symbols, opener, longer = lexicon
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -388,12 +397,8 @@ def _tokenize(text: str):
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             name = text[i:j]
-            if name == "P" and j < n and text[j] == "[":
-                k = text.find("]", j + 1)
-                if k < 0:
-                    raise ParseError("unterminated letter predicate", i)
-                tokens.append(("LETTER", text[j + 1:k], i))
-                i = k + 1
+            if name == opener and (end := longer(text, tokens, i, j)) is not None:
+                i = end
                 continue
             tokens.append(("NAME", name, i))
             i = j
@@ -405,37 +410,56 @@ def _tokenize(text: str):
             tokens.append(("NAT", int(text[i:j]), i))
             i = j
             continue
-        for sym in _SYMBOLS:
+        for sym, kind in symbols:
             if text.startswith(sym, i):
-                tokens.append((sym, sym, i))
-                i += len(sym)
                 break
         else:
-            for rel in (">=", "<", ">", "="):
-                if text.startswith(rel, i):
-                    tokens.append(("REL", rel, i))
-                    i += len(rel)
-                    break
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError(f"unexpected character {ch!r}", i)
+        if opened is not None:
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                if not depth:
+                    tokens.append(("EOF", None, i))
+                    return tokens
+                depth -= 1
+        tokens.append((kind, sym, i))
+        i += len(sym)
+    if opened is not None:
+        raise ParseError("unbalanced parentheses", opened)
     tokens.append(("EOF", None, n))
     return tokens
 
 
-class _Parser:
-    """Recursive descent over a token list, shared by both logics: ``|``
-    binds weaker than ``&`` and both associate to the left.  A logic
-    supplies its tokenizer, the node constructors of the two connectives,
-    and ``unary``."""
+def _letter(text: str, tokens: list, i: int, j: int) -> Optional[int]:
+    """P[a]: the letter up to the next ``]``."""
+    if not text.startswith("[", j):
+        return None
+    k = text.find("]", j + 1)
+    if k < 0:
+        raise ParseError("unterminated letter predicate", i)
+    tokens.append(("LETTER", text[j + 1:k], i))
+    return k + 1
 
-    tokenize = staticmethod(_tokenize)
+
+_LEXICON = _Lexicon(
+    tuple((sym, sym) for sym in ("<=", "(", ")", "[", "]", ",", ".", "!", "|", "&"))
+    + tuple((rel, "REL") for rel in (">=", "<", ">", "=")),
+    "P", _letter)
+
+
+class _Parser:
+    """Recursive descent over a token list from ``pos`` on, shared by both
+    logics: ``|`` binds weaker than ``&`` and both associate to the left.
+    A logic supplies the node constructors of the two connectives, and
+    ``unary``."""
+
     disjoin = Or
     conjoin = staticmethod(rdl_and)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = self.tokenize(text)
-        self.pos = 0
+    def __init__(self, tokens: list, pos: int = 0):
+        self.tokens = tokens
+        self.pos = pos
 
     def peek(self):
         return self.tokens[self.pos]
@@ -544,13 +568,14 @@ class _Parser:
 def parse_rdl(text: str):
     """Parse concrete syntax into a formula."""
     try:
-        return _Parser(text).parse()
+        return _Parser(_tokenize(text, _LEXICON)).parse()
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
 
 
 def to_text(formula) -> str:
-    """Render a formula; parse_rdl(to_text(f)) == f."""
+    """Render a formula; parse_rdl(to_text(f)) == f when no letter holds
+    a ``]``, which would end its letter test early."""
     return "".join(_walk(formula, _SYNTAX, text=True))
 
 

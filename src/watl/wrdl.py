@@ -155,66 +155,26 @@ def _require_pv(monoid) -> TimedPvMonoid:
 # Concrete syntax
 
 
-def _extract_balanced(text: str, start: int) -> tuple:
-    """Return (inner, end) for the parenthesized group opening at start."""
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[start + 1:i], i + 1
-    raise ParseError("unbalanced parentheses", start)
+def _payload(text: str, tokens: list, i: int, j: int) -> Optional[int]:
+    """B(beta): the name, then the tokens of beta in the unweighted
+    logic, ending in EOF at the parenthesis that closes it."""
+    k = j
+    while k < len(text) and text[k].isspace():
+        k += 1
+    if not text.startswith("(", k):
+        return None
+    tokens.append(("B(", "B", i))
+    tokens += rdl._tokenize(text, rdl._LEXICON, k + 1, opened=k)
+    return tokens[-1][2] + 1
 
 
-def _w_tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if name == "B":
-                k = j
-                while k < n and text[k].isspace():
-                    k += 1
-                if k < n and text[k] == "(":
-                    inner, end = _extract_balanced(text, k)
-                    tokens.append(("RDL", inner, i))
-                    i = end
-                    continue
-            tokens.append(("NAME", name, i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("NAT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch in "()|&.,-/":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("EOF", None, n))
-    return tokens
+_LEXICON = rdl._Lexicon(tuple((sym, sym) for sym in "()|&.,-/"), "B", _payload)
 
 
 class _WParser(rdl._Parser):
-    """The weighted logic's tokens, connectives and prefix forms; the
-    payload of B(...) is parsed by ``rdl.parse_rdl``."""
+    """The weighted logic's connectives and prefix forms; the payload of
+    B(...) is parsed by the unweighted grammar on its own tokens."""
 
-    tokenize = staticmethod(_w_tokenize)
     disjoin = Or
     conjoin = And
 
@@ -245,15 +205,11 @@ class _WParser(rdl._Parser):
 
     def primary(self):
         kind, value, pos = self.next()
-        if kind == "RDL":
-            try:
-                return Bool(rdl.parse_rdl(value))
-            except ParseError as exc:
-                if exc.position is None:
-                    raise
-                # a column in the whole input, not in the payload
-                start = self.text.index("(", pos) + 1
-                raise ParseError(exc.reason, start + exc.position) from None
+        if kind == "B(":
+            payload = rdl._Parser(self.tokens, self.pos)
+            formula = payload.parse()
+            self.pos = payload.pos + 1    # past the payload's EOF
+            return Bool(formula)
         if kind == "(":
             inner = self.or_expr()
             self.expect(")")
@@ -286,7 +242,7 @@ def parse_wrdl(text: str, monoid: Optional[TimedPvMonoid] = None):
     """Parse concrete syntax; validates payload fragments and, when a
     monoid is given, constant domains."""
     try:
-        formula = _WParser(text).parse()
+        formula = _WParser(rdl._tokenize(text, _LEXICON)).parse()
         validate_formula(formula, monoid)
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
@@ -747,6 +703,7 @@ def _auxiliary_alphabet(canonical: CanonicalSentence, alphabet, monoid) -> tuple
     return tuple(gamma), h, g
 
 
+@rdl.refuse_deep
 def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
                       monoid) -> NivatTriple:
     """Present a canonical sentence as a Nivat triple.
@@ -757,7 +714,9 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     agree with the branch the guards select; its models correspond to the
     choice functions the canonical semantics sums over, so folding with
     val o g and projecting through h recovers the sentence's semantics
-    (duplicate choices collapse by idempotence).
+    (duplicate choices collapse by idempotence).  A guard family too
+    large for the recursive fragment check is refused with a
+    ``WatlError``.
     """
     monoid = _require_pv(monoid)
     gamma, h, g = _auxiliary_alphabet(canonical, alphabet, monoid)

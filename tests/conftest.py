@@ -25,6 +25,11 @@ def wd(*entries):
     return TimedWord(tuple((letter, Fraction(delay)) for letter, delay in entries))
 
 
+# Nine tested summands under one universal: its canonical form has 2^9
+# guards, and the language sentence of its triple one clause per guard.
+WIDE_UNIVERSAL = "all x. (" + " | ".join(f"(B(P[a](x)) & {k})" for k in range(9)) + ", 0)"
+
+
 def outcome(evaluate, *args, **kwargs):
     """The value, or the type and message of the error raised."""
     try:

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import ambiguous_counting_triple
+from conftest import WIDE_UNIVERSAL, ambiguous_counting_triple
 from watl import fixtures, serialize, transform, wrdl
 from watl.cli import main
 from watl.monoids import monoid_from_id, register_monoid
@@ -230,6 +230,16 @@ def test_to_nivat_and_back(tmp_path):
     text = json.loads(back.stdout)["formula"]
     parsed = wrdl.parse_wrdl(text, None)
     assert wrdl.wrdl_classify(parsed).syntactically_restricted
+
+
+def test_wide_canonical_sentences_translate_or_are_refused_cleanly(tmp_path):
+    formula = put_text(tmp_path, "f.txt", WIDE_UNIVERSAL)
+    result = invoke("to-nivat", "--formula", formula, "--monoid", "sum0", "--alphabet", "a")
+    if result.exit_code == 0:
+        assert json.loads(result.stdout)["class"] == "sentence"
+    else:
+        assert_clean_refusal(result)
+        assert result.stderr.startswith("Error: ")
 
 
 # ---------------------------------------------------------------------------

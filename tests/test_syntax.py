@@ -56,7 +56,30 @@ MALFORMED_WRDL = [
     # columns inside a B(...) payload count from the start of the input
     ("B(P[a](x) | X)", "expected '(', found None (column 14)"),
     ("1 | B ( P[a](x) P[b](y))", "trailing input starting at 'b' (column 17)"),
+    # a payload out of place is named by the B that opens it
+    ("1 B(P[a](x))", "trailing input starting at 'B' (column 3)"),
+    # the leftmost lexical error in the whole input, payloads included,
+    # comes before any syntax error
+    ("B(x # y) # 1", "unexpected character '#' (column 5)"),
+    ("1 1 | B(#)", "unexpected character '#' (column 9)"),
 ]
+
+# Letters holding the characters that delimit payloads and connectives.
+ODD_LETTERS = {"a": "(", "b": ") | & "}
+
+
+def odd_letters(formula):
+    """The formula with every letter test relabelled by ODD_LETTERS."""
+    return rdl.map_letter_atoms(formula, lambda a, x: rdl.Letter(ODD_LETTERS[a], x))
+
+
+def odd_payloads(formula):
+    """The weighted formula with the letters of every payload relabelled."""
+    if isinstance(formula, wrdl.Bool):
+        return wrdl.Bool(odd_letters(formula.payload))
+    return replace(formula, **{f.name: odd_payloads(getattr(formula, f.name))
+                               for f in fields(formula)
+                               if is_dataclass(getattr(formula, f.name))})
 
 
 @pytest.mark.parametrize("text, message", MALFORMED_RDL)
@@ -79,6 +102,8 @@ def test_rdl_text_round_trips_on_random_formulas():
     for _ in range(200):
         formula = random_rdl_formula(rng, depth=4)
         assert rdl.parse_rdl(rdl.to_text(formula)) == formula
+        odd = odd_letters(formula)
+        assert rdl.parse_rdl(rdl.to_text(odd)) == odd
         kinds |= {type(node) for node in rdl.iter_subformulas(formula)}
     assert len(kinds) == 8
 
@@ -89,6 +114,8 @@ def test_wrdl_text_round_trips_on_random_formulas():
     for _ in range(200):
         formula = random_weighted_formula(rng, depth=3)
         assert wrdl.parse_wrdl(wrdl.to_text(formula)) == formula
+        odd = odd_payloads(formula)
+        assert wrdl.parse_wrdl(wrdl.to_text(odd)) == odd
         kinds |= {type(node) for node in wrdl.iter_nodes(formula)}
     assert len(kinds) == 7
 

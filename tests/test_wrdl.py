@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (brute_free_vars, brute_to_text, brute_wrdl_free_vars,
+from conftest import (WIDE_UNIVERSAL, brute_free_vars, brute_to_text, brute_wrdl_free_vars,
                       brute_wrdl_to_text, wd)
 from watl import rdl, sampling, wrdl
 from watl.errors import DomainError, FragmentError, ParseError, WatlError
@@ -144,6 +144,17 @@ def test_deeply_nested_payloads_translate():
     formula = parse_wrdl("B(" + "!" * 900 + "ex x. P[a](x))", SUM0)
     triple = sentence_to_nivat(canonicalize(formula, SUM0), ("a",), SUM0)
     assert nivat_eval(triple, wd(("a", 1)), SUM0) == SUM0.one
+
+
+def test_wide_canonical_sentences_translate_or_are_refused_cleanly():
+    canonical = canonicalize(parse_wrdl(WIDE_UNIVERSAL, SUM0), SUM0)
+    assert len(canonical.guards) == 512
+    try:
+        triple = sentence_to_nivat(canonical, ("a",), SUM0)
+    except WatlError as exc:
+        assert str(exc) == "formula nested too deeply"
+    else:
+        assert triple.language_class == "sentence"
 
 
 def test_parse_disjunction_with_a_constant():
