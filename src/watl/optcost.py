@@ -178,9 +178,12 @@ def _reset(region, mask):
     return codes, tuple(g & ~mask for g in fracs if g & ~mask)
 
 
-def _build_graph(wta: WeightedTimedAutomaton):
+def _build_graph(wta: WeightedTimedAutomaton, live=None):
     """The corner-point graph of a sum-weighted automaton on integer codes,
     after checking that the automaton is valid, sum-weighted and finite.
+    Given live, the locations that can reach a final location
+    (``_live_locations``), it builds only the nodes at them: it leaves
+    out initial nodes elsewhere and edges into other locations.
 
     Clocks are indexed in sorted order.  A region is a pair (codes,
     fracs): codes gives each clock 2k at the integer k, 2k+1 in (k, k+1)
@@ -197,12 +200,14 @@ def _build_graph(wta: WeightedTimedAutomaton):
     unit delay arc (cost the rate), then one arc per enabled edge in edge
     order; above every cap a unit self-loop replaces the delay arcs.
     Bellman-Ford relaxes arcs in this order, which fixes the negative
-    cycle found and the witness pumped.
+    cycle found and the witness pumped.  A node at a location that cannot
+    reach a final location leads only to such nodes, so leaving them out
+    keeps the relative numbering and arc order of all other nodes.
 
     Returns (nodes, arcs, inits): nodes lists the nodes by number; arcs
     are (src, dst, cost, time, edge) tuples over node numbers, with a
-    Fraction cost; inits are the initial nodes' numbers in the
-    automaton's order.
+    Fraction cost; inits are the numbers of the initial nodes built, in
+    the automaton's order.
     """
     wta.validate()
     if wta.monoid.id != "sum":
@@ -215,15 +220,18 @@ def _build_graph(wta: WeightedTimedAutomaton):
     index = {c: i for i, c in enumerate(clocks)}
     tops = tuple(2 * caps[c] + 2 for c in clocks)
     rates = {loc: _fraction(wta.wt_location(loc)) for loc in base.locations}
+    live = set(base.locations) if live is None else live
     edges_by_source = {}
     for e in base.edges:
+        if e.target not in live:
+            continue
         checks = tuple((index[a.clock], _COMPARE[a.rel], 2 * a.bound)
                        for a in e.guard.atoms)
         mask = sum(1 << index[c] for c in e.resets)
         edges_by_source.setdefault(e.source, []).append(
             (checks, mask, e.target, _fraction(wta.wt_edge(e.id)), e))
     zero = (0,) * len(clocks)
-    starts = [(l, (zero, ()), zero) for l in base.initial]
+    starts = [(l, (zero, ()), zero) for l in base.initial if l in live]
     nodes = list(dict.fromkeys(starts))
     ids = {node: i for i, node in enumerate(nodes)}
     inits = tuple(ids[node] for node in starts)
@@ -437,17 +445,38 @@ def _path_to(parent, node) -> list:
     return path
 
 
+def _live_locations(base: TimedAutomaton) -> set:
+    """The locations from which some edge path, guards ignored, reaches a
+    final location, the final locations included."""
+    sources = {}
+    for e in base.edges:
+        sources.setdefault(e.target, []).append(e.source)
+    live = set(base.final)
+    stack = list(live)
+    while stack:
+        for loc in sources.get(stack.pop(), ()):
+            if loc not in live:
+                live.add(loc)
+                stack.append(loc)
+    return live
+
+
 def _useful_subgraph(wta: WeightedTimedAutomaton):
     """The corner-point graph restricted to nodes lying on some path from
     an initial node to the source of an accepting discrete arc.
 
-    Returns (nodes, useful, arcs, inits, acc_arcs, out): every node of
-    the graph by number, the set of useful node numbers, the arcs between
-    useful nodes and the useful initial nodes (both in build order), the
+    Only the nodes at ``_live_locations`` are built, since no node
+    elsewhere can reach an accepting arc.  Every node built is reached
+    from an initial node, so the useful ones are those that reach the
+    source of an accepting arc.
+
+    Returns (nodes, useful, arcs, inits, acc_arcs, out): every node built
+    by number, the set of useful node numbers, the arcs between useful
+    nodes and the useful initial nodes (both in build order), the
     discrete arcs from useful nodes into final locations, and every
-    node's arcs in the whole graph, in build order.
+    built node's arcs, in build order.
     """
-    nodes, arcs, inits = _build_graph(wta)
+    nodes, arcs, inits = _build_graph(wta, _live_locations(wta.base))
     final = set(wta.base.final)
     out = [[] for _ in nodes]
     into = [[] for _ in nodes]
@@ -455,12 +484,11 @@ def _useful_subgraph(wta: WeightedTimedAutomaton):
         out[arc[0]].append(arc)
         into[arc[1]].append(arc)
     acc_arcs = [arc for arc in arcs if arc[4] is not None and arc[4].target in final]
-    reach, _ = _bfs(inits, out)
     co, _ = _bfs([arc[0] for arc in acc_arcs], into, 0)
-    useful = reach.keys() & co.keys()
-    arcs = [arc for arc in arcs if arc[0] in useful and arc[1] in useful]
+    useful = co.keys()
+    # an arc into a useful node leaves one
+    arcs = [arc for arc in arcs if arc[1] in useful]
     inits = tuple(n for n in inits if n in useful)
-    acc_arcs = [arc for arc in acc_arcs if arc[0] in useful]
     return nodes, useful, arcs, inits, acc_arcs, out
 
 
@@ -655,7 +683,7 @@ class _Search:
             return None
         entry = cycle[0][0]
         # Shortest paths to a useful node only pass useful nodes, so the
-        # searches over the whole graph find the same ones.
+        # searches over every node built find the same ones.
         parent, _ = _bfs(self.inits, self.out, targets={entry})
         back, end = _bfs([entry], self.out, targets={arc[0] for arc in self.acc_arcs})
         last = min((arc for arc in self.acc_arcs if arc[0] == end), key=lambda arc: arc[2])

@@ -140,17 +140,22 @@ def product_intersect(weighted: WeightedTimedAutomaton,
         return f"({la},{lb})"
 
     locations = tuple(loc(la, lb) for la in a_base.locations for lb in language.locations)
+    # The acceptor's edges by label, in edge order, each guard and reset
+    # set renamed once.
+    by_label = {}
+    for eb in language.edges:
+        by_label.setdefault(eb.label, []).append(
+            (eb, eb.guard.rename_clocks(right_clock),
+             frozenset(right_clock[c] for c in eb.resets)))
     edges = []
     edge_weights = {}
     for ea in a_base.edges:
-        for eb in language.edges:
-            if ea.label != eb.label:
-                continue
-            guard = ea.guard.rename_clocks(left_clock).conjoin(eb.guard.rename_clocks(right_clock))
-            resets = frozenset(left_clock[c] for c in ea.resets) | frozenset(
-                right_clock[c] for c in eb.resets)
+        guard = ea.guard.rename_clocks(left_clock)
+        resets = frozenset(left_clock[c] for c in ea.resets)
+        for eb, right_guard, right_resets in by_label.get(ea.label, ()):
             eid = f"({ea.id},{eb.id})"
-            edges.append(Edge(eid, loc(ea.source, eb.source), ea.label, guard, resets,
+            edges.append(Edge(eid, loc(ea.source, eb.source), ea.label,
+                              guard.conjoin(right_guard), resets | right_resets,
                               loc(ea.target, eb.target)))
             edge_weights[eid] = weighted.edge_weights[ea.id]
     base = TimedAutomaton(

@@ -716,9 +716,13 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     val o g and projecting through h recovers the sentence's semantics
     (duplicate choices collapse by idempotence).  A guard family too
     large for the recursive fragment check is refused with a
-    ``WatlError``.
+    ``WatlError``, and so is a letter holding ``]``, which the syntax
+    of letter tests cannot write.
     """
     monoid = _require_pv(monoid)
+    for a in alphabet:
+        if "]" in a:
+            raise WatlError(f"letter {a!r} holds ']', which a letter test cannot write")
     gamma, h, g = _auxiliary_alphabet(canonical, alphabet, monoid)
     lifted = relabeled_guards(canonical, gamma, h)
 

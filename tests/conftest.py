@@ -17,7 +17,7 @@ from watl.monoids import WeightPairWord, monoid_from_id, sum_over
 from watl.optcost import Region
 from watl.transform import NivatTriple, comp_automaton, product_intersect
 from watl.weights import INF, NEG_INF, format_weight, is_finite
-from watl.wta import behavior, run_weight
+from watl.wta import WeightedTimedAutomaton, behavior, run_weight
 
 
 def wd(*entries):
@@ -309,6 +309,45 @@ def brute_nivat_eval(triple, word, monoid):
             values.append(monoid.val(WeightPairWord(tuple(
                 (triple.g[c], t) for c, (_, t) in zip(choice, word)))))
     return sum_over(monoid, values)
+
+
+def brute_product_intersect(weighted, language):
+    """The weighted automaton restricted to the acceptor by testing every
+    pair of edges for a shared label: the nested-loop oracle for the
+    by-label pairing in ``product_intersect`` (which also refuses the
+    unsound configurations; this does not)."""
+    a_base = weighted.base
+    left_clock = {c: f"l.{c}" for c in a_base.clocks}
+    right_clock = {c: f"r.{c}" for c in language.clocks}
+
+    def loc(la, lb):
+        return f"({la},{lb})"
+
+    edges = []
+    edge_weights = {}
+    for ea in a_base.edges:
+        for eb in language.edges:
+            if ea.label != eb.label:
+                continue
+            guard = ea.guard.rename_clocks(left_clock).conjoin(eb.guard.rename_clocks(right_clock))
+            resets = frozenset(left_clock[c] for c in ea.resets) | frozenset(
+                right_clock[c] for c in eb.resets)
+            eid = f"({ea.id},{eb.id})"
+            edges.append(Edge(eid, loc(ea.source, eb.source), ea.label, guard, resets,
+                              loc(ea.target, eb.target)))
+            edge_weights[eid] = weighted.edge_weights[ea.id]
+    base = TimedAutomaton(
+        alphabet=tuple(a for a in a_base.alphabet if a in set(language.alphabet)),
+        locations=tuple(loc(la, lb) for la in a_base.locations for lb in language.locations),
+        clocks=tuple(left_clock.values()) + tuple(right_clock.values()),
+        initial=tuple(loc(la, lb) for la in a_base.initial for lb in language.initial),
+        final=tuple(loc(la, lb) for la in a_base.final for lb in language.final),
+        edges=tuple(edges),
+        unambiguous=a_base.unambiguous and language.unambiguous,
+    )
+    location_weights = {loc(la, lb): weighted.location_weights[la]
+                        for la in a_base.locations for lb in language.locations}
+    return WeightedTimedAutomaton(base, weighted.monoid, location_weights, edge_weights)
 
 
 def collapsed_triple(triple):

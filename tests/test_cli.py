@@ -242,6 +242,16 @@ def test_wide_canonical_sentences_translate_or_are_refused_cleanly(tmp_path):
         assert result.stderr.startswith("Error: ")
 
 
+def test_letters_holding_a_closing_bracket_are_refused_cleanly(tmp_path):
+    formula = put_text(tmp_path, "f.txt", "B(ex x. P[a](x))")
+    result = invoke("to-nivat", "--formula", formula, "--monoid", "sum0",
+                    "--alphabet", "a,a]b")
+    assert_clean_refusal(result)
+    assert result.stdout == ""
+    assert result.stderr == (
+        "Error: letter 'a]b' holds ']', which a letter test cannot write\n")
+
+
 # ---------------------------------------------------------------------------
 # Decision commands
 

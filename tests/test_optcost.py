@@ -365,14 +365,15 @@ def test_integer_bellman_ford_matches_the_fraction_oracle():
     for _ in range(150):
         automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2,
                                             max_edges=4)
-        nodes, arcs, inits = optcost._build_graph(automaton)
-        _, useful, useful_arcs, useful_inits, _, _ = optcost._useful_subgraph(automaton)
+        whole, arcs, inits = optcost._build_graph(automaton)
+        built, useful, useful_arcs, useful_inits, _, _ = optcost._useful_subgraph(automaton)
+        # each graph is labelled by the nodes of its own numbering
+        for nodes, graph in ((whole, (range(len(whole)), arcs, inits)),
+                             (built, (useful, useful_arcs, useful_inits))):
 
-        def named(arc):
-            return optcost.CornerArc(nodes[arc[0]], nodes[arc[1]], *arc[2:])
+            def named(arc):
+                return optcost.CornerArc(nodes[arc[0]], nodes[arc[1]], *arc[2:])
 
-        for graph in ((range(len(nodes)), arcs, inits),
-                      (useful, useful_arcs, useful_inits)):
             members, numbered, starts = graph
             dist, unstable, pred, scale = optcost._bellman_ford(*graph, len(nodes))
             keyed = ([nodes[n] for n in members], [named(a) for a in numbered],
@@ -602,9 +603,64 @@ def test_negative_cycles_off_the_useful_subgraph_are_ignored(edges, trap_explore
     nodes, arcs, inits = optcost._build_graph(with_cycle)
     assert any(n[0] == "trap" for n in nodes) == trap_explored
     assert any(n[0] == "trap" for n in build_corner_points(with_cycle).nodes) == trap_explored
+    # the search builds no trap node: unreachable, or unable to reach l1
+    assert not any(n[0] == "trap" for n in optcost._useful_subgraph(with_cycle)[0])
     _, unstable, _, _ = optcost._bellman_ford(range(len(nodes)), arcs, inits, len(nodes))
     # where the corner graph reaches the trap, its loop is a negative cycle
     assert bool(unstable) == trap_explored
+
+
+def test_building_only_live_locations_changes_no_result(monkeypatch):
+    # With every location live the search builds the whole corner graph;
+    # leaving out the nodes that cannot reach a final location must not
+    # change any value, attainment, word or verdict.
+    def results():
+        out = []
+        for seed in (404, 405, 406):
+            rng = random.Random(seed)
+            for _ in range(60):
+                automaton = _rational_sum_automaton(rng, max_locations=3, max_clocks=2,
+                                                    max_edges=6)
+                result = inf_cost(automaton)
+                if result.value is NEG_INF:
+                    bounds = [(Fraction(-20), True)]
+                elif is_finite(result.value):
+                    bounds = [(result.value + 1, True), (result.value, False),
+                              (result.value, True)]
+                else:
+                    bounds = []
+                out.append((result, [witness_below(automaton, result, b, strict)
+                                     for b, strict in bounds]))
+        rng = random.Random(5)
+        for i in range(200):
+            alphabet = ("a",) if rng.random() < 0.5 else ("a", "b")
+            sentence = sampling.random_restricted_sentence(rng, alphabet)
+            out.append(outcome(decide_sum_threshold, sentence, alphabet,
+                               Fraction(i % 3), strict=i % 2 == 0))
+            out.append(outcome(decide_avg_threshold, sentence, alphabet,
+                               Fraction(1 + i % 3, 2), strict=i % 4 < 2))
+        return out
+
+    built = []
+    build_graph = optcost._build_graph
+
+    def counted(wta, live=None):
+        graph = build_graph(wta, live)
+        built.append(len(graph[0]))
+        return graph
+
+    monkeypatch.setattr(optcost, "_build_graph", counted)
+    trimmed = results()
+    trimmed_nodes = sum(built)
+    built.clear()
+    monkeypatch.setattr(optcost, "_live_locations", lambda base: set(base.locations))
+    assert results() == trimmed
+    # the pool's products hold many locations that cannot reach a final
+    # one: a third of all nodes is left out, and more
+    assert 3 * trimmed_nodes < 2 * sum(built)
+    assert sum(isinstance(r, optcost.DecisionResult) and r.witness is not None
+               for r in trimmed) >= 150
+    assert sum(r.value is NEG_INF for r, _ in trimmed[:180]) >= 20
 
 
 # --- threshold decisions ----------------------------------------------------

@@ -1,13 +1,14 @@
 """Closure constructions and the triple decomposition round trip."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import (ambiguous_counting_triple, brute_nivat_eval, collapsed_triple,
-                      wd)
+from conftest import (ambiguous_counting_triple, brute_nivat_eval, brute_product_intersect,
+                      collapsed_triple, wd)
 from watl import fixtures, sampling
 from watl.core import (
     ClockConstraint,
@@ -163,6 +164,27 @@ def test_product_accepts_unambiguous_languages_for_any_monoid():
     assert language.unambiguous
     product = product_intersect(counting, language)
     assert behavior(product, wd(("a", 1), ("a", 2))) == 1
+
+
+@pytest.mark.parametrize("monoid_id",
+                         ("sum", "avg", "disc:1/2", "prod", "sum0", "avg0", "disc0:1/2"))
+def test_product_pairing_matches_the_nested_loop_oracle(monoid_id):
+    monoid = monoid_from_id(monoid_id)
+    rng = random.Random(f"product/{monoid_id}")
+    paired = 0
+    for _ in range(40):
+        weighted = sampling.random_wta(rng, monoid)
+        language = sampling.random_automaton(
+            rng, rng.choice((("a",), ("a", "b"), ("b", "c"))), max_clocks=3)
+        # The flag is trusted: setting it allows the pairing for every monoid.
+        if not monoid.idempotent or rng.random() < 0.5:
+            language = dataclasses.replace(language, unambiguous=True)
+        product = product_intersect(weighted, language)
+        want = brute_product_intersect(weighted, language)
+        assert product == want
+        assert list(product.edge_weights) == list(want.edge_weights)
+        paired += len(product.base.edges)
+    assert paired >= 100
 
 
 def test_product_gating_matches_membership_on_random_models():

@@ -157,6 +157,15 @@ def test_wide_canonical_sentences_translate_or_are_refused_cleanly():
         assert triple.language_class == "sentence"
 
 
+def test_letters_holding_a_closing_bracket_are_refused():
+    # P[a]b](x) would not parse back, so no language sentence is written
+    canonical = canonicalize(parse_wrdl("B(ex x. P[a](x))", SUM0), SUM0)
+    with pytest.raises(WatlError) as info:
+        sentence_to_nivat(canonical, ("a", "a]b"), SUM0)
+    assert type(info.value) is WatlError
+    assert str(info.value) == "letter 'a]b' holds ']', which a letter test cannot write"
+
+
 def test_parse_disjunction_with_a_constant():
     formula = parse_wrdl("1/2 | B(P[a](x))", SUM0)
     assert isinstance(formula, Or)
