@@ -167,9 +167,6 @@ class ClockConstraint:
     def clocks(self) -> frozenset:
         return frozenset(a.clock for a in self.atoms)
 
-    def is_true(self) -> bool:
-        return not self.atoms
-
     def satisfied_by(self, valuation: Mapping[str, Fraction]) -> bool:
         return all(atom.holds(valuation[atom.clock]) for atom in self.atoms)
 

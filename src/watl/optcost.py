@@ -36,7 +36,6 @@ from .core import (_COMPARE, ClockAtom, ClockConstraint, Edge, TimedAutomaton,
                    TimedWord, constraint_satisfiable)
 from .errors import DomainError, UnsupportedGuardError
 from .monoids import TimedPvMonoid, monoid_from_id
-from .transform import comp_automaton, product_intersect
 from .weights import INF, NEG_INF, Weight, is_finite
 from .wrdl import CanonicalSentence
 from .wta import WeightedTimedAutomaton, behavior
@@ -816,7 +815,8 @@ class _GuardCompiler:
     Per-position leaves: a concrete letter test, membership of the
     position in a prefix set variable, a past-distance test (realized as
     a clock comparison), first/last position, and trivial reflexive
-    orderings.  Global parts are 'X is a singleton' and closed
+    orderings.  A test of a letter outside the alphabet is false at any
+    position.  Global parts are 'X is a singleton' and closed
     existentials, at any depth; an existential's body compiles with the
     same method, its bound variable as the position, so parts nested in
     it come before it.  Compiling records the distance atoms and the
@@ -825,8 +825,9 @@ class _GuardCompiler:
     formula level.
     """
 
-    def __init__(self, so_vars):
+    def __init__(self, so_vars, alphabet):
         self.so = set(so_vars)
+        self.letters = set(alphabet)
         self.atoms = set()
         self.parts = []
         self._keys = {}
@@ -852,7 +853,7 @@ class _GuardCompiler:
         if v is not None and v in self.so:
             return self._global(("sing", v), ("singleton", v))
         if isinstance(formula, rdl.Letter):
-            if formula.var == pos:
+            if formula.var == pos or formula.letter not in self.letters:
                 letter = formula.letter
                 return lambda c: c[0] == letter
         elif isinstance(formula, rdl.Leq):
@@ -889,18 +890,24 @@ _COMPLEMENT = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
 
 @dataclass(frozen=True)
 class CompiledFamily:
-    """A timed acceptor of the words on which the guessed branch data is
-    consistent with the guard family; one accepting run per consistent
-    choice of the prefix sets."""
+    """A guard family compiled into a timed automaton, with the location
+    rates and edge weights under which its behavior over the sum (or the
+    average) is the sentence value over the sum0 (or avg0) monoid."""
 
     automaton: TimedAutomaton
     clock_of: dict
+    rates: dict
+    weights: dict
+
+    def weighted(self, monoid) -> WeightedTimedAutomaton:
+        return WeightedTimedAutomaton(self.automaton, monoid, self.rates, self.weights)
 
 
-def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledFamily:
-    """Build a timed automaton over ``gamma`` accepting exactly the words
-    where, for some assignment of the prefix set variables, every
-    position carries the value pair of its selected guard branch.
+def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledFamily:
+    """Compile a canonical guard family with its (left, right) branch
+    values into a timed automaton over ``alphabet`` with one accepting
+    run per assignment of the prefix set variables under which every
+    position selects one branch, weighted by the branches selected.
 
     Set membership is guessed per position; each distance variable gets a
     clock reset at its guessed positions, so past-distance tests become
@@ -910,8 +917,14 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
     a true guess needs such a position by the final transition.  A
     body's truth depends only on the guesses of the parts nested in it,
     so bottom up every guess of an accepting run is correct.
+
+    A location pairs a compiler state with a guessed rate: the left value
+    of the next position's branch (the final location has rate 0).  Each
+    consistent position context fires, from the location holding its
+    branch's left value, one edge per guessed next rate, weighted by its
+    branch's right value.  A branch with an infinite value gets no edge.
     """
-    compiler = _GuardCompiler(so_vars)
+    compiler = _GuardCompiler(so_vars, alphabet)
     tests = [compiler.compile(guard, posvar) for guard in guards]
     parts = compiler.parts
     atoms = sorted(compiler.atoms)
@@ -924,6 +937,9 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
     clock_of = {x: f"k_{x}" for x in clock_vars}
     bodies = [(i, p[1]) for i, p in enumerate(parts) if p[0] == "exists"]
     singletons = [(i, p[1]) for i, p in enumerate(parts) if p[0] == "singleton"]
+    rates = wrdl._ordered_unique(m for m, mp in values if is_finite(m) and is_finite(mp))
+    slots = [rates.index(m) if is_finite(m) and is_finite(mp) else None
+             for m, mp in values]
 
     bit_choices = [frozenset(s) for r in range(len(so_vars) + 1)
                    for s in itertools.combinations(so_vars, r)]
@@ -931,12 +947,12 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
               for bits in itertools.product((False, True), repeat=len(atoms))]
     taus = list(itertools.product((False, True), repeat=len(parts)))
 
-    def loc_name(state):
+    def loc_name(state, slot):
         phase, tau, wit, counts = state
         tau_s = "".join("1" if b else "0" for b in tau)
         wit_s = "".join("1" if b else "0" for b in wit)
         cnt_s = "".join(str(k) for k in counts)
-        return f"q{phase}.{tau_s}.{wit_s}.{cnt_s}"
+        return f"q{phase}.{tau_s}.{wit_s}.{cnt_s}@{slot}"
 
     guarded = []
     for delta in deltas:
@@ -954,13 +970,12 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
     seen = set(starts)
     queue = list(starts)
     edges = []
-    counter = 0
+    weights = {}
     accept = "acc"
     while queue:
         state = queue.pop()
         phase, tau, wit, counts = state
-        source = loc_name(state)
-        for letter in gamma:
+        for letter in alphabet:
             for bits in bit_choices:
                 resets = resets_of[bits]
                 for delta, guard in guarded:
@@ -980,7 +995,7 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
                         if sum(truths) != 1:
                             continue
                         branch = truths.index(True)
-                        if values[branch] != g[letter]:
+                        if slots[branch] is None:
                             continue
                         new_counts = tuple(
                             min(2, count + (1 if x in bits else 0))
@@ -990,27 +1005,30 @@ def compile_guard_family(guards, values, gamma, g, so_vars, posvar) -> CompiledF
                                     and all(tau[i] == (count == 1) for (i, _), count
                                             in zip(singletons, new_counts))):
                                 continue
-                            target = accept
+                            targets = [accept]
                         else:
                             nxt = (1, tau, tuple(new_wit), new_counts)
                             if nxt not in seen:
                                 seen.add(nxt)
                                 queue.append(nxt)
-                            target = loc_name(nxt)
-                        edges.append(Edge(f"e{counter}", source, letter, guard,
-                                          resets, target))
-                        counter += 1
-    locations = tuple(loc_name(s) for s in sorted(seen)) + (accept,)
+                            targets = [loc_name(nxt, j) for j in range(len(rates))]
+                        source = loc_name(state, slots[branch])
+                        for target in targets:
+                            eid = f"e{len(edges)}"
+                            edges.append(Edge(eid, source, letter, guard, resets, target))
+                            weights[eid] = values[branch][1]
+    locations = {loc_name(s, j): rate for s in sorted(seen) for j, rate in enumerate(rates)}
+    locations[accept] = Fraction(0)
     automaton = TimedAutomaton(
-        alphabet=tuple(gamma),
-        locations=locations,
+        alphabet=tuple(alphabet),
+        locations=tuple(locations),
         clocks=tuple(clock_of[x] for x in clock_vars),
-        initial=tuple(loc_name(s) for s in starts),
+        initial=tuple(loc_name(s, j) for s in starts for j in range(len(rates))),
         final=(accept,),
         edges=tuple(edges),
         unambiguous=False,
     )
-    return CompiledFamily(automaton, clock_of)
+    return CompiledFamily(automaton, clock_of, locations, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,8 +1046,8 @@ class DecisionResult:
     computed directly (sum); for averages only the shifted infimum (of
     the rate-shifted sum, negative iff the answer is yes on positive
     durations) is reported.  The witness, when found, is a word over the
-    original alphabet whose exact sentence value lies below the
-    threshold.
+    input alphabet, and ``witness_value`` its exact sentence value, read
+    as the behavior of the compiled guard family: below the threshold.
     """
 
     holds: bool
@@ -1041,31 +1059,6 @@ class DecisionResult:
     strict: bool = True
 
 
-def _composed_over_gamma(canonical, alphabet, pv):
-    """The sum-weighted automaton over the auxiliary alphabet whose
-    behavior at a gamma word equals the sentence value of the projected
-    word, or None when every branch value is infinite.
-
-    The auxiliary alphabet only carries finite value pairs, so the
-    infimum machinery (which needs finite rationals) applies directly;
-    words whose positions fall on an infinite-valued branch are excluded
-    by the guard checker, matching their infinite sentence value.
-
-    Only the auxiliary alphabet (gamma, h, g) of the Nivat translation is
-    built: the compiled guard family takes the place of its language
-    sentence."""
-    gamma, h, g = wrdl._auxiliary_alphabet(canonical, tuple(alphabet), pv)
-    if not gamma:
-        return None
-    guards = wrdl.relabeled_guards(canonical, gamma, h)
-    compiled = compile_guard_family(
-        guards, tuple(zip(canonical.left, canonical.right)), gamma, g,
-        canonical.so_vars, canonical.var)
-    comp = comp_automaton(gamma, g, monoid_from_id("sum"))
-    product = product_intersect(comp, compiled.automaton)
-    return product, h
-
-
 def decide_sum_threshold(sentence, alphabet, threshold,
                          monoid: Optional[TimedPvMonoid] = None,
                          strict: bool = True) -> DecisionResult:
@@ -1074,9 +1067,9 @@ def decide_sum_threshold(sentence, alphabet, threshold,
     sum-sentence.
 
     The strict question is equivalent to the infimum over all words
-    lying below the threshold, so the canonical form is folded into a
-    sum automaton over the auxiliary alphabet and the corner-point
-    infimum is compared; the weak variant additionally accepts an
+    lying below the threshold, so the canonical guard family is compiled
+    into a sum automaton over the alphabet and its corner-point infimum
+    is compared; the weak variant additionally accepts an
     attained infimum equal to the threshold.
     """
     pv = monoid or monoid_from_id("sum0")
@@ -1087,19 +1080,25 @@ def decide_sum_threshold(sentence, alphabet, threshold,
 
 def _decide(sentence, alphabet, threshold, pv: TimedPvMonoid, strict: bool,
             average: bool) -> DecisionResult:
-    """Both deciders: an average searches the rate-shifted product under
-    the positive-duration gate for a value below zero, its witness must
-    last a positive time, and its infimum is reported as the shifted one."""
+    """Both deciders search the compiled guard family as a sum automaton:
+    an average searches it rate-shifted, under the positive-duration gate,
+    for a value below zero, its witness must last a positive time, and its
+    infimum is reported as the shifted one.  A witness is valued by the
+    family's behavior over the base monoid of pv: its sentence value."""
     threshold = Fraction(threshold)
-    if isinstance(sentence, CanonicalSentence):
-        canonical, formula = sentence, sentence.to_formula()
-    else:
-        canonical, formula = wrdl.canonicalize(sentence, pv), sentence
-    composed = _composed_over_gamma(canonical, alphabet, pv)
-    if composed is None:
+    canonical = sentence if isinstance(sentence, CanonicalSentence) \
+        else wrdl.canonicalize(sentence, pv)
+    for v in canonical.left + canonical.right:
+        pv.require(v, "canonical value")
+    # no word has a finite value without a letter, a finite left value
+    # and a finite right value
+    if not (alphabet and any(map(is_finite, canonical.left))
+            and any(map(is_finite, canonical.right))):
         return DecisionResult(False, threshold, None if average else INF, None, None, None, strict)
-    product, h = composed
-    searched = _require_positive_duration(_shift_rates(product, threshold)) if average else product
+    family = compile_guard_family(canonical.guards, tuple(zip(canonical.left, canonical.right)),
+                                  tuple(alphabet), canonical.so_vars, canonical.var)
+    summed = family.weighted(monoid_from_id("sum"))
+    searched = _require_positive_duration(_shift_rates(summed, threshold)) if average else summed
     bound = Fraction(0) if average else threshold
     search = _Search(searched)
     value = search.value
@@ -1108,10 +1107,9 @@ def _decide(sentence, alphabet, threshold, pv: TimedPvMonoid, strict: bool,
     if holds:
         found = search.below(bound, strict)
         if found is not None:
-            candidate = TimedWord.from_pairs((h[c], t) for c, t in found.entries)
-            exact = wrdl.wrdl_eval(formula, candidate, pv)
-            if _below(exact, threshold, strict) and (not average or candidate.duration > 0):
-                witness, witness_value = candidate, exact
+            exact = behavior(family.weighted(pv.base), found)
+            if _below(exact, threshold, strict) and (not average or found.duration > 0):
+                witness, witness_value = found, exact
     infima = (None, value) if average else (value, None)
     return DecisionResult(holds, threshold, *infima, witness, witness_value, strict)
 

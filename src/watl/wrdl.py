@@ -683,26 +683,6 @@ def relabeled_guards(canonical: CanonicalSentence, gamma, h) -> tuple:
     return tuple(rdl._rebuild(guard, relabel({})) for guard in canonical.guards)
 
 
-def _auxiliary_alphabet(canonical: CanonicalSentence, alphabet, monoid) -> tuple:
-    """The auxiliary alphabet of a canonical sentence as (gamma, h, g):
-    every letter paired with one finite left value and one finite right
-    value of the family, h projecting each pair to its letter and g to
-    its values.  Every value of the family must lie in the monoid."""
-    for v in canonical.left + canonical.right:
-        monoid.require(v, "canonical value")
-    lefts = [m for m in _ordered_unique(canonical.left) if is_finite(m)]
-    rights = [m for m in _ordered_unique(canonical.right) if is_finite(m)]
-    gamma, h, g = [], {}, {}
-    for a in alphabet:
-        for m in lefts:
-            for mp in rights:
-                name = gamma_letter(a, m, mp)
-                gamma.append(name)
-                h[name] = a
-                g[name] = (m, mp)
-    return tuple(gamma), h, g
-
-
 @rdl.refuse_deep
 def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
                       monoid) -> NivatTriple:
@@ -723,7 +703,18 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     for a in alphabet:
         if "]" in a:
             raise WatlError(f"letter {a!r} holds ']', which a letter test cannot write")
-    gamma, h, g = _auxiliary_alphabet(canonical, alphabet, monoid)
+    for v in canonical.left + canonical.right:
+        monoid.require(v, "canonical value")
+    lefts = [m for m in _ordered_unique(canonical.left) if is_finite(m)]
+    rights = [m for m in _ordered_unique(canonical.right) if is_finite(m)]
+    gamma, h, g = [], {}, {}
+    for a in alphabet:
+        for m in lefts:
+            for mp in rights:
+                name = gamma_letter(a, m, mp)
+                gamma.append(name)
+                h[name] = a
+                g[name] = (m, mp)
     lifted = relabeled_guards(canonical, gamma, h)
 
     y = canonical.var

@@ -15,7 +15,7 @@ from watl.core import (RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomat
 from watl.errors import DomainError, UnsupportedGuardError
 from watl.monoids import WeightPairWord, monoid_from_id, sum_over
 from watl.optcost import Region
-from watl.transform import NivatTriple, comp_automaton, product_intersect
+from watl.transform import NivatTriple, comp_automaton, product_intersect, relabel
 from watl.weights import INF, NEG_INF, format_weight, is_finite
 from watl.wta import WeightedTimedAutomaton, behavior, run_weight
 
@@ -927,13 +927,15 @@ class _Analyzer:
     Supported per-position leaves: a concrete letter test, membership of
     the position in a prefix set variable, a past-distance test (realized
     as a clock comparison), first/last position, and trivial
-    reflexive orderings.  Global parts are closed formulas of the shape
-    'some position satisfies a per-position test' or 'X is a singleton'.
-    Anything else raises UnsupportedGuardError.
+    reflexive orderings; a test of a letter outside the alphabet is a
+    letter test wherever it looks.  Global parts are closed formulas of
+    the shape 'some position satisfies a per-position test' or 'X is a
+    singleton'.  Anything else raises UnsupportedGuardError.
     """
 
-    def __init__(self, so_vars):
+    def __init__(self, so_vars, letters):
         self.so = set(so_vars)
+        self.letters = set(letters)
         self.parts = []
         self._keys = {}
 
@@ -960,7 +962,7 @@ class _Analyzer:
         if v is not None and v in self.so:
             return self._part(("sing", v), lambda: ("singleton", v))
         if isinstance(formula, rdl.Letter):
-            if formula.var == pos:
+            if formula.var == pos or formula.letter not in self.letters:
                 return ("letter", formula.letter)
         elif isinstance(formula, rdl.Leq):
             if formula.left == formula.right:
@@ -1044,14 +1046,17 @@ def _clock_atoms_of(tree, acc):
         _clock_atoms_of(tree[2], acc)
 
 
-def brute_compile_guard_family(guards, values, gamma, g, so_vars, posvar):
-    """``optcost.compile_guard_family`` through the tuple-tree analysis,
-    with the clock guard of every guessed delta built and checked for
-    satisfiability inside the state loop: the oracle for the closure
-    compiler and for the construction that builds the guards once.  It
-    refuses existentials nested in a quantifier body ("quantified body
-    outside the per-position fragment"), which the compiler decides."""
-    analyzer = _Analyzer(so_vars)
+def _brute_moves(guards, so_vars, posvar, letters, fires):
+    """Every consistent position context of a guard family, through the
+    tuple-tree analysis, with the clock guard of every guessed delta
+    built and checked for satisfiability inside the state loop.
+
+    A context whose selected branch fails ``fires(letter, branch)``
+    makes no move and reaches no state.  Returns (clock_of, starts,
+    states, moves): moves are (state, letter, guard, resets, branch,
+    next state, or None at the last position) in the order found, and
+    states are the compiler states reached, the starts included."""
+    analyzer = _Analyzer(so_vars, letters)
     trees = [analyzer.analyze(guard, posvar) for guard in guards]
     parts = analyzer.parts
     atoms = set()
@@ -1077,22 +1082,14 @@ def brute_compile_guard_family(guards, values, gamma, g, so_vars, posvar):
               for bits in itertools.product((False, True), repeat=len(atoms))]
     taus = list(itertools.product((False, True), repeat=len(parts)))
 
-    def loc_name(state):
-        phase, tau, wit, counts = state
-        tau_s = "".join("1" if b else "0" for b in tau)
-        wit_s = "".join("1" if b else "0" for b in wit)
-        cnt_s = "".join(str(k) for k in counts)
-        return f"q{phase}.{tau_s}.{wit_s}.{cnt_s}"
-
     starts = [(0, tau, (False,) * len(parts), (0,) * len(sing_vars)) for tau in taus]
     seen = set(starts)
     queue = list(starts)
-    edges = []
+    moves = []
     while queue:
         state = queue.pop()
         phase, tau, wit, counts = state
-        source = loc_name(state)
-        for letter in gamma:
+        for letter in letters:
             for bits in bit_choices:
                 resets = frozenset(clock_of[x] for x in bits if x in clock_of)
                 for delta in deltas:
@@ -1116,7 +1113,7 @@ def brute_compile_guard_family(guards, values, gamma, g, so_vars, posvar):
                         if rejected:
                             continue
                         truths = [_eval_tree(t, ctx) for t in trees]
-                        if sum(truths) != 1 or values[truths.index(True)] != g[letter]:
+                        if sum(truths) != 1 or not fires(letter, truths.index(True)):
                             continue
                         new_counts = tuple(min(2, counts[k] + (1 if x in bits else 0))
                                            for k, x in enumerate(sing_vars))
@@ -1127,40 +1124,93 @@ def brute_compile_guard_family(guards, values, gamma, g, so_vars, posvar):
                                     ok = False
                             if not ok:
                                 continue
-                            target = "acc"
+                            nxt = None
                         else:
                             nxt = (1, tau, tuple(new_wit), new_counts)
                             if nxt not in seen:
                                 seen.add(nxt)
                                 queue.append(nxt)
-                            target = loc_name(nxt)
-                        edges.append(Edge(f"e{len(edges)}", source, letter, guard,
-                                          resets, target))
+                        moves.append((state, letter, guard, resets, truths.index(True), nxt))
+    return clock_of, starts, seen, moves
+
+
+def _brute_loc_name(state):
+    phase, tau, wit, counts = state
+    tau_s = "".join("1" if b else "0" for b in tau)
+    wit_s = "".join("1" if b else "0" for b in wit)
+    cnt_s = "".join(str(k) for k in counts)
+    return f"q{phase}.{tau_s}.{wit_s}.{cnt_s}"
+
+
+def brute_compile_guard_family(guards, values, alphabet, so_vars, posvar):
+    """``optcost.compile_guard_family`` through ``_brute_moves``: the
+    oracle for the closure compiler and for the construction that builds
+    the guards once.  It refuses existentials nested in a quantifier body
+    ("quantified body outside the per-position fragment"), which the
+    compiler decides."""
+    rates = []
+    for m, mp in values:
+        if is_finite(m) and is_finite(mp) and m not in rates:
+            rates.append(m)
+    clock_of, starts, seen, moves = _brute_moves(
+        guards, so_vars, posvar, alphabet,
+        lambda letter, branch: all(is_finite(v) for v in values[branch]))
+
+    def name(state, m):
+        return f"{_brute_loc_name(state)}@{rates.index(m)}"
+
+    edges = []
+    weights = {}
+    for state, letter, guard, resets, branch, nxt in moves:
+        m, mp = values[branch]
+        for target in ["acc"] if nxt is None else [name(nxt, r) for r in rates]:
+            eid = f"e{len(edges)}"
+            edges.append(Edge(eid, name(state, m), letter, guard, resets, target))
+            weights[eid] = mp
+    location_rates = {name(s, m): m for s in sorted(seen) for m in rates}
+    location_rates["acc"] = Fraction(0)
     automaton = TimedAutomaton(
-        alphabet=tuple(gamma),
-        locations=tuple(loc_name(s) for s in sorted(seen)) + ("acc",),
-        clocks=tuple(clock_of[x] for x in clock_vars),
-        initial=tuple(loc_name(s) for s in starts),
+        alphabet=tuple(alphabet),
+        locations=tuple(location_rates),
+        clocks=tuple(clock_of[x] for x in sorted(clock_of)),
+        initial=tuple(name(s, m) for s in starts for m in rates),
         final=("acc",),
         edges=tuple(edges),
         unambiguous=False,
     )
-    return optcost.CompiledFamily(automaton, clock_of)
+    return optcost.CompiledFamily(automaton, clock_of, location_rates, weights)
 
 
-def brute_composed_over_gamma(canonical, alphabet, pv):
-    """The decide front end through the whole public ``sentence_to_nivat``
-    (language sentence and self-check included) and the oracle guard
-    compiler: the path that ``optcost._composed_over_gamma`` shortens."""
-    triple = wrdl.sentence_to_nivat(canonical, tuple(alphabet), pv)
-    if not triple.gamma:
-        return None
-    guards = wrdl.relabeled_guards(canonical, triple.gamma, triple.h)
-    compiled = brute_compile_guard_family(
-        guards, tuple(zip(canonical.left, canonical.right)), triple.gamma,
-        triple.g, canonical.so_vars, canonical.var)
+def nivat_compile_guard_family(guards, values, alphabet, so_vars, posvar):
+    """``optcost.compile_guard_family`` through the whole Nivat
+    translation: the public ``sentence_to_nivat`` (language sentence and
+    self-check included), the guards relabelled onto its auxiliary
+    alphabet and compiled there by ``_brute_moves`` into an acceptor of
+    the gamma words whose letters carry their positions' branch values,
+    the product of the comp automaton of g with that acceptor, and the
+    product relabelled by h.  The values must lie in the sum0 monoid."""
+    canonical = wrdl.CanonicalSentence(so_vars, posvar, guards, *zip(*values))
+    triple = wrdl.sentence_to_nivat(canonical, tuple(alphabet), monoid_from_id("sum0"))
+    clock_of, starts, seen, moves = _brute_moves(
+        wrdl.relabeled_guards(canonical, triple.gamma, triple.h), so_vars, posvar,
+        triple.gamma, lambda letter, branch: values[branch] == triple.g[letter])
+    edges = tuple(
+        Edge(f"e{k}", _brute_loc_name(state), letter, guard, resets,
+             "acc" if nxt is None else _brute_loc_name(nxt))
+        for k, (state, letter, guard, resets, _, nxt) in enumerate(moves))
+    acceptor = TimedAutomaton(
+        alphabet=triple.gamma,
+        locations=tuple(_brute_loc_name(s) for s in sorted(seen)) + ("acc",),
+        clocks=tuple(clock_of[x] for x in sorted(clock_of)),
+        initial=tuple(_brute_loc_name(s) for s in starts),
+        final=("acc",),
+        edges=edges,
+        unambiguous=False,
+    )
     comp = comp_automaton(triple.gamma, triple.g, monoid_from_id("sum"))
-    return product_intersect(comp, compiled.automaton), triple.h
+    product = relabel(product_intersect(comp, acceptor), triple.h, tuple(alphabet))
+    return optcost.CompiledFamily(product.base, {x: f"r.{c}" for x, c in clock_of.items()},
+                                  product.location_weights, product.edge_weights)
 
 
 _ACCEPTANCE = {}

@@ -13,13 +13,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import (BruteSearch, brute_bellman_ford, brute_compile_guard_family,
-                      brute_composed_over_gamma, brute_corner_graph, check_inf_cost,
-                      check_witness_below, grid_minimum, keyed_bellman_ford, outcome,
+                      brute_corner_graph, check_inf_cost, check_witness_below, grid_minimum,
+                      keyed_bellman_ford, nivat_compile_guard_family, outcome,
                       reachable_regions, region_of, region_reset, region_satisfies, region_zero,
                       time_successor, wd)
 from watl import fixtures, optcost, rdl, sampling, wrdl
-from watl.core import (RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord,
-                       accepts)
+from watl.core import RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord
 from watl.errors import DomainError, UnsupportedGuardError
 from watl.monoids import monoid_from_id
 from watl.optcost import (
@@ -631,6 +630,7 @@ def test_building_only_live_locations_changes_no_result(monkeypatch):
                     bounds = []
                 out.append((result, [witness_below(automaton, result, b, strict)
                                      for b, strict in bounds]))
+        start = len(built)
         rng = random.Random(5)
         for i in range(200):
             alphabet = ("a",) if rng.random() < 0.5 else ("a", "b")
@@ -639,9 +639,11 @@ def test_building_only_live_locations_changes_no_result(monkeypatch):
                                Fraction(i % 3), strict=i % 2 == 0))
             out.append(outcome(decide_avg_threshold, sentence, alphabet,
                                Fraction(1 + i % 3, 2), strict=i % 4 < 2))
+        decided.append(sum(built[start:]))
         return out
 
     built = []
+    decided = []
     build_graph = optcost._build_graph
 
     def counted(wta, live=None):
@@ -651,13 +653,12 @@ def test_building_only_live_locations_changes_no_result(monkeypatch):
 
     monkeypatch.setattr(optcost, "_build_graph", counted)
     trimmed = results()
-    trimmed_nodes = sum(built)
-    built.clear()
     monkeypatch.setattr(optcost, "_live_locations", lambda base: set(base.locations))
     assert results() == trimmed
-    # the pool's products hold many locations that cannot reach a final
-    # one: a third of all nodes is left out, and more
-    assert 3 * trimmed_nodes < 2 * sum(built)
+    # the compiled guard families hold many locations that cannot reach
+    # the final one (4,000 of the 9,171 nodes of the decisions' whole
+    # corner graphs are built): more than half of those nodes are left out
+    assert 2 * decided[0] < decided[1]
     assert sum(isinstance(r, optcost.DecisionResult) and r.witness is not None
                for r in trimmed) >= 150
     assert sum(r.value is NEG_INF for r, _ in trimmed[:180]) >= 20
@@ -727,6 +728,53 @@ def test_deeply_nested_guards_compile_and_decide():
     result = decide_sum_threshold(sentence, ("a", "b"), Fraction(1))
     assert result.holds
     assert wrdl.wrdl_eval(sentence, result.witness, SUM0) == 0
+
+
+@pytest.mark.parametrize("text, alphabet, message", [
+    ("EX X. all x. (B(dpast[=1](X, x)), 0)", ("a",),
+     "exact-distance tests are outside the compiled fragment"),
+    ("all x. (B(ex y. x <= y), 1)", ("a",), "guard outside the compiled fragment: x <= y"),
+    # the refusal names the sentence's own letters and set variables
+    ("all x. (B(ex y. (P[a](y) & ex z. (P[b](y) & P[a](z)))), 0)", ("a", "b"),
+     "guard outside the compiled fragment: P[b](y)"),
+    ("EX X. all x. (B(EX Y. Y(x)), 0)", ("a", "b"),
+     "guard outside the compiled fragment: (EX Y. Y(x))"),
+])
+def test_unsupported_guards_are_refused_in_the_sentence_terms(text, alphabet, message):
+    with pytest.raises(UnsupportedGuardError) as refusal:
+        decide_sum_threshold(wrdl.parse_wrdl(text), alphabet, Fraction(1))
+    assert str(refusal.value) == message
+
+
+def test_a_letter_outside_the_alphabet_is_false_wherever_it_is_tested():
+    # P[b](y) inside the body of the inner existential tests a foreign
+    # position, which the compiler refuses for letters of the alphabet.
+    sentence = wrdl.parse_wrdl("all x. (B(ex y. (P[a](y) & ex z. (P[b](y) & P[a](z)))), 0)"
+                               " | all x. (B(P[a](x)), 2)")
+    assert not decide_sum_threshold(sentence, ("a",), Fraction(2)).holds
+    result = decide_sum_threshold(sentence, ("a",), Fraction(3))
+    assert result.holds and result.infimum == 2
+    assert wrdl.wrdl_eval(sentence, result.witness, SUM0) == result.witness_value == 2
+
+
+_LONG_WITNESS_SCRIPT = """
+from watl import wrdl
+from watl.optcost import decide_sum_threshold
+result = decide_sum_threshold(wrdl.parse_wrdl("EX X. all z. (0, -1)"), ("a",), -40)
+print(result.holds, len(result.witness), result.witness_value)
+"""
+
+
+def test_valuing_a_long_witness_ends():
+    # Every letter costs -1, so the witness has 41 letters.  Valuing it by
+    # enumerating the subsets of X takes twice as long per letter; a
+    # regression fails at the timeout instead of stalling the suite.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    out = subprocess.run([sys.executable, "-c", _LONG_WITNESS_SCRIPT],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, check=True, timeout=10).stdout
+    assert out == b"True 41 -41\n"
 
 
 def test_decisions_are_monotone_under_bisection():
@@ -801,9 +849,9 @@ def test_decisions_match_the_full_translation_path(monkeypatch):
 
     got = decide_all()
     assert not [r for r in got if isinstance(r, tuple)]  # no draw raises
-    # the oracle path: the full translation and the Region-node search,
-    # which reports no witness
-    monkeypatch.setattr(optcost, "_composed_over_gamma", brute_composed_over_gamma)
+    # the oracle path: the full Nivat translation relabelled by h, and
+    # the Region-node search, which reports no witness
+    monkeypatch.setattr(optcost, "compile_guard_family", nivat_compile_guard_family)
     monkeypatch.setattr(optcost, "_Search", BruteSearch)
     want = decide_all()
     nested = []
@@ -836,13 +884,11 @@ def test_decisions_match_the_full_translation_path(monkeypatch):
 def test_guard_families_match_the_per_state_guard_construction():
     rng = random.Random(5)
     compiled = nested = 0
-    verdicts = []
+    values = []
     for k in range(200):
         sentence = sampling.random_restricted_sentence(rng)
         canonical = wrdl.canonicalize(sentence, SUM0)
-        gamma, h, g = wrdl._auxiliary_alphabet(canonical, ("a", "b"), SUM0)
-        args = (wrdl.relabeled_guards(canonical, gamma, h),
-                tuple(zip(canonical.left, canonical.right)), gamma, g,
+        args = (canonical.guards, tuple(zip(canonical.left, canonical.right)), ("a", "b"),
                 canonical.so_vars, canonical.var)
         try:
             want = brute_compile_guard_family(*args)
@@ -852,23 +898,23 @@ def test_guard_families_match_the_per_state_guard_construction():
                     compile_guard_family(*args)
                 continue
             # The oracle refuses a nested existential: check the compiled
-            # acceptor against the Nivat translation's language sentence.
+            # family's behavior against the sentence value.
             got = compile_guard_family(*args)
-            language = wrdl.sentence_to_nivat(canonical, ("a", "b"), SUM0).language
+            summed = got.weighted(monoid_from_id("sum"))
             words = random.Random(k)
             for _ in range(60):
-                word = sampling.random_word(words, gamma, max_len=4)
-                verdicts.append(accepts(got.automaton, word))
-                assert verdicts[-1] == rdl.model_check(language, word)
+                word = sampling.random_word(words, ("a", "b"), max_len=4)
+                values.append(behavior(summed, word))
+                assert values[-1] == wrdl.wrdl_eval(sentence, word, SUM0)
             nested += 1
             continue
         got = compile_guard_family(*args)
-        assert got.automaton == want.automaton
-        assert got.clock_of == want.clock_of
+        assert got == want
         compiled += bool(got.automaton.clocks)
     assert compiled >= 40
     assert nested >= 10
-    assert sum(verdicts) >= 100 and verdicts.count(False) >= 100
+    finite = sum(map(is_finite, values))
+    assert finite >= 100 and len(values) - finite >= 100
 
 
 def test_avg_reduction_identity_on_sampled_words():
