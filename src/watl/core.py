@@ -9,12 +9,15 @@ are no diagonal constraints.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional
 
+from . import weights
 from .errors import ModelValidationError, ParseError
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
@@ -68,11 +71,11 @@ class TimedWord:
             previous = stamp
         return cls(tuple(entries))
 
-    @property
+    @functools.cached_property
     def letters(self) -> tuple:
         return tuple(letter for letter, _ in self.entries)
 
-    @property
+    @functools.cached_property
     def delays(self) -> tuple:
         return tuple(delay for _, delay in self.entries)
 
@@ -91,6 +94,16 @@ class TimedWord:
                 sums.append(total)
             cached = tuple(sums)
             object.__setattr__(self, "_sums", cached)
+        return cached
+
+    def ticks(self) -> tuple:
+        """(unit, steps): the least common multiple of the delays'
+        denominators and each delay as an int number of 1/unit time units,
+        so that sums and comparisons of times are exact on ints (cached)."""
+        cached = getattr(self, "_ticks", None)
+        if cached is None:
+            cached = weights.delay_ticks(self.delays)
+            object.__setattr__(self, "_ticks", cached)
         return cached
 
     def __len__(self):
@@ -426,33 +439,41 @@ def fold_runs(automaton: TimedAutomaton, word: TimedWord, moves: Iterable,
     reset (0 for none), which fixes the clock's value on a given word.
     Clocks that no guard reads cannot change which runs exist, so they are
     left out.  For a word of n letters there are thus at most
-    |L|·(n+1)^|X| configurations, X the guarded clocks.
+    |L|·(n+1)^|X| configurations, X the guarded clocks.  Guards compare
+    exactly on ints: event times and guard bounds are both counted in
+    units of the word's ``ticks``, and with no guarded clock no event
+    time is computed at all.
     """
     letters = {letter for letter, _ in word.entries}
     moves = [move for move in moves if move[1] in letters]
     guarded = {a.clock for edge, _, _ in moves for a in edge.guard.atoms}
     clocks = [c for c in automaton.clocks if c in guarded]
     position = {c: k for k, c in enumerate(clocks)}
+    if clocks:
+        unit, steps = word.ticks()
+        # times[k] is the absolute time of the k-th event in units, times[0] = 0.
+        times = tuple(itertools.accumulate(steps, initial=0))
+    else:
+        unit, times = 1, ()
     table = {}
     for edge, letter, charge in moves:
-        atoms = tuple((position[a.clock], _COMPARE[a.rel], a.bound) for a in edge.guard.atoms)
+        atoms = tuple((position[a.clock], _COMPARE[a.rel], a.bound * unit)
+                      for a in edge.guard.atoms)
         resets = tuple(c in edge.resets for c in clocks) if edge.resets else ()
         table.setdefault((edge.source, letter), []).append(
             (atoms, resets if any(resets) else None, edge.target, charge))
-    # times[k] is the absolute time of the k-th event, times[0] = 0.
-    times = (Fraction(0),) + word.prefix_sums()
     configurations = {}
     for location in automaton.initial:
         key = (location, (0,) * len(clocks))
         known = configurations.get(key, _ABSENT)
         configurations[key] = start if known is _ABSENT else plus(known, start)
     for i, letter in enumerate(word.letters):
-        now = times[i + 1]
+        now = times[i + 1] if times else 0
         reached = {}
         for (location, resets_at), partial in configurations.items():
             for atoms, resets, target, charge in table.get((location, letter), ()):
-                if not all(compare(now - times[resets_at[k]], bound)
-                           for k, compare, bound in atoms):
+                if atoms and not all(compare(now - times[resets_at[k]], bound)
+                                     for k, compare, bound in atoms):
                     continue
                 landed = resets_at if resets is None else tuple(
                     i + 1 if reset else r for r, reset in zip(resets_at, resets))

@@ -9,7 +9,9 @@ m'_i the discrete weight of the step itself.
 Every shipped monoid gives its valuation as a step-wise fold over the
 delays (``step_fold``) whose steps distribute over ``plus``; ``val``
 runs it along one sequence, and behaviors fold it over automaton
-configurations instead of over runs.
+configurations instead of over runs.  The folds of sum, avg and prod
+run exactly on ints over one common denominator per call; the
+discounting fold runs on mpf.
 
 Product valuation monoids additionally carry a second operation
 ``diamond`` with unit ``one``; they back the weighted logic semantics.
@@ -17,6 +19,7 @@ Product valuation monoids additionally carry a second operation
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +29,8 @@ import mpmath
 from mpmath.libmp import to_rational
 
 from .errors import DomainError
-from .weights import INF, Infinity, Weight, is_finite, to_mpf
+from .weights import (INF, Infinity, Weight, common_denominator, delay_ticks, is_finite,
+                      scaled, to_mpf)
 
 # Working precision for the discounting valuation: comfortably past the
 # 1e-9 comparison tolerance used for its values.
@@ -88,12 +92,14 @@ class TimedValuationMonoid:
         return None
 
     def val(self, word: WeightPairWord):
-        fold = self.step_fold([t for _, t in word])
+        delays = [t for _, t in word]
+        fold = self.step_fold(delays)
         if fold is None:
             raise NotImplementedError
         with fold:
+            charges = fold.prepare([charge for charge, _ in word], delay_ticks(delays))
             partial = fold.start
-            for i, (charge, _) in enumerate(word):
+            for i, charge in enumerate(charges):
                 partial = fold.step(partial, i, charge)
             return fold.finish(partial)
 
@@ -154,28 +160,37 @@ def _min_plus(x, y):
 class StepFold:
     """A monoid's valuation taken one step at a time over fixed delays.
 
-    ``step(p, i, (m, m'))`` extends the partial value p of a run prefix by
-    step i, which charges rate m over the i-th delay and discrete weight
-    m'; ``plus`` merges the partial values of prefixes that end in the same
+    Before the first step, ``prepare(charges, ticks)`` is called once with
+    the charges of every move (the (m, m') pairs the steps may charge) and
+    the delays' ``weights.delay_ticks``; it returns the charges in the form
+    ``step`` takes, in the same order.  ``step(p, i, c)`` extends the
+    partial value p of a run prefix by step i, which charges the prepared
+    charge c: rate m over the i-th delay and discrete weight m'.  ``plus``
+    merges the partial values of prefixes that end in the same
     configuration, and ``finish`` turns a partial value into a value of
     the monoid.  Because step and finish distribute over plus, folding per
     configuration gives the plus-sum of val over all runs.  Enter the fold
     as a context manager while stepping (the discounting fold sets its
-    working precision there).  This base class is the min-plus fold of
-    ``sum``.
+    working precision there).
+
+    This base class prepares nothing: each charge is taken as it is.  The
+    folds of sum, avg and prod prepare their charges as ints over one
+    common denominator and run exactly on ints.
     """
 
-    start = Fraction(0)
+    start = None
 
     def __init__(self, delays):
         self.delays = tuple(delays)
 
+    def prepare(self, charges, ticks) -> list:
+        return charges
+
     def step(self, partial, i, charge):
-        m, mp = charge
-        return partial + m * self.delays[i] + mp
+        raise NotImplementedError
 
     def plus(self, x, y):
-        return _min_plus(x, y)
+        raise NotImplementedError
 
     def finish(self, partial):
         return partial
@@ -187,17 +202,56 @@ class StepFold:
         return False
 
 
-class _AverageFold(StepFold):
-    """The sum fold divided by the (positive) duration of the word."""
+def _scaled_weight(x, scale: int):
+    return scaled(x, scale) if is_finite(x) else x
 
-    def __init__(self, delays, duration):
-        super().__init__(delays)
-        self.duration = duration
+
+class _SumFold(StepFold):
+    """The min-plus fold of ``sum``, exact on ints.
+
+    ``prepare`` picks the scale D, the lcm of the delays' unit times the
+    rates' denominators and of the discrete weights' denominators.  A
+    partial value p stands for p/D: step i adds r·t_i + w, with t_i the
+    i-th delay in units, r = m·D/unit and w = m'·D, all ints.  Infinite
+    charges are kept as they are, so INF absorbs as it does in Fraction
+    arithmetic and, the zero of min, compares above every int.  Only
+    ``finish`` builds a Fraction.
+    """
+
+    start = 0
+
+    def prepare(self, charges, ticks) -> list:
+        unit, self.steps = ticks
+        rates = common_denominator(m for m, _ in charges if is_finite(m))
+        self.scale = common_denominator((mp for _, mp in charges if is_finite(mp)),
+                                        unit * rates)
+        per_unit = self.scale // unit
+        return [(_scaled_weight(m, per_unit), _scaled_weight(mp, self.scale))
+                for m, mp in charges]
+
+    def step(self, partial, i, charge):
+        rate, weight = charge
+        return partial + rate * self.steps[i] + weight
+
+    plus = staticmethod(min)
 
     def finish(self, partial):
         if isinstance(partial, Infinity):
             return partial
-        return partial / self.duration
+        return Fraction(partial, self.scale)
+
+
+class _AverageFold(_SumFold):
+    """The sum fold divided by the (positive) duration of the word."""
+
+    def prepare(self, charges, ticks) -> list:
+        unit, steps = ticks
+        self.duration = Fraction(sum(steps), unit)
+        return super().prepare(charges, ticks)
+
+    def finish(self, partial):
+        value = super().finish(partial)
+        return value if isinstance(value, Infinity) else value / self.duration
 
 
 _NO_RATES = frozenset()
@@ -253,6 +307,9 @@ class _DiscountFold(StepFold):
                 factor *= decay
         return steps
 
+    def plus(self, x, y):
+        return _min_plus(x, y)
+
     def step(self, partial, i, charge):
         # Infinite components absorb, matching x * inf = inf even at t = 0.
         m, mp = charge
@@ -273,20 +330,31 @@ class _DiscountFold(StepFold):
 
 
 class _ProductFold(StepFold):
-    """(+, x) over the discrete weights."""
+    """(+, x) over the discrete weights, exact on ints.
 
-    start = Fraction(1)
+    A weight outside the domain is prepared as it is and refused by the
+    first step that charges it, so a weight that no run takes is never
+    refused."""
+
+    start = 1
 
     def __init__(self, monoid, delays):
         super().__init__(delays)
         self.monoid = monoid
 
-    def step(self, partial, i, charge):
-        self.monoid.require(charge[1], "discrete weight")
-        return partial * charge[1]
+    def prepare(self, charges, ticks) -> list:
+        contains = self.monoid.contains
+        return [int(mp) if contains(mp) else mp for _, mp in charges]
 
-    def plus(self, x, y):
-        return x + y
+    def step(self, partial, i, weight):
+        if weight.__class__ is not int:
+            self.monoid.require(weight, "discrete weight")
+        return partial * weight
+
+    plus = staticmethod(operator.add)
+
+    def finish(self, partial):
+        return Fraction(partial)
 
 
 class SumMonoid(TimedValuationMonoid):
@@ -307,7 +375,7 @@ class SumMonoid(TimedValuationMonoid):
         return x is INF or isinstance(x, (Fraction, int))
 
     def step_fold(self, delays):
-        return StepFold(delays)
+        return _SumFold(delays)
 
     def sample(self, rng):
         if rng.random() < 0.08:
@@ -338,10 +406,9 @@ class AvgMonoid(TimedValuationMonoid):
 
     def step_fold(self, delays):
         delays = tuple(delays)
-        duration = sum(delays, Fraction(0))
-        if duration == 0:
-            return _UniformRateFold(delays)
-        return _AverageFold(delays, duration)
+        if any(delays):
+            return _AverageFold(delays)
+        return _UniformRateFold(delays)
 
     def sample(self, rng):
         if rng.random() < 0.08:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,7 @@ from .core import (_COMPARE, ClockAtom, ClockConstraint, Edge, TimedAutomaton,
                    TimedWord, constraint_satisfiable)
 from .errors import DomainError, UnsupportedGuardError
 from .monoids import TimedPvMonoid, monoid_from_id
-from .weights import INF, NEG_INF, Weight, is_finite
+from .weights import INF, NEG_INF, Weight, common_denominator, is_finite, scaled
 from .wrdl import CanonicalSentence
 from .wta import WeightedTimedAutomaton, behavior
 
@@ -347,10 +346,6 @@ def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
     return CornerPointGraph(ordered, arcs, tuple(public[i] for i in inits), accepting)
 
 
-def _scaled(cost: Fraction, scale: int) -> int:
-    return cost.numerator * (scale // cost.denominator)
-
-
 def _bellman_ford(nodes, arcs, inits, size):
     """Least path costs from the initial nodes, found by relaxing every
     arc in order for at most one round per node.
@@ -374,8 +369,8 @@ def _bellman_ford(nodes, arcs, inits, size):
     graph) can pick a different negative cycle and so pump a different
     witness, or none.
     """
-    scale = math.lcm(*{arc[2].denominator for arc in arcs})
-    rows = [(arc[0], arc[1], _scaled(arc[2], scale), arc) for arc in arcs]
+    scale = common_denominator(arc[2] for arc in arcs)
+    rows = [(arc[0], arc[1], scaled(arc[2], scale), arc) for arc in arcs]
     dist = [None] * size
     pred = [None] * size
     for n in inits:
@@ -562,14 +557,14 @@ class _Search:
             return
         # An accepting arc may end outside the useful subgraph, so its cost
         # may need a finer scale than the arcs relaxed.
-        fine = math.lcm(scale, *{arc[2].denominator for arc in acc_arcs})
+        fine = common_denominator((arc[2] for arc in acc_arcs), scale)
         best = None
         best_arc = None
         for arc in acc_arcs:
             ds = dist[arc[0]]
             if ds is None:
                 continue
-            value = ds * (fine // scale) + _scaled(arc[2], fine)
+            value = ds * (fine // scale) + scaled(arc[2], fine)
             if best is None or value < best:
                 best = value
                 best_arc = arc
@@ -582,7 +577,7 @@ class _Search:
         tight = [[] for _ in nodes]
         for arc in arcs:
             ds, dd = dist[arc[0]], dist[arc[1]]
-            if ds is not None and dd is not None and ds + _scaled(arc[2], scale) == dd:
+            if ds is not None and dd is not None and ds + scaled(arc[2], scale) == dd:
                 tight[arc[0]].append(arc)
         self.starts = [n for n in inits if dist[n] == 0]
         parent, _ = _bfs(self.starts, tight)
@@ -612,7 +607,7 @@ class _Search:
             for arcs in steps.values():
                 edge = arcs[0][4]
                 if edge is not None and edge.target in final and all(
-                        dist[s] * (fine // scale) + _scaled(cost, fine) == best
+                        dist[s] * (fine // scale) + scaled(cost, fine) == best
                         for s, _, cost, _, _ in arcs):
                     path = [arcs[0]]
                     while parent[state] is not None:
@@ -620,7 +615,7 @@ class _Search:
                         path.append(step)
                     letters, _, delays, _, _ = self._interior(path[::-1])
                     return TimedWord.from_pairs(zip(letters, delays))
-                if all(dist[d] is not None and dist[s] + _scaled(cost, scale) == dist[d]
+                if all(dist[d] is not None and dist[s] + scaled(cost, scale) == dist[d]
                        for s, d, cost, _, _ in arcs):
                     nxt = tuple(sorted({arc[1] for arc in arcs}))
                     if nxt not in parent:

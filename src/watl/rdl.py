@@ -199,13 +199,14 @@ _NAME_FIELDS = {Letter: ("var",), Leq: ("left", "right"), InSet: ("setvar", "var
                 Dist: ("setvar", "var"), ExistsFO: ("var",), ExistsSO: ("setvar",)}
 
 
-def _walk(formula, syntax: _Syntax, text: bool = False):
+def _walk(formula, syntax: _Syntax, text: bool = False, scoped: bool = False):
     """Yield ``(node, shape, bound)`` for every node of a formula, top-down
     and left to right, from an explicit stack, so no depth is too deep;
-    ``bound`` holds the (second-order?, name) pairs bound around the node,
-    and a node the syntax passes over comes with shape None.  With
-    ``text``, yield instead the texts that, joined, render the formula."""
-    stack = [(formula, syntax, frozenset())]
+    with ``scoped``, ``bound`` holds the (second-order?, name) pairs bound
+    around the node, and otherwise it is None and no such set is built.
+    A node the syntax passes over comes with shape None.  With ``text``,
+    yield instead the texts that, joined, render the formula."""
+    stack = [(formula, syntax, frozenset() if scoped else None)]
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
@@ -221,7 +222,7 @@ def _walk(formula, syntax: _Syntax, text: bool = False):
             yield node, shape, bound
         if shape is None or not shape.children:
             continue
-        if shape.binder is not None:
+        if scoped and shape.binder is not None:
             bound = bound | {(shape.binder == "setvar", getattr(node, shape.binder))}
         syntax, after = shape.inner or syntax, len(shape.children)
         for field in reversed(shape.children):
@@ -233,7 +234,7 @@ def _walk(formula, syntax: _Syntax, text: bool = False):
 
 def _free_vars(formula, syntax: _Syntax) -> tuple:
     free = (set(), set())
-    for node, shape, bound in _walk(formula, syntax):
+    for node, shape, bound in _walk(formula, syntax, scoped=True):
         if not shape.children:
             for field in _NAME_FIELDS.get(type(node), ()):
                 key = (field == "setvar", getattr(node, field))

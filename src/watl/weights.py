@@ -12,6 +12,7 @@ Arithmetic follows the absorption convention of the ambient monoids:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -97,6 +98,27 @@ Weight = Union[Fraction, Infinity]
 
 def is_finite(x) -> bool:
     return not isinstance(x, Infinity)
+
+
+def common_denominator(values, scale: int = 1) -> int:
+    """The least common multiple of ``scale`` and the denominators of the
+    given rationals (ints or Fractions)."""
+    return math.lcm(scale, *{value.denominator for value in values})
+
+
+def scaled(value, scale: int) -> int:
+    """A rational times a multiple of its denominator, as an int.
+
+    Rationals scaled by one common denominator add, multiply and compare
+    exactly as ints, which is much faster than Fraction arithmetic."""
+    return value.numerator * (scale // value.denominator)
+
+
+def delay_ticks(delays) -> tuple:
+    """(unit, steps): the common denominator of the delays and each delay
+    as an int number of 1/unit time units."""
+    unit = common_denominator(delays)
+    return unit, tuple(scaled(delay, unit) for delay in delays)
 
 
 def to_mpf(x):

@@ -78,13 +78,19 @@ def fold_charges(automaton: TimedAutomaton, word: TimedWord, moves,
     has no step-wise valuation.
 
     ``moves`` lists (edge, letter, (rate, discrete weight)) triples, as
-    for ``core.fold_runs``; the monoid's step fold is folded over the
-    configurations in one pass over the word.
+    for ``core.fold_runs``; the monoid's step fold prepares the charges
+    once, against the word's cached ``ticks``, and is folded over the
+    configurations in one pass over the word.  For sum, avg and prod the
+    steps, merges and clock comparisons are exact int arithmetic over
+    the call's common denominator, and only the final values become
+    Fractions; discounting keeps mpf, and other folds their own values.
     """
     fold = monoid.step_fold(word.delays)
     if fold is None:
         return None
     with fold:
+        charges = fold.prepare([charge for _, _, charge in moves], word.ticks())
+        moves = [(edge, letter, charge) for (edge, letter, _), charge in zip(moves, charges)]
         finals = fold_runs(automaton, word, moves, fold.start, fold.step, fold.plus)
         return sum_over(monoid, (fold.finish(partial) for partial in finals))
 
