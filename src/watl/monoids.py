@@ -283,6 +283,10 @@ class _UniformRateFold(StepFold):
         return min(partial) if partial else INF
 
 
+def _mpf_weight(x):
+    return to_mpf(x) if is_finite(x) else x
+
+
 class _DiscountFold(StepFold):
     """Min-plus over mpf: step i adds its discounted charge, whose factors
     lam^t_i and lam^(t_1 + ... + t_(i-1)) depend only on the word.  They
@@ -307,6 +311,9 @@ class _DiscountFold(StepFold):
                 factor *= decay
         return steps
 
+    def prepare(self, charges, ticks) -> list:
+        return [(_mpf_weight(m), _mpf_weight(mp)) for m, mp in charges]
+
     def plus(self, x, y):
         return _min_plus(x, y)
 
@@ -318,7 +325,7 @@ class _DiscountFold(StepFold):
         if self._steps is None:
             self._steps = self._factors()
         factor, rate_part, decay = self._steps[i]
-        return partial + factor * (rate_part * to_mpf(m) + decay * to_mpf(mp))
+        return partial + factor * (rate_part * m + decay * mp)
 
     def __enter__(self):
         self._precision = mpmath.workdps(_DISC_DPS)

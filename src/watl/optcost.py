@@ -512,22 +512,6 @@ def _negative_cycle(nodes, unstable, pred):
     return None
 
 
-def _word_of_path(path) -> Optional[TimedWord]:
-    letters = []
-    delays = []
-    pending = Fraction(0)
-    for *_, time, edge in path:
-        if edge is None:
-            pending += time
-        else:
-            letters.append(edge.label)
-            delays.append(pending)
-            pending = Fraction(0)
-    if not letters:
-        return None
-    return TimedWord.from_pairs(zip(letters, delays))
-
-
 def _inner_delay(values, caps) -> Fraction:
     """The delay that moves a valuation into its time-successor region:
     half the open interval before the next integer when a clock sits on
@@ -711,8 +695,9 @@ def inf_cost(wta: WeightedTimedAutomaton) -> InfCostResult:
     if not is_finite(search.value):
         return InfCostResult(search.value, False, None, None)
     witness = search.attaining
+    letters, corner, *_ = search._interior(search.corner_path)
     return InfCostResult(search.value, witness is not None, witness,
-                         _word_of_path(search.corner_path))
+                         TimedWord.from_pairs(zip(letters, corner)))
 
 
 def _below(value, bound, strict: bool) -> bool:
@@ -747,59 +732,6 @@ def witness_below(wta: WeightedTimedAutomaton, result: InfCostResult,
 # Compiling canonical guard families into timed automata
 
 
-def _match_end(formula):
-    """Recognize 'no position strictly precedes v' or 'no position
-    strictly follows v'; returns ("first", v) or ("last", v)."""
-    if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
-        w = formula.sub.var
-        pair = rdl.match_and(formula.sub.sub)
-        if pair:
-            p, q = pair
-            if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
-                    and isinstance(q.sub, rdl.Leq)
-                    and p.left == q.sub.right and p.right == q.sub.left):
-                if p.left == w != p.right:
-                    return "first", p.right
-                if p.right == w != p.left:
-                    return "last", p.left
-    return None
-
-
-def _match_singleton(formula):
-    """Recognize 'X contains exactly one position'; returns X."""
-    if not isinstance(formula, rdl.ExistsFO):
-        return None
-    z = formula.var
-    pair = rdl.match_and(formula.sub)
-    if not pair:
-        return None
-    member, rest = pair
-    if not (isinstance(member, rdl.InSet) and member.var == z):
-        return None
-    setvar = member.setvar
-    if not (isinstance(rest, rdl.Not) and isinstance(rest.sub, rdl.ExistsFO)):
-        return None
-    u = rest.sub.var
-    pair2 = rdl.match_and(rest.sub.sub)
-    if not pair2:
-        return None
-    member2, diff = pair2
-    if not (isinstance(member2, rdl.InSet) and member2.setvar == setvar
-            and member2.var == u):
-        return None
-    if not isinstance(diff, rdl.Not):
-        return None
-    pair3 = rdl.match_and(diff.sub)
-    if not pair3:
-        return None
-    le1, le2 = pair3
-    if (isinstance(le1, rdl.Leq) and isinstance(le2, rdl.Leq)
-            and le1.left == u and le1.right == z
-            and le2.left == z and le2.right == u):
-        return setvar
-    return None
-
-
 class _GuardCompiler:
     """Compiles guards into closures over a per-position context tuple
     (letter, bits, delta, first, last, tau): the position's letter, the
@@ -814,8 +746,13 @@ class _GuardCompiler:
     position.  Global parts are 'X is a singleton' and closed
     existentials, at any depth; an existential's body compiles with the
     same method, its bound variable as the position, so parts nested in
-    it come before it.  Compiling records the distance atoms and the
-    global parts.  Anything else raises UnsupportedGuardError.
+    it come before it.  The first/last and singleton tests are
+    recognized only as ``rdl.rdl_first``, ``rdl.rdl_last`` and
+    ``rdl.rdl_singleton`` write them, with bound names that differ from
+    each other and from the tested position: at a negated existential
+    and at an existential node, by rebuilding the candidate and comparing.
+    Compiling records the distance atoms and the global parts.  Anything
+    else raises UnsupportedGuardError.
     Compiling and the compiled closures each take one stack frame per
     formula level.
     """
@@ -826,6 +763,7 @@ class _GuardCompiler:
         self.atoms = set()
         self.parts = []
         self._keys = {}
+        self._written = {}
 
     def _global(self, key, part):
         i = self._keys.get(key)
@@ -834,19 +772,51 @@ class _GuardCompiler:
             self.parts.append(part)
         return lambda c: c[5][i]
 
+    def _writes(self, formula, build, *names) -> bool:
+        """Whether build(*names) is the formula; each candidate is built
+        once per compiler, as the families repeat their tests."""
+        candidate = self._written.get((build, names))
+        if candidate is None:
+            candidate = self._written[build, names] = build(*names)
+        return candidate == formula
+
+    def _end_test(self, formula):
+        """("first", v) or ("last", v) when a Not node is written as
+        ``rdl.rdl_first(v, z)`` or ``rdl.rdl_last(v, z)`` with a bound
+        name z other than v, else None."""
+        exists = formula.sub
+        if not isinstance(exists, rdl.ExistsFO):
+            return None
+        body = exists.sub  # rdl_and(Leq, Not(Leq)): Not(Or(Not(Leq), Not(Not(Leq))))
+        if not (isinstance(body, rdl.Not) and isinstance(body.sub, rdl.Or)
+                and isinstance(body.sub.left, rdl.Not)
+                and isinstance(body.sub.left.sub, rdl.Leq)):
+            return None
+        z, leq = exists.var, body.sub.left.sub
+        kind, v, build = (("first", leq.right, rdl.rdl_first) if leq.left == z
+                          else ("last", leq.left, rdl.rdl_last))
+        if v != z and self._writes(formula, build, v, z):
+            return kind, v
+        return None
+
+    def _singleton_set(self, formula):
+        """X when an ExistsFO node is written as
+        ``rdl.rdl_singleton(X, z, u)`` with two different bound names z
+        and u, else None."""
+        body = formula.sub  # rdl_and(X(z), Not(ExistsFO(u, ...)))
+        if not (isinstance(body, rdl.Not) and isinstance(body.sub, rdl.Or)):
+            return None
+        member, rest = body.sub.left, body.sub.right
+        if not (isinstance(member, rdl.Not) and isinstance(member.sub, rdl.InSet)
+                and isinstance(rest, rdl.Not) and isinstance(rest.sub, rdl.Not)
+                and isinstance(rest.sub.sub, rdl.ExistsFO)):
+            return None
+        z, u, setvar = formula.var, rest.sub.sub.var, member.sub.setvar
+        if u != z and self._writes(formula, rdl.rdl_singleton, setvar, z, u):
+            return setvar
+        return None
+
     def compile(self, formula, pos):
-        end = _match_end(formula)
-        if end is not None:
-            kind, v = end
-            if v != pos:
-                raise UnsupportedGuardError(
-                    f"{kind}-position test on foreign variable {v!r}")
-            if kind == "first":
-                return lambda c: c[3]
-            return lambda c: c[4]
-        v = _match_singleton(formula)
-        if v is not None and v in self.so:
-            return self._global(("sing", v), ("singleton", v))
         if isinstance(formula, rdl.Letter):
             if formula.var == pos or formula.letter not in self.letters:
                 letter = formula.letter
@@ -867,6 +837,15 @@ class _GuardCompiler:
                 self.atoms.add(atom)
                 return lambda c: c[2][atom]
         elif isinstance(formula, rdl.Not):
+            end = self._end_test(formula)
+            if end is not None:
+                kind, v = end
+                if v != pos:
+                    raise UnsupportedGuardError(
+                        f"{kind}-position test on foreign variable {v!r}")
+                if kind == "first":
+                    return lambda c: c[3]
+                return lambda c: c[4]
             sub = self.compile(formula.sub, pos)
             return lambda c: not sub(c)
         elif isinstance(formula, rdl.Or):
@@ -874,6 +853,9 @@ class _GuardCompiler:
             right = self.compile(formula.right, pos)
             return lambda c: left(c) or right(c)
         elif isinstance(formula, rdl.ExistsFO):
+            v = self._singleton_set(formula)
+            if v is not None and v in self.so:
+                return self._global(("sing", v), ("singleton", v))
             body = self.compile(formula.sub, formula.var)
             return self._global(("exists", formula), ("exists", body))
         raise UnsupportedGuardError(

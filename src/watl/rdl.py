@@ -124,14 +124,21 @@ def rdl_false():
     return Not(rdl_true())
 
 
-def rdl_first(var):
-    """No position lies strictly before var."""
-    return Not(ExistsFO("z0", rdl_and(Leq("z0", var), Not(Leq(var, "z0")))))
+def rdl_first(var, z="z0"):
+    """No position z lies strictly before var."""
+    return Not(ExistsFO(z, rdl_and(Leq(z, var), Not(Leq(var, z)))))
 
 
-def rdl_last(var):
-    """No position lies strictly after var."""
-    return Not(ExistsFO("z0", rdl_and(Leq(var, "z0"), Not(Leq("z0", var)))))
+def rdl_last(var, z="z0"):
+    """No position z lies strictly after var."""
+    return Not(ExistsFO(z, rdl_and(Leq(var, z), Not(Leq(z, var)))))
+
+
+def rdl_singleton(setvar, z, u):
+    """Some position z is in the set, and no position u in it differs."""
+    same = rdl_and(Leq(u, z), Leq(z, u))
+    return ExistsFO(z, rdl_and(InSet(setvar, z),
+                               Not(ExistsFO(u, rdl_and(InSet(setvar, u), Not(same))))))
 
 
 def big_or(parts):
@@ -356,16 +363,6 @@ def map_letter_atoms(formula, builder: Callable[[str, str], object]):
     """Replace every letter atom P[a](x) by builder(a, x)."""
     return _rebuild(formula, lambda node: (builder(node.letter, node.var), False)
                     if isinstance(node, Letter) else (node, True))
-
-
-def match_and(formula) -> Optional[tuple]:
-    """Recognize the derived conjunction Not(Or(Not(a), Not(b)))."""
-    if not (isinstance(formula, Not) and isinstance(formula.sub, Or)):
-        return None
-    left, right = formula.sub.left, formula.sub.right
-    if isinstance(left, Not) and isinstance(right, Not):
-        return left.sub, right.sub
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +601,6 @@ class Assignment:
 
     def __repr__(self):
         return f"Assignment(fo={self.fo}, so={self.so})"
-
-
-def dist_holds(word: TimedWord, positions: frozenset, position: int, rel: str, bound: int) -> bool:
-    """Truth of the past distance predicate at a position.
-
-    Positions in the set at or after ``position`` are ignored; without an
-    earlier set position the absolute event time is compared.
-    """
-    sums = word.prefix_sums()
-    earlier = [z for z in positions if z < position]
-    if earlier:
-        delta = sums[position - 1] - sums[max(earlier) - 1]
-    else:
-        delta = sums[position - 1]
-    return _COMPARE[rel](delta, bound)
 
 
 def validate_assignment(free, word: TimedWord, sigma: Assignment, context: str) -> None:

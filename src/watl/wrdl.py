@@ -619,13 +619,7 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
             inner = canon(node.sub)
             inner = _freshen(inner, names, avoid_fo=frozenset([node.var]))
             witness = names.fresh("S")
-            z = names.fresh("y")
-            u = names.fresh("y")
-            same = rdl.rdl_and(rdl.Leq(u, z), rdl.Leq(z, u))
-            singleton = rdl.ExistsFO(z, rdl.rdl_and(
-                rdl.InSet(witness, z),
-                rdl.Not(rdl.ExistsFO(u, rdl.rdl_and(rdl.InSet(witness, u),
-                                                    rdl.Not(same))))))
+            singleton = rdl.rdl_singleton(witness, names.fresh("y"), names.fresh("y"))
             guards = tuple(
                 rdl.rdl_and(singleton,
                             rdl.ExistsFO(node.var,

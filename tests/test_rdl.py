@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import outcome, random_rdl_formula, wd
+from conftest import dist_holds, outcome, random_rdl_formula, wd
 from watl import sampling, wrdl
 from watl.errors import ParseError, WatlError
 from watl.monoids import monoid_from_id
@@ -22,7 +22,6 @@ from watl.rdl import (
     Not,
     Or,
     classify,
-    dist_holds,
     free_vars,
     is_so_name,
     model_check,
