@@ -10,8 +10,8 @@ from operator import attrgetter
 import mpmath
 
 from watl import fixtures, optcost, rdl, wrdl
-from watl.core import (_COMPARE, RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord,
-                       constraint_satisfiable, enumerate_runs)
+from watl.core import (_COMPARE, RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton,
+                       TimedWord, constraint_satisfiable, enumerate_runs)
 from watl.errors import DomainError, UnsupportedGuardError
 from watl.monoids import WeightPairWord, monoid_from_id, sum_over
 from watl.optcost import Region
@@ -236,7 +236,7 @@ def _brute_check(node, word, sigma):
         return sigma.fo[node.var] in sigma.so[node.setvar]
     if isinstance(node, rdl.Dist):
         return dist_holds(word, sigma.so[node.setvar], sigma.fo[node.var],
-                              node.rel, node.bound)
+                          node.rel, node.bound)
     if isinstance(node, rdl.Not):
         return not _brute_check(node.sub, word, sigma)
     if isinstance(node, rdl.Or):
@@ -906,7 +906,7 @@ class BruteSearch:
 # per-position recognizer that refuses nested existentials.
 
 
-def match_and(formula):
+def _match_and(formula):
     """Recognize the derived conjunction Not(Or(Not(a), Not(b)))."""
     if not (isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.Or)):
         return None
@@ -920,7 +920,7 @@ def _match_first(formula):
     """Recognize 'no position strictly precedes v'; returns v."""
     if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
         w = formula.sub.var
-        pair = match_and(formula.sub.sub)
+        pair = _match_and(formula.sub.sub)
         if pair:
             p, q = pair
             if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
@@ -935,7 +935,7 @@ def _match_last(formula):
     """Recognize 'no position strictly follows v'; returns v."""
     if isinstance(formula, rdl.Not) and isinstance(formula.sub, rdl.ExistsFO):
         w = formula.sub.var
-        pair = match_and(formula.sub.sub)
+        pair = _match_and(formula.sub.sub)
         if pair:
             p, q = pair
             if (isinstance(p, rdl.Leq) and isinstance(q, rdl.Not)
@@ -953,7 +953,7 @@ def _match_singleton(formula):
     if not isinstance(formula, rdl.ExistsFO):
         return None
     z = formula.var
-    pair = match_and(formula.sub)
+    pair = _match_and(formula.sub)
     if not pair:
         return None
     member, rest = pair
@@ -961,14 +961,14 @@ def _match_singleton(formula):
             and isinstance(rest, rdl.Not) and isinstance(rest.sub, rdl.ExistsFO)):
         return None
     u = rest.sub.var
-    pair = match_and(rest.sub.sub)
+    pair = _match_and(rest.sub.sub)
     if u == z or not pair:
         return None
     member2, diff = pair
     if not (isinstance(member2, rdl.InSet) and member2.setvar == member.setvar
             and member2.var == u and isinstance(diff, rdl.Not)):
         return None
-    pair = match_and(diff.sub)
+    pair = _match_and(diff.sub)
     if pair == (rdl.Leq(u, z), rdl.Leq(z, u)):
         return member.setvar
     return None

@@ -884,8 +884,8 @@ def test_decisions_match_the_full_translation_path(monkeypatch):
 # "X is nonempty", written as a singleton test whose inner binder shadows
 # the outer one: no rdl_singleton(X, z, u) with u other than z.  The sum
 # is -(number of positions) when X holds every position, so the value of
-# (a,1)(a,1)(a,1) is -3; reading the payload as "X is a singleton" left
-# only one-letter words and an infimum of -1.
+# (a,1)(a,1)(a,1) is -3; read as "X is a singleton", the payload would
+# leave only one-letter words and an infimum of -1.
 _SHADOWED = ("EX X. (B(ex z. (X(z) & !(ex z. (X(z) & !(z <= z & z <= z))))) & "
              "(B(!(ex y. !(X(y)))) & all y. (0, -1)))")
 
