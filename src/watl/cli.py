@@ -105,6 +105,8 @@ def _split_alphabet(text):
     letters = tuple(part.strip() for part in text.split(",") if part.strip())
     if not letters:
         raise click.ClickException("empty alphabet")
+    if len(set(letters)) != len(letters):
+        raise click.ClickException("repeated alphabet letter")
     return letters
 
 

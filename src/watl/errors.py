@@ -58,6 +58,7 @@ class UnsupportedGuardError(WatlError):
     """Raised when a canonical guard cannot be compiled to an automaton.
 
     The decision procedures compile canonical guard families directly to
-    timed automata and support only guards built from positionwise atoms,
-    first/last position tests, and position-independent existential facts.
+    timed automata and support only guards built from positionwise atoms
+    and first-order existentials that are closed or compare their bound
+    position with the tested one by ``<=`` alone.
     """

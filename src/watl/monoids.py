@@ -364,10 +364,10 @@ class _ProductFold(StepFold):
         return Fraction(partial)
 
 
-class SumMonoid(TimedValuationMonoid):
-    """(R ∪ {inf}, min, sum of m_i * t_i + m'_i, inf)."""
+class _MinPlusMonoid(TimedValuationMonoid):
+    """The part the sum, average and discounted monoids share: rationals
+    and inf under min, whose neutral element inf is the zero."""
 
-    id = "sum"
     idempotent = True
     location_independent = False
 
@@ -381,16 +381,22 @@ class SumMonoid(TimedValuationMonoid):
     def contains(self, x):
         return x is INF or isinstance(x, (Fraction, int))
 
-    def step_fold(self, delays):
-        return _SumFold(delays)
-
     def sample(self, rng):
         if rng.random() < 0.08:
             return INF
         return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
 
 
-class AvgMonoid(TimedValuationMonoid):
+class SumMonoid(_MinPlusMonoid):
+    """(R ∪ {inf}, min, sum of m_i * t_i + m'_i, inf)."""
+
+    id = "sum"
+
+    def step_fold(self, delays):
+        return _SumFold(delays)
+
+
+class AvgMonoid(_MinPlusMonoid):
     """(R ∪ {inf}, min, duration-average of the sum valuation, inf).
 
     For zero total duration the average is m_1 when all rates agree on a
@@ -398,18 +404,6 @@ class AvgMonoid(TimedValuationMonoid):
     """
 
     id = "avg"
-    idempotent = True
-    location_independent = False
-
-    @property
-    def zero(self):
-        return INF
-
-    def plus(self, x, y):
-        return _min_plus(x, y)
-
-    def contains(self, x):
-        return x is INF or isinstance(x, (Fraction, int))
 
     def step_fold(self, delays):
         delays = tuple(delays)
@@ -417,13 +411,8 @@ class AvgMonoid(TimedValuationMonoid):
             return _AverageFold(delays)
         return _UniformRateFold(delays)
 
-    def sample(self, rng):
-        if rng.random() < 0.08:
-            return INF
-        return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
 
-
-class DiscountMonoid(TimedValuationMonoid):
+class DiscountMonoid(_MinPlusMonoid):
     """Discounted sum with rate lam in (0,1), computed in high precision.
 
     While waiting t time units under rate m the accumulated weight is the
@@ -432,8 +421,6 @@ class DiscountMonoid(TimedValuationMonoid):
     further discounted by lam^(elapsed time before the step).
     """
 
-    idempotent = True
-    location_independent = False
     tolerance = 1e-9
 
     def __init__(self, lam: Fraction):
@@ -446,13 +433,6 @@ class DiscountMonoid(TimedValuationMonoid):
         self.lam = lam
         self.id = f"disc:{lam}"
 
-    @property
-    def zero(self):
-        return INF
-
-    def plus(self, x, y):
-        return _min_plus(x, y)
-
     def contains(self, x):
         return x is INF or isinstance(x, (Fraction, int, mpmath.mpf))
 
@@ -464,11 +444,6 @@ class DiscountMonoid(TimedValuationMonoid):
         if any(isinstance(x, Infinity) for pair, _ in word for x in pair):
             return INF
         return super().val(word)
-
-    def sample(self, rng):
-        if rng.random() < 0.08:
-            return INF
-        return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
 
 
 class ProductMonoid(TimedValuationMonoid):

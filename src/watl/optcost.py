@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -732,29 +733,48 @@ def witness_below(wta: WeightedTimedAutomaton, result: InfCostResult,
 # Compiling canonical guard families into timed automata
 
 
-class _GuardCompiler:
-    """Compiles guards into closures over a per-position context tuple
-    (letter, bits, delta, first, last, tau): the position's letter, the
-    set variables holding there, the guessed truth of each distance atom,
-    whether the position is the first and the last, and the guessed
-    truth of each global part.
+_first, _last = operator.itemgetter(3), operator.itemgetter(4)
+_not_first, _not_last = (lambda c: not c[3]), (lambda c: not c[4])
+_NEGATED = {_first: _not_first, _not_first: _first, _last: _not_last, _not_last: _last}
 
-    Per-position leaves: a concrete letter test, membership of the
-    position in a prefix set variable, a past-distance test (realized as
-    a clock comparison), first/last position, and trivial reflexive
-    orderings.  A test of a letter outside the alphabet is false at any
-    position.  Global parts are 'X is a singleton' and closed
-    existentials, at any depth; an existential's body compiles with the
-    same method, its bound variable as the position, so parts nested in
-    it come before it.  The first/last and singleton tests are
-    recognized only as ``rdl.rdl_first``, ``rdl.rdl_last`` and
-    ``rdl.rdl_singleton`` write them, with bound names that differ from
-    each other and from the tested position: at a negated existential
-    and at an existential node, by rebuilding the candidate and comparing.
-    Compiling records the distance atoms and the global parts.  Anything
-    else raises UnsupportedGuardError.
-    Compiling and the compiled closures each take one stack frame per
-    formula level.
+
+def _or(left, right):
+    if left is True or right is False:
+        return left
+    if right is True or left is False:
+        return right
+    return lambda c: left(c) or right(c)
+
+
+def _call(test):
+    """A test as a closure over the context."""
+    return test if callable(test) else (lambda c: test)
+
+
+class _GuardCompiler:
+    """Compiles guards into tests over a per-position context tuple
+    (letter, bits, delta, first, last, tau, facts): the position's letter,
+    the set variables holding there, the guessed truth of each distance
+    atom, whether the position is the first and the last, the guessed
+    truth of each global part, and the truth of each fact there.  A test
+    is a closure over the context, or True or False where it folds.
+
+    A test compiles at places: a map from each name of the position to 0
+    and, inside a case below, from each name of one other position to 1
+    (after it) or -1 (before it).  Leaves: a letter test, membership in
+    a prefix set variable and a past-distance test (a clock comparison)
+    at the position, and ``<=`` between placed names.  A test of a letter
+    outside the alphabet is false at any position.
+
+    An ``ex z. f`` whose body mentions the position is the disjunction of
+    z = x (f with z a second name of x), z < x (a past fact: some earlier
+    position passes f, compiled with x placed after it) and z > x (a
+    future fact).  A case that folds to false drops out, one that folds to true
+    is "not first" or "not last".  Any other existential is a closed
+    global part, its body compiled at its bound name alone.  Parts and
+    facts nested in a body come before it.  Anything else raises
+    UnsupportedGuardError.  Compiling and the compiled closures each take
+    one stack frame per formula level.
     """
 
     def __init__(self, so_vars, alphabet):
@@ -762,104 +782,84 @@ class _GuardCompiler:
         self.letters = set(alphabet)
         self.atoms = set()
         self.parts = []
-        self._keys = {}
-        self._written = {}
+        self.facts = []
+        self._seen = {}
+        self._nodes = {}
+        self._placed = {}
 
-    def _global(self, key, part):
-        i = self._keys.get(key)
-        if i is None:
-            i = self._keys[key] = len(self.parts)
-            self.parts.append(part)
-        return lambda c: c[5][i]
-
-    def _writes(self, formula, build, *names) -> bool:
-        """Whether build(*names) is the formula; each candidate is built
-        once per compiler, as the families repeat their tests."""
-        candidate = self._written.get((build, names))
-        if candidate is None:
-            candidate = self._written[build, names] = build(*names)
-        return candidate == formula
-
-    def _end_test(self, formula):
-        """("first", v) or ("last", v) when a Not node is written as
-        ``rdl.rdl_first(v, z)`` or ``rdl.rdl_last(v, z)`` with a bound
-        name z other than v, else None."""
-        exists = formula.sub
-        if not isinstance(exists, rdl.ExistsFO):
-            return None
-        body = exists.sub  # rdl_and(Leq, Not(Leq)): Not(Or(Not(Leq), Not(Not(Leq))))
-        if not (isinstance(body, rdl.Not) and isinstance(body.sub, rdl.Or)
-                and isinstance(body.sub.left, rdl.Not)
-                and isinstance(body.sub.left.sub, rdl.Leq)):
-            return None
-        z, leq = exists.var, body.sub.left.sub
-        kind, v, build = (("first", leq.right, rdl.rdl_first) if leq.left == z
-                          else ("last", leq.left, rdl.rdl_last))
-        if v != z and self._writes(formula, build, v, z):
-            return kind, v
-        return None
-
-    def _singleton_set(self, formula):
-        """X when an ExistsFO node is written as
-        ``rdl.rdl_singleton(X, z, u)`` with two different bound names z
-        and u, else None."""
-        body = formula.sub  # rdl_and(X(z), Not(ExistsFO(u, ...)))
-        if not (isinstance(body, rdl.Not) and isinstance(body.sub, rdl.Or)):
-            return None
-        member, rest = body.sub.left, body.sub.right
-        if not (isinstance(member, rdl.Not) and isinstance(member.sub, rdl.InSet)
-                and isinstance(rest, rdl.Not) and isinstance(rest.sub, rdl.Not)
-                and isinstance(rest.sub.sub, rdl.ExistsFO)):
-            return None
-        z, u, setvar = formula.var, rest.sub.sub.var, member.sub.setvar
-        if u != z and self._writes(formula, rdl.rdl_singleton, setvar, z, u):
-            return setvar
-        return None
-
-    def compile(self, formula, pos):
-        if isinstance(formula, rdl.Letter):
-            if formula.var == pos or formula.letter not in self.letters:
+    def compile(self, formula, places):
+        kind = type(formula)
+        if kind is rdl.Not:
+            sub = self.compile(formula.sub, places)
+            if sub is True or sub is False:
+                return not sub
+            return _NEGATED.get(sub) or (lambda c: not sub(c))
+        if kind is rdl.Or:
+            return _or(self.compile(formula.left, places),
+                       self.compile(formula.right, places))
+        if kind is rdl.Letter:
+            if formula.letter not in self.letters:
+                return False
+            if places.get(formula.var) == 0:
                 letter = formula.letter
                 return lambda c: c[0] == letter
-        elif isinstance(formula, rdl.Leq):
+        elif kind is rdl.Leq:
             if formula.left == formula.right:
-                return lambda c: True
-        elif isinstance(formula, rdl.InSet):
-            if formula.var == pos and formula.setvar in self.so:
+                return True
+            left, right = places.get(formula.left), places.get(formula.right)
+            if left is not None and right is not None:
+                return left <= right
+        elif kind is rdl.InSet:
+            if places.get(formula.var) == 0 and formula.setvar in self.so:
                 x = formula.setvar
                 return lambda c: x in c[1]
-        elif isinstance(formula, rdl.Dist):
-            if formula.var == pos and formula.setvar in self.so:
+        elif kind is rdl.Dist:
+            if places.get(formula.var) == 0 and formula.setvar in self.so:
                 if formula.rel == "=":
                     raise UnsupportedGuardError(
                         "exact-distance tests are outside the compiled fragment")
                 atom = (formula.rel, formula.bound, formula.setvar)
                 self.atoms.add(atom)
                 return lambda c: c[2][atom]
-        elif isinstance(formula, rdl.Not):
-            end = self._end_test(formula)
-            if end is not None:
-                kind, v = end
-                if v != pos:
-                    raise UnsupportedGuardError(
-                        f"{kind}-position test on foreign variable {v!r}")
-                if kind == "first":
-                    return lambda c: c[3]
-                return lambda c: c[4]
-            sub = self.compile(formula.sub, pos)
-            return lambda c: not sub(c)
-        elif isinstance(formula, rdl.Or):
-            left = self.compile(formula.left, pos)
-            right = self.compile(formula.right, pos)
-            return lambda c: left(c) or right(c)
-        elif isinstance(formula, rdl.ExistsFO):
-            v = self._singleton_set(formula)
-            if v is not None and v in self.so:
-                return self._global(("sing", v), ("singleton", v))
-            body = self.compile(formula.sub, formula.var)
-            return self._global(("exists", formula), ("exists", body))
+        elif kind is rdl.ExistsFO:
+            # Compiled once per node and places of the names free in it.
+            # Equal nodes share a number, found by id first: the guards,
+            # alive while the compiler is, repeat their nodes.
+            seen = self._seen.get(id(formula))
+            if seen is None:
+                seen = self._seen[id(formula)] = self._nodes.get(formula)
+                if seen is None:
+                    seen = self._nodes[formula] = (len(self._nodes), rdl.free_vars(formula)[0])
+            number, free = seen
+            placed = frozenset((v, at) for v, at in places.items() if v in free)
+            test = self._placed.get((number, placed))
+            if test is None:
+                test = self._placed[number, placed] = self._exists(formula, placed)
+            return test
         raise UnsupportedGuardError(
             f"guard outside the compiled fragment: {rdl.to_text(formula)}")
+
+    def _exists(self, formula, placed):
+        z, body = formula.var, formula.sub
+        near = [v for v, at in placed if at == 0]
+        if not near:
+            self.parts.append(_call(self.compile(body, {z: 0})))
+            i = len(self.parts) - 1
+            return lambda c: c[5][i]
+        same = self.compile(body, {**dict(placed), z: 0})
+        earlier = self.compile(body, {**dict.fromkeys(near, 1), z: 0})
+        later = self.compile(body, {**dict.fromkeys(near, -1), z: 0})
+        return _or(same, _or(self._fact("past", earlier, _not_first),
+                             self._fact("future", later, _not_last)))
+
+    def _fact(self, kind, test, flag):
+        """Whether some earlier ("past") or later ("future") position
+        passes the test: the flag when every position does, else a fact."""
+        if test is True or test is False:
+            return test and flag
+        self.facts.append((kind, test))
+        i = len(self.facts) - 1
+        return lambda c: c[6][i]
 
 
 _COMPLEMENT = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
@@ -872,7 +872,6 @@ class CompiledFamily:
     average) is the sentence value over the sum0 (or avg0) monoid."""
 
     automaton: TimedAutomaton
-    clock_of: dict
     rates: dict
     weights: dict
 
@@ -888,12 +887,15 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
 
     Set membership is guessed per position; each distance variable gets a
     clock reset at its guessed positions, so past-distance tests become
-    clock guards.  Global parts (closed existentials and singleton
-    tests, at any depth) are guessed up front and verified along the
-    word: a position satisfying a part's body rejects a false guess, and
-    a true guess needs such a position by the final transition.  A
-    body's truth depends only on the guesses of the parts nested in it,
-    so bottom up every guess of an accepting run is correct.
+    clock guards.  Global parts (closed existentials, at any depth) are
+    guessed up front and verified along the word: a position satisfying
+    a part's body rejects a false guess, and a true guess needs such a
+    position by the final transition.  A past fact is held in the state,
+    set after a position passing its test; a future fact is guessed at
+    each position, false at the last, and the guess is held for the next
+    position to check: it must have passed the test or guessed the fact
+    true.  A test's truth depends only on the guesses nested in it, so
+    bottom up every guess of an accepting run is correct.
 
     A location pairs a compiler state with a guessed rate: the left value
     of the next position's branch (the final location has rate 0).  Each
@@ -902,8 +904,8 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
     branch's right value.  A branch with an infinite value gets no edge.
     """
     compiler = _GuardCompiler(so_vars, alphabet)
-    tests = [compiler.compile(guard, posvar) for guard in guards]
-    parts = compiler.parts
+    tests = [_call(compiler.compile(guard, {posvar: 0})) for guard in guards]
+    parts, facts = compiler.parts, compiler.facts
     atoms = sorted(compiler.atoms)
     clock_vars = sorted({a[2] for a in atoms})
     if len(so_vars) > 4 or len(parts) > 4 or len(atoms) > 4:
@@ -912,8 +914,8 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
             f"({len(so_vars)} set variables, {len(parts)} global parts, "
             f"{len(atoms)} distance atoms)")
     clock_of = {x: f"k_{x}" for x in clock_vars}
-    bodies = [(i, p[1]) for i, p in enumerate(parts) if p[0] == "exists"]
-    singletons = [(i, p[1]) for i, p in enumerate(parts) if p[0] == "singleton"]
+    bodies = list(enumerate(parts))
+    future = [i for i, (kind, _) in enumerate(facts) if kind == "future"]
     rates = wrdl._ordered_unique(m for m, mp in values if is_finite(m) and is_finite(mp))
     slots = [rates.index(m) if is_finite(m) and is_finite(mp) else None
              for m, mp in values]
@@ -925,11 +927,25 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
     taus = list(itertools.product((False, True), repeat=len(parts)))
 
     def loc_name(state, slot):
-        phase, tau, wit, counts = state
+        phase, tau, wit, held = state
         tau_s = "".join("1" if b else "0" for b in tau)
         wit_s = "".join("1" if b else "0" for b in wit)
-        cnt_s = "".join(str(k) for k in counts)
-        return f"q{phase}.{tau_s}.{wit_s}.{cnt_s}@{slot}"
+        held_s = "".join("1" if b else "0" for b in held)
+        return f"q{phase}.{tau_s}.{wit_s}.{held_s}@{slot}"
+
+    def advance(held, now, ctx):
+        """The facts held after a position, or None when the position
+        breaks the guess of a future fact held for it (none is held for
+        the first position)."""
+        out = []
+        for (kind, test), was, guess in zip(facts, held, now):
+            if kind == "past":
+                out.append(was or test(ctx))
+            elif ctx[3] or was == (guess or test(ctx)):
+                out.append(guess)
+            else:
+                return None
+        return tuple(out)
 
     guarded = []
     for delta in deltas:
@@ -942,8 +958,7 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
     resets_of = {bits: frozenset(clock_of[x] for x in bits if x in clock_of)
                  for bits in bit_choices}
 
-    starts = [(0, tau, (False,) * len(parts), (0,) * len(singletons))
-              for tau in taus]
+    starts = [(0, tau, (False,) * len(parts), (False,) * len(facts)) for tau in taus]
     seen = set(starts)
     queue = list(starts)
     edges = []
@@ -951,49 +966,52 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
     accept = "acc"
     while queue:
         state = queue.pop()
-        phase, tau, wit, counts = state
-        for letter in alphabet:
-            for bits in bit_choices:
-                resets = resets_of[bits]
-                for delta, guard in guarded:
-                    for last in (False, True):
-                        ctx = (letter, bits, delta, phase == 0, last, tau)
-                        new_wit = list(wit)
-                        rejected = False
-                        for i, body in bodies:
-                            if body(ctx):
-                                if not tau[i]:
-                                    rejected = True
-                                    break
-                                new_wit[i] = True
-                        if rejected:
-                            continue
-                        truths = [test(ctx) for test in tests]
-                        if sum(truths) != 1:
-                            continue
-                        branch = truths.index(True)
-                        if slots[branch] is None:
-                            continue
-                        new_counts = tuple(
-                            min(2, count + (1 if x in bits else 0))
-                            for count, (_, x) in zip(counts, singletons))
-                        if last:
-                            if not (all(new_wit[i] for i, _ in bodies if tau[i])
-                                    and all(tau[i] == (count == 1) for (i, _), count
-                                            in zip(singletons, new_counts))):
+        phase, tau, wit, held = state
+        # the facts at a position: a past one as held, a future one guessed
+        for now in itertools.product(*[(was,) if kind == "past" else (False, True)
+                                       for (kind, _), was in zip(facts, held)]):
+            # a future fact is false at the last position
+            ends = (False,) if any(now[i] for i in future) else (False, True)
+            for letter in alphabet:
+                for bits in bit_choices:
+                    resets = resets_of[bits]
+                    for delta, guard in guarded:
+                        for last in ends:
+                            ctx = (letter, bits, delta, phase == 0, last, tau, now)
+                            new_wit = list(wit)
+                            rejected = False
+                            for i, body in bodies:
+                                if body(ctx):
+                                    if not tau[i]:
+                                        rejected = True
+                                        break
+                                    new_wit[i] = True
+                            if rejected:
                                 continue
-                            targets = [accept]
-                        else:
-                            nxt = (1, tau, tuple(new_wit), new_counts)
-                            if nxt not in seen:
-                                seen.add(nxt)
-                                queue.append(nxt)
-                            targets = [loc_name(nxt, j) for j in range(len(rates))]
-                        source = loc_name(state, slots[branch])
-                        for target in targets:
-                            eid = f"e{len(edges)}"
-                            edges.append(Edge(eid, source, letter, guard, resets, target))
-                            weights[eid] = values[branch][1]
+                            truths = [test(ctx) for test in tests]
+                            if sum(truths) != 1:
+                                continue
+                            branch = truths.index(True)
+                            if slots[branch] is None:
+                                continue
+                            new_held = advance(held, now, ctx) if facts else held
+                            if new_held is None:
+                                continue
+                            if last:
+                                if not all(new_wit[i] for i, _ in bodies if tau[i]):
+                                    continue
+                                targets = [accept]
+                            else:
+                                nxt = (1, tau, tuple(new_wit), new_held)
+                                if nxt not in seen:
+                                    seen.add(nxt)
+                                    queue.append(nxt)
+                                targets = [loc_name(nxt, j) for j in range(len(rates))]
+                            source = loc_name(state, slots[branch])
+                            for target in targets:
+                                eid = f"e{len(edges)}"
+                                edges.append(Edge(eid, source, letter, guard, resets, target))
+                                weights[eid] = values[branch][1]
     locations = {loc_name(s, j): rate for s in sorted(seen) for j, rate in enumerate(rates)}
     locations[accept] = Fraction(0)
     automaton = TimedAutomaton(
@@ -1005,7 +1023,7 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
         edges=tuple(edges),
         unambiguous=False,
     )
-    return CompiledFamily(automaton, clock_of, locations, weights)
+    return CompiledFamily(automaton, locations, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -124,14 +124,14 @@ def rdl_false():
     return Not(rdl_true())
 
 
-def rdl_first(var, z="z0"):
-    """No position z lies strictly before var."""
-    return Not(ExistsFO(z, rdl_and(Leq(z, var), Not(Leq(var, z)))))
+def rdl_first(var):
+    """No position lies strictly before var."""
+    return Not(ExistsFO("z0", rdl_and(Leq("z0", var), Not(Leq(var, "z0")))))
 
 
-def rdl_last(var, z="z0"):
-    """No position z lies strictly after var."""
-    return Not(ExistsFO(z, rdl_and(Leq(var, z), Not(Leq(z, var)))))
+def rdl_last(var):
+    """No position lies strictly after var."""
+    return Not(ExistsFO("z0", rdl_and(Leq(var, "z0"), Not(Leq("z0", var)))))
 
 
 def rdl_singleton(setvar, z, u):

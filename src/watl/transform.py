@@ -194,6 +194,8 @@ class NivatTriple:
         problems = []
         if self.language_class not in LANGUAGE_CLASSES:
             problems.append(f"unknown language class {self.language_class!r}")
+        if len(set(self.gamma)) != len(self.gamma):
+            problems.append("duplicate gamma letters")
         for letter in self.gamma:
             if letter not in self.h:
                 problems.append(f"h undefined on {letter!r}")

@@ -119,6 +119,69 @@ def random_weighted_formula(rng, depth):
     return wrdl.ExistsSO(rng.choice("XY"), random_weighted_formula(rng, depth - 1))
 
 
+def random_comparing_payload(rng, alphabet, var, setvar, names=("z", "u")):
+    """A random test at position var that compares positions: a letter
+    test, a membership or distance test on setvar, or an existential over
+    a position strictly before var, strictly after it, or at or before
+    it, whose body is such a test at that position (bound to the next of
+    names, so no binder shadows another); negated a third of the time."""
+    kinds = ["letter", "letter"]
+    if setvar is not None:
+        kinds += ["member", "dist"]
+    if names:
+        kinds += ["earlier", "later", "upto"]
+    kind = rng.choice(kinds)
+    if kind == "letter":
+        test = rdl.Letter(rng.choice(alphabet), var)
+    elif kind == "member":
+        test = rdl.InSet(setvar, var)
+    elif kind == "dist":
+        test = rdl.Dist(rng.choice(("<", "<=", ">", ">=")), rng.randint(0, 2), setvar, var)
+    else:
+        z = names[0]
+        order = {"earlier": rdl.rdl_and(rdl.Leq(z, var), rdl.Not(rdl.Leq(var, z))),
+                 "later": rdl.rdl_and(rdl.Leq(var, z), rdl.Not(rdl.Leq(z, var))),
+                 "upto": rdl.Leq(z, var)}[kind]
+        body = random_comparing_payload(rng, alphabet, z, setvar, names[1:])
+        test = rdl.ExistsFO(z, rdl.rdl_and(order, body))
+    return rdl.Not(test) if rng.random() < 1 / 3 else test
+
+
+def random_comparing_sentence(rng, alphabet=("a", "b")):
+    """A random restricted sentence all x. (L, R) whose payloads are drawn
+    by ``random_comparing_payload``, under EX X half the time.  Half the
+    time it sits under a weighted existential, ex y. (B(test at y) &
+    all x. (L, R)), whose canonical form tests that the witness set of y
+    is a singleton; L and R then compare x with y instead, the only
+    mention of x that the guard compiler accepts inside ex y."""
+    alphabet = tuple(alphabet)
+    setvar = "X" if rng.random() < 0.5 else None
+    weighted = rng.random() < 0.5
+
+    def payload():
+        if weighted:
+            left, right = rng.sample(("x", "y"), 2)
+            test = rdl.Leq(left, right)
+            return rdl.Not(test) if rng.random() < 0.5 else test
+        return random_comparing_payload(rng, alphabet, "x", setvar)
+
+    def operand(pool):
+        parts = [wrdl.Bool(payload()) if rng.random() < 0.6 else
+                 wrdl.Const(Fraction(rng.choice(pool))) for _ in range(rng.randint(1, 2))]
+        if len(parts) == 1:
+            return parts[0]
+        return (wrdl.Or if rng.random() < 0.5 else wrdl.And)(*parts)
+
+    body = wrdl.Forall("x", operand((0, 1)), operand((0, 2)))
+    if weighted:
+        test = random_comparing_payload(rng, alphabet, "y", setvar)
+        body = wrdl.ExistsFO("y", wrdl.And(wrdl.Bool(test), body))
+    if setvar is not None:
+        body = wrdl.ExistsSO(setvar, body)
+    assert wrdl.wrdl_classify(body).syntactically_restricted
+    return body
+
+
 def brute_free_vars(formula):
     """The structural-recursion oracle for ``rdl.free_vars``."""
     if isinstance(formula, rdl.Letter):
@@ -1231,7 +1294,7 @@ def brute_compile_guard_family(guards, values, alphabet, so_vars, posvar):
         edges=tuple(edges),
         unambiguous=False,
     )
-    return optcost.CompiledFamily(automaton, clock_of, location_rates, weights)
+    return optcost.CompiledFamily(automaton, location_rates, weights)
 
 
 def nivat_compile_guard_family(guards, values, alphabet, so_vars, posvar):
@@ -1262,8 +1325,8 @@ def nivat_compile_guard_family(guards, values, alphabet, so_vars, posvar):
     )
     comp = comp_automaton(triple.gamma, triple.g, monoid_from_id("sum"))
     product = relabel(product_intersect(comp, acceptor), triple.h, tuple(alphabet))
-    return optcost.CompiledFamily(product.base, {x: f"r.{c}" for x, c in clock_of.items()},
-                                  product.location_weights, product.edge_weights)
+    return optcost.CompiledFamily(product.base, product.location_weights,
+                                  product.edge_weights)
 
 
 _ACCEPTANCE = {}

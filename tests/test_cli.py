@@ -252,6 +252,15 @@ def test_letters_holding_a_closing_bracket_are_refused_cleanly(tmp_path):
         "Error: letter 'a]b' holds ']', which a letter test cannot write\n")
 
 
+def test_repeated_alphabet_letters_are_refused_cleanly(tmp_path):
+    formula = put_text(tmp_path, "f.txt", "B(ex x. P[a](x))")
+    result = invoke("to-nivat", "--formula", formula, "--monoid", "sum0",
+                    "--alphabet", "a,a")
+    assert_clean_refusal(result)
+    assert result.stdout == ""
+    assert result.stderr == "Error: repeated alphabet letter\n"
+
+
 # ---------------------------------------------------------------------------
 # Decision commands
 

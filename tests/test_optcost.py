@@ -15,8 +15,8 @@ import pytest
 from conftest import (BruteSearch, brute_bellman_ford, brute_compile_guard_family,
                       brute_corner_graph, check_inf_cost, check_witness_below, grid_minimum,
                       keyed_bellman_ford, nivat_compile_guard_family, outcome,
-                      reachable_regions, region_of, region_reset, region_satisfies, region_zero,
-                      time_successor, wd)
+                      random_comparing_sentence, reachable_regions, region_of, region_reset,
+                      region_satisfies, region_zero, time_successor, wd)
 from watl import fixtures, optcost, rdl, sampling, wrdl
 from watl.core import RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord
 from watl.errors import DomainError, UnsupportedGuardError
@@ -733,7 +733,9 @@ def test_deeply_nested_guards_compile_and_decide():
 @pytest.mark.parametrize("text, alphabet, message", [
     ("EX X. all x. (B(dpast[=1](X, x)), 0)", ("a",),
      "exact-distance tests are outside the compiled fragment"),
-    ("all x. (B(ex y. x <= y), 1)", ("a",), "guard outside the compiled fragment: x <= y"),
+    # inside the cases y < x and y > x, P[a](x) tests the other position
+    ("all x. (B(ex y. (y <= x & P[a](x))), 1)", ("a",),
+     "guard outside the compiled fragment: P[a](x)"),
     # the refusal names the sentence's own letters and set variables
     ("all x. (B(ex y. (P[a](y) & ex z. (P[b](y) & P[a](z)))), 0)", ("a", "b"),
      "guard outside the compiled fragment: P[b](y)"),
@@ -832,6 +834,23 @@ _PROBES = tuple(TimedWord.from_pairs(zip(letters, delays))
                                                 repeat=n))
 
 
+def _check_by_probing(result, sentence, pv, probes=_PROBES):
+    """A yes carries a witness that the sentence values below the
+    threshold; after a no, no probe is valued below it.  On averages the
+    witness and the probes must last a positive time."""
+    positive = pv is AVG0
+    if result.holds:
+        assert result.witness is not None
+        assert wrdl.wrdl_eval(sentence, result.witness, pv) == result.witness_value
+        assert optcost._below(result.witness_value, result.threshold, result.strict)
+        assert result.witness.duration > 0 or not positive
+        return
+    for word in probes:
+        if word.duration > 0 or not positive:
+            value = wrdl.wrdl_eval(sentence, word, pv)
+            assert not optcost._below(value, result.threshold, result.strict)
+
+
 def test_decisions_match_the_full_translation_path(monkeypatch):
     rng = random.Random(5)
     sentences = [sampling.random_restricted_sentence(rng) for _ in range(200)]
@@ -857,23 +876,14 @@ def test_decisions_match_the_full_translation_path(monkeypatch):
     nested = []
     for k, (result, oracle) in enumerate(zip(got, want)):
         sentence = sentences[k // 2]
-        pv, positive = (SUM0, False) if k % 2 == 0 else (AVG0, True)
-        if result.holds:
-            assert result.witness is not None
-            assert wrdl.wrdl_eval(sentence, result.witness, pv) == result.witness_value
-            assert optcost._below(result.witness_value, result.threshold, result.strict)
-            assert result.witness.duration > 0 or not positive
+        pv = SUM0 if k % 2 == 0 else AVG0
         if not (isinstance(oracle, tuple) and oracle[0] is UnsupportedGuardError
                 and oracle[1].startswith(_NESTED)):
+            _check_by_probing(result, sentence, pv, probes=())
             assert dataclasses.replace(result, witness=None, witness_value=None) == oracle
             continue
         nested.append(result)
-        if result.holds:
-            continue
-        for word in _PROBES:
-            if word.duration > 0 or not positive:
-                value = wrdl.wrdl_eval(sentence, word, pv)
-                assert not optcost._below(value, result.threshold, result.strict)
+        _check_by_probing(result, sentence, pv)
     assert len(nested) >= 20
     assert {r.holds for r in nested} == {False, True}
     assert sum(r.holds for r in got) >= 100
@@ -899,11 +909,70 @@ def test_a_shadowed_binder_is_not_read_as_a_singleton_test():
     assert result.witness_value == wrdl.wrdl_eval(sentence, result.witness, SUM0)
 
 
+# Existentials over an earlier, a later or any position: each compiles
+# as the disjunction of z = x, z < x (a past fact) and z > x (a future
+# fact), where a case may fold to a flag or drop out.
+_COMPARING = (
+    "all x. (B(ex y. x <= y), 1)",
+    "all x. (B(ex z. (z <= x & !(x <= z) & P[a](z))), 1)",
+    "all x. (B(ex z. (x <= z & !(z <= x) & P[b](z))) | B(P[a](x)), 2)",
+    "all x. (B(!(ex z. (x <= z & !(z <= x) & P[b](z)))), 1)",
+    "EX X. all x. (B(ex z. (z <= x & X(z) & !(ex u. (u <= z & !(z <= u) & X(u))))), 1"
+    " | B(X(x)))",
+    "all x. (B(ex z. (z <= x & !(x <= z) & ex u. (u <= z & !(z <= u) & P[b](u)))), 1)",
+)
+
+
+def test_existentials_that_compare_positions_decide():
+    words = random.Random(18)
+    for text in _COMPARING:
+        sentence = wrdl.parse_wrdl(text)
+        canonical = wrdl.canonicalize(sentence, SUM0)
+        summed = compile_guard_family(
+            canonical.guards, tuple(zip(canonical.left, canonical.right)), ("a", "b"),
+            canonical.so_vars, canonical.var).weighted(monoid_from_id("sum"))
+        for _ in range(150):
+            word = sampling.random_word(words, ("a", "b"), max_len=4)
+            assert behavior(summed, word) == wrdl.wrdl_eval(sentence, word, SUM0)
+        for theta in (Fraction(0), Fraction(1), Fraction(2), Fraction(7, 2)):
+            _check_by_probing(decide_sum_threshold(sentence, ("a", "b"), theta), sentence, SUM0)
+            _check_by_probing(decide_avg_threshold(sentence, ("a", "b"), theta), sentence, AVG0)
+
+
+def test_comparing_payloads_compile_to_the_sentence_values():
+    rng = random.Random(7)
+    thetas = (Fraction(0), Fraction(1), Fraction(2), Fraction(7, 2))
+    facts = holds = weighted = 0
+    for k in range(40):
+        sentence = random_comparing_sentence(rng)
+        weighted += "ex y." in wrdl.to_text(sentence)  # a singleton part
+        canonical = wrdl.canonicalize(sentence, SUM0)
+        family = compile_guard_family(
+            canonical.guards, tuple(zip(canonical.left, canonical.right)), ("a", "b"),
+            canonical.so_vars, canonical.var)
+        # a location q<phase>.<tau>.<wit>.<facts>@<slot> names the facts held
+        facts += any(name.split("@")[0].split(".")[3] for name in family.automaton.initial)
+        summed = family.weighted(monoid_from_id("sum"))
+        words = random.Random(k)
+        for _ in range(10):
+            word = sampling.random_word(words, ("a", "b"), max_len=4)
+            assert behavior(summed, word) == wrdl.wrdl_eval(sentence, word, SUM0)
+        decide, pv = ((decide_sum_threshold, SUM0), (decide_avg_threshold, AVG0))[k % 2]
+        result = decide(sentence, ("a", "b"), thetas[k % 4])
+        _check_by_probing(result, sentence, pv)
+        holds += result.holds
+    assert facts >= 20 and weighted >= 10
+    assert 10 <= holds <= 30
+
+
 def test_guard_families_match_the_per_state_guard_construction():
     rng = random.Random(5)
     sentences = [sampling.random_restricted_sentence(rng) for _ in range(200)]
     # The sampler draws no weighted existential, so no pool family has a
-    # singleton test; the first of these has one, the second a lookalike.
+    # singleton test.  The first of these has one, which the compiler
+    # reads through a past and a future fact and the oracle through a
+    # counter, so their automata differ by design; the second has a
+    # lookalike.  Both are checked by behavior.
     sentences += [wrdl.parse_wrdl("ex x. B(P[a](x))"), wrdl.parse_wrdl(_SHADOWED)]
     compiled = nested = 0
     values = []
@@ -918,20 +987,22 @@ def test_guard_families_match_the_per_state_guard_construction():
                 with pytest.raises(UnsupportedGuardError, match=re.escape(str(exc))):
                     compile_guard_family(*args)
                 continue
-            # The oracle refuses a nested existential: check the compiled
-            # family's behavior against the sentence value.
-            got = compile_guard_family(*args)
-            summed = got.weighted(monoid_from_id("sum"))
-            words = random.Random(k)
-            for _ in range(60):
-                word = sampling.random_word(words, ("a", "b"), max_len=4)
-                values.append(behavior(summed, word))
-                assert values[-1] == wrdl.wrdl_eval(sentence, word, SUM0)
-            nested += 1
-            continue
+            want = None
         got = compile_guard_family(*args)
-        assert got == want
-        compiled += bool(got.automaton.clocks)
+        if want is not None and k < 200:
+            assert got == want
+            compiled += bool(got.automaton.clocks)
+            continue
+        # The oracle refuses a nested existential, or builds a singleton
+        # test its own way: check the compiled family's behavior against
+        # the sentence value.
+        summed = got.weighted(monoid_from_id("sum"))
+        words = random.Random(k)
+        for _ in range(60):
+            word = sampling.random_word(words, ("a", "b"), max_len=4)
+            values.append(behavior(summed, word))
+            assert values[-1] == wrdl.wrdl_eval(sentence, word, SUM0)
+        nested += 1
     assert compiled >= 40
     assert nested >= 10
     finite = sum(map(is_finite, values))

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (ambiguous_counting_triple, brute_nivat_eval, brute_product_intersect,
                       collapsed_triple, wd)
-from watl import fixtures, sampling
+from watl import fixtures, rdl, sampling
 from watl.core import (
     ClockConstraint,
     Edge,
@@ -18,7 +18,7 @@ from watl.core import (
     classify_automaton,
     enumerate_runs,
 )
-from watl.errors import PreimageCapError, UnsoundCompositionError
+from watl.errors import ModelValidationError, PreimageCapError, UnsoundCompositionError
 from watl.monoids import WeightPairWord, monoid_from_id, sum_over, valuate
 from watl.transform import (
     NivatTriple,
@@ -315,3 +315,13 @@ def test_triple_validation_checks_the_language_class():
     with pytest.raises(Exception, match="sequential"):
         NivatTriple(("a",), {"a": "a"}, {"a": (Fraction(0), Fraction(0))},
                     ambiguous, "sequential")
+
+
+def test_triple_validation_refuses_repeated_gamma_letters():
+    # Listed twice, c would be enumerated twice as a preimage of a, and
+    # over prod the value of (a,1) would double from 2 to 4.
+    g = {"c": (Fraction(0), Fraction(2))}
+    once = NivatTriple(("c",), {"c": "a"}, g, rdl.rdl_true(), "sentence")
+    assert nivat_eval(once, wd(("a", 1)), monoid_from_id("prod")) == 2
+    with pytest.raises(ModelValidationError, match="duplicate gamma letters"):
+        NivatTriple(("c", "c"), {"c": "a"}, g, rdl.rdl_true(), "sentence")
