@@ -57,8 +57,9 @@ class PreimageCapError(WatlError):
 class UnsupportedGuardError(WatlError):
     """Raised when a canonical guard cannot be compiled to an automaton.
 
-    The decision procedures compile canonical guard families directly to
-    timed automata and support only guards built from positionwise atoms
-    and first-order existentials that are closed or compare their bound
-    position with the tested one by ``<=`` alone.
+    The decision procedures compile canonical guard families of any size
+    directly to timed automata.  They refuse a set quantifier inside a
+    guard, and a first-order existential whose body tests the position
+    outside it other than by ``<=`` with its bound one, or mentions a
+    position two binders out.
     """

@@ -762,9 +762,10 @@ class _GuardCompiler:
     A test compiles at places: a map from each name of the position to 0
     and, inside a case below, from each name of one other position to 1
     (after it) or -1 (before it).  Leaves: a letter test, membership in
-    a prefix set variable and a past-distance test (a clock comparison)
-    at the position, and ``<=`` between placed names.  A test of a letter
-    outside the alphabet is false at any position.
+    a prefix set variable and a past-distance test (a clock comparison;
+    ``=`` is ``<=`` and ``>=``) at the position, and ``<=`` between placed
+    names.  A test of a letter outside the alphabet is false at any
+    position.
 
     An ``ex z. f`` whose body mentions the position is the disjunction of
     z = x (f with z a second name of x), z < x (a past fact: some earlier
@@ -816,8 +817,9 @@ class _GuardCompiler:
         elif kind is rdl.Dist:
             if places.get(formula.var) == 0 and formula.setvar in self.so:
                 if formula.rel == "=":
-                    raise UnsupportedGuardError(
-                        "exact-distance tests are outside the compiled fragment")
+                    bound, x, var = formula.bound, formula.setvar, formula.var
+                    return self.compile(rdl.rdl_and(rdl.Dist("<=", bound, x, var),
+                                                    rdl.Dist(">=", bound, x, var)), places)
                 atom = (formula.rel, formula.bound, formula.setvar)
                 self.atoms.add(atom)
                 return lambda c: c[2][atom]
@@ -908,11 +910,6 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
     parts, facts = compiler.parts, compiler.facts
     atoms = sorted(compiler.atoms)
     clock_vars = sorted({a[2] for a in atoms})
-    if len(so_vars) > 4 or len(parts) > 4 or len(atoms) > 4:
-        raise UnsupportedGuardError(
-            "guard family too large for the compiled fragment "
-            f"({len(so_vars)} set variables, {len(parts)} global parts, "
-            f"{len(atoms)} distance atoms)")
     clock_of = {x: f"k_{x}" for x in clock_vars}
     bodies = list(enumerate(parts))
     future = [i for i, (kind, _) in enumerate(facts) if kind == "future"]

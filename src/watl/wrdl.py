@@ -620,8 +620,9 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
             inner = _freshen(inner, names, avoid_fo=frozenset([node.var]))
             witness = names.fresh("S")
             singleton = rdl.rdl_singleton(witness, names.fresh("y"), names.fresh("y"))
+            # the singleton test already says some position is in the set
             guards = tuple(
-                rdl.rdl_and(singleton,
+                rdl.rdl_and(singleton, g if node.var not in rdl.free_vars(g)[0] else
                             rdl.ExistsFO(node.var,
                                          rdl.rdl_and(rdl.InSet(witness, node.var), g)))
                 for g in inner.guards)

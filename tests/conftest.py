@@ -136,7 +136,7 @@ def random_comparing_payload(rng, alphabet, var, setvar, names=("z", "u")):
     elif kind == "member":
         test = rdl.InSet(setvar, var)
     elif kind == "dist":
-        test = rdl.Dist(rng.choice(("<", "<=", ">", ">=")), rng.randint(0, 2), setvar, var)
+        test = rdl.Dist(rng.choice(("<", "<=", "=", ">", ">=")), rng.randint(0, 2), setvar, var)
     else:
         z = names[0]
         order = {"earlier": rdl.rdl_and(rdl.Leq(z, var), rdl.Not(rdl.Leq(var, z))),

@@ -232,6 +232,19 @@ def test_to_nivat_and_back(tmp_path):
     assert wrdl.wrdl_classify(parsed).syntactically_restricted
 
 
+def test_a_back_translation_decides(tmp_path):
+    # The README example's way back has a guard family of 2 set variables
+    # and 5 global parts.
+    formula = put_text(tmp_path, "f.txt", "B(ex x. P[a](x))")
+    forth = invoke("to-nivat", "--formula", formula, "--monoid", "sum0", "--alphabet", "a,b")
+    triple = put_text(tmp_path, "triple.json", forth.stdout)
+    back = invoke("from-nivat", "--triple", triple, "--monoid", "sum0")
+    formula = put_text(tmp_path, "back.txt", json.loads(back.stdout)["formula"])
+    result = invoke("decide", "--formula", formula, "--monoid", "sum0", "--theta", "2")
+    assert result.exit_code == 0
+    assert result.stdout == '{"exists":true,"witness":[["a","0"]]}\n'
+
+
 def test_wide_canonical_sentences_translate_or_are_refused_cleanly(tmp_path):
     formula = put_text(tmp_path, "f.txt", WIDE_UNIVERSAL)
     result = invoke("to-nivat", "--formula", formula, "--monoid", "sum0", "--alphabet", "a")
