@@ -881,6 +881,7 @@ class CompiledFamily:
         return WeightedTimedAutomaton(self.automaton, monoid, self.rates, self.weights)
 
 
+@rdl.refuse_deep
 def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledFamily:
     """Compile a canonical guard family with its (left, right) branch
     values into a timed automaton over ``alphabet`` with one accepting
@@ -904,6 +905,8 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
     consistent position context fires, from the location holding its
     branch's left value, one edge per guessed next rate, weighted by its
     branch's right value.  A branch with an infinite value gets no edge.
+    A guard nested deeper than the interpreter's recursion limit is
+    refused with a ``WatlError``.
     """
     compiler = _GuardCompiler(so_vars, alphabet)
     tests = [_call(compiler.compile(guard, {posvar: 0})) for guard in guards]

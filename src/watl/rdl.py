@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce, wraps
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import _COMPARE, RELATIONS, TimedWord
@@ -155,17 +156,6 @@ def big_and(parts):
 # Structural utilities
 
 
-def iter_subformulas(formula) -> Iterator:
-    yield formula
-    if isinstance(formula, Not):
-        yield from iter_subformulas(formula.sub)
-    elif isinstance(formula, Or):
-        yield from iter_subformulas(formula.left)
-        yield from iter_subformulas(formula.right)
-    elif isinstance(formula, (ExistsFO, ExistsSO)):
-        yield from iter_subformulas(formula.sub)
-
-
 class _Shape(NamedTuple):
     """What the shared walk needs to know of one node class."""
 
@@ -253,6 +243,11 @@ def _free_vars(formula, syntax: _Syntax) -> tuple:
 def free_vars(formula):
     """(free first-order vars, free second-order vars)."""
     return _free_vars(formula, _SYNTAX)
+
+
+def iter_subformulas(formula) -> Iterator:
+    """The subformulas of a formula, itself first, top-down and left to right."""
+    return map(itemgetter(0), _walk(formula, _SYNTAX))
 
 
 def dist_vars(formula) -> frozenset:
@@ -741,7 +736,6 @@ class RdlClassification:
     exists_rdl_past_sentence: bool
 
 
-@refuse_deep
 def classify(formula) -> RdlClassification:
     """Fragment membership used by the weighted logic.
 
@@ -751,12 +745,6 @@ def classify(formula) -> RdlClassification:
     EX X1. ... EX Xm. body where {X1..Xm} is exactly the set of distance
     variables of the body and the body is in the past fragment.
     """
-    return _classify(formula)
-
-
-def _classify(formula) -> RdlClassification:
-    """``classify`` letting a RecursionError through, for callers that
-    refuse deep formulas with an error of their own (the parsers)."""
     fo, so = free_vars(formula)
     dvars = dist_vars(formula)
     is_sentence = not fo and not so

@@ -232,8 +232,8 @@ def nivat_decompose(automaton: WeightedTimedAutomaton) -> NivatTriple:
     the (source rate, edge weight) pair.  The language automaton is the
     input relabeled by edge id.  Multiple initial locations would break
     sequentiality, so a fresh initial location inheriting copies of all
-    edges leaving initial locations is added in that case; this preserves
-    the language because runs are non-empty.
+    edges leaving initial locations, under edge ids not in use, is added
+    in that case; this preserves the language because runs are non-empty.
     """
     base = automaton.base
     gamma = tuple(e.id for e in base.edges)
@@ -249,9 +249,14 @@ def nivat_decompose(automaton: WeightedTimedAutomaton) -> NivatTriple:
         while fresh in base.locations:
             fresh = "_" + fresh
         starts = set(base.initial)
+        used = set(gamma)
         for e in base.edges:
             if e.source in starts:
-                edges.append(Edge(f"{e.id}@start", fresh, e.id, e.guard, e.resets, e.target))
+                eid = f"{e.id}@start"
+                while eid in used:
+                    eid = "_" + eid
+                used.add(eid)
+                edges.append(Edge(eid, fresh, e.id, e.guard, e.resets, e.target))
         locations = (fresh,) + base.locations
         initial = (fresh,)
     language = TimedAutomaton(
@@ -263,9 +268,6 @@ def nivat_decompose(automaton: WeightedTimedAutomaton) -> NivatTriple:
         edges=tuple(edges),
         unambiguous=True,
     )
-    flags = classify_automaton(language)
-    if not flags["sequential"]:
-        raise WatlError("decomposition produced a non-sequential language component")
     return NivatTriple(gamma, h, g, language, "sequential")
 
 

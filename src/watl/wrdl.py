@@ -120,7 +120,7 @@ def validate_formula(formula, monoid: Optional[TimedPvMonoid] = None) -> None:
     problems = []
     for node in iter_nodes(formula):
         if isinstance(node, Bool):
-            if not rdl._classify(node.payload).in_rdl_past:
+            if not rdl.classify(node.payload).in_rdl_past:
                 problems.append(
                     f"boolean payload {rdl.to_text(node.payload)} leaves the past fragment")
         elif isinstance(node, Const):
@@ -243,9 +243,9 @@ def parse_wrdl(text: str, monoid: Optional[TimedPvMonoid] = None):
     monoid is given, constant domains."""
     try:
         formula = _WParser(rdl._tokenize(text, _LEXICON)).parse()
-        validate_formula(formula, monoid)
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
+    validate_formula(formula, monoid)
     return formula
 
 
@@ -580,12 +580,11 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
                     right.append(v2)
             return CanonicalSentence((), node.var, tuple(guards), tuple(left), tuple(right))
         if isinstance(node, And):
+            # restricted and not almost boolean, so one operand is a test
             if isinstance(node.left, Bool):
                 test, rest = node.left, node.right
-            elif isinstance(node.right, Bool):
-                test, rest = node.right, node.left
             else:
-                raise FragmentError("conjunction without a boolean operand")
+                test, rest = node.right, node.left
             inner = canon(rest)
             pf_fo, pf_so = rdl.free_vars(test.payload)
             inner = _freshen(inner, names, avoid_fo=pf_fo, avoid_so=pf_so)
@@ -615,22 +614,21 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
             inner = _freshen(inner, names, avoid_so=frozenset([node.setvar]))
             return CanonicalSentence((node.setvar,) + inner.so_vars, inner.var,
                                      inner.guards, inner.left, inner.right)
-        if isinstance(node, ExistsFO):
-            inner = canon(node.sub)
-            inner = _freshen(inner, names, avoid_fo=frozenset([node.var]))
-            witness = names.fresh("S")
-            singleton = rdl.rdl_singleton(witness, names.fresh("y"), names.fresh("y"))
-            # the singleton test already says some position is in the set
-            guards = tuple(
-                rdl.rdl_and(singleton, g if node.var not in rdl.free_vars(g)[0] else
-                            rdl.ExistsFO(node.var,
-                                         rdl.rdl_and(rdl.InSet(witness, node.var), g)))
-                for g in inner.guards)
-            guards += (rdl.Not(singleton),)
-            return CanonicalSentence((witness,) + inner.so_vars, inner.var, guards,
-                                     inner.left + (monoid.one,),
-                                     inner.right + (monoid.zero,))
-        raise FragmentError(f"cannot canonicalize {to_text(node)}")
+        # every other kind of node is handled above: this is an ExistsFO
+        inner = canon(node.sub)
+        inner = _freshen(inner, names, avoid_fo=frozenset([node.var]))
+        witness = names.fresh("S")
+        singleton = rdl.rdl_singleton(witness, names.fresh("y"), names.fresh("y"))
+        # the singleton test already says some position is in the set
+        guards = tuple(
+            rdl.rdl_and(singleton, g if node.var not in rdl.free_vars(g)[0] else
+                        rdl.ExistsFO(node.var,
+                                     rdl.rdl_and(rdl.InSet(witness, node.var), g)))
+            for g in inner.guards)
+        guards += (rdl.Not(singleton),)
+        return CanonicalSentence((witness,) + inner.so_vars, inner.var, guards,
+                                 inner.left + (monoid.one,),
+                                 inner.right + (monoid.zero,))
 
     return canon(formula)
 
@@ -678,7 +676,6 @@ def relabeled_guards(canonical: CanonicalSentence, gamma, h) -> tuple:
     return tuple(rdl._rebuild(guard, relabel({})) for guard in canonical.guards)
 
 
-@rdl.refuse_deep
 def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
                       monoid) -> NivatTriple:
     """Present a canonical sentence as a Nivat triple.
@@ -689,10 +686,9 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     agree with the branch the guards select; its models correspond to the
     choice functions the canonical semantics sums over, so folding with
     val o g and projecting through h recovers the sentence's semantics
-    (duplicate choices collapse by idempotence).  A guard family too
-    large for the recursive fragment check is refused with a
-    ``WatlError``, and so is a letter holding ``]``, which the syntax
-    of letter tests cannot write.
+    (duplicate choices collapse by idempotence).  A letter holding ``]``,
+    which the syntax of letter tests cannot write, is refused with a
+    ``WatlError``.
     """
     monoid = _require_pv(monoid)
     for a in alphabet:

@@ -205,6 +205,32 @@ def brute_free_vars(formula):
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def brute_dist_vars(formula):
+    """The structural-recursion oracle for ``rdl.dist_vars``."""
+    if isinstance(formula, rdl.Dist):
+        return frozenset([formula.setvar])
+    if isinstance(formula, (rdl.Letter, rdl.Leq, rdl.InSet)):
+        return frozenset()
+    if isinstance(formula, (rdl.Not, rdl.ExistsFO, rdl.ExistsSO)):
+        return brute_dist_vars(formula.sub)
+    if isinstance(formula, rdl.Or):
+        return brute_dist_vars(formula.left) | brute_dist_vars(formula.right)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def brute_so_quantified_vars(formula):
+    """The structural-recursion oracle for ``rdl.so_quantified_vars``."""
+    if isinstance(formula, rdl.ExistsSO):
+        return brute_so_quantified_vars(formula.sub) | {formula.setvar}
+    if isinstance(formula, (rdl.Letter, rdl.Leq, rdl.InSet, rdl.Dist)):
+        return frozenset()
+    if isinstance(formula, (rdl.Not, rdl.ExistsFO)):
+        return brute_so_quantified_vars(formula.sub)
+    if isinstance(formula, rdl.Or):
+        return brute_so_quantified_vars(formula.left) | brute_so_quantified_vars(formula.right)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
 def brute_wrdl_free_vars(formula):
     """The structural-recursion oracle for ``wrdl.free_vars``."""
     if isinstance(formula, wrdl.Bool):

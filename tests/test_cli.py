@@ -245,14 +245,13 @@ def test_a_back_translation_decides(tmp_path):
     assert result.stdout == '{"exists":true,"witness":[["a","0"]]}\n'
 
 
-def test_wide_canonical_sentences_translate_or_are_refused_cleanly(tmp_path):
+def test_wide_canonical_sentences_translate(tmp_path):
     formula = put_text(tmp_path, "f.txt", WIDE_UNIVERSAL)
     result = invoke("to-nivat", "--formula", formula, "--monoid", "sum0", "--alphabet", "a")
-    if result.exit_code == 0:
-        assert json.loads(result.stdout)["class"] == "sentence"
-    else:
-        assert_clean_refusal(result)
-        assert result.stderr.startswith("Error: ")
+    assert result.exit_code == 0
+    triple = json.loads(result.stdout)
+    assert len(triple["gamma"]) == 9
+    assert triple["class"] == "sentence"
 
 
 def test_letters_holding_a_closing_bracket_are_refused_cleanly(tmp_path):
@@ -464,6 +463,15 @@ def test_bad_assignment_positions_are_refused_cleanly(tmp_path, positions):
                     "--assign", assign)
     assert_clean_refusal(result)
     assert "'X'" in result.stderr
+
+
+@pytest.mark.parametrize("monoid", ["sum0", "avg0"])
+def test_deciding_formulas_too_deep_to_compile_is_refused_cleanly(tmp_path, monoid):
+    text = "B(ex x. " + " & ".join(["P[a](x)"] * 400) + ")"
+    formula = put_text(tmp_path, "f.txt", text)
+    result = invoke("decide", "--formula", formula, "--monoid", monoid, "--theta", "1")
+    assert_clean_refusal(result)
+    assert result.stderr == "Error: formula nested too deeply\n"
 
 
 def test_deeply_nested_formulas_are_refused_cleanly(tmp_path):

@@ -1,6 +1,7 @@
 """Concrete syntax of both logics: the exact messages of malformed input,
 parse(to_text(f)) == f on random formulas, and the shared walk behind
-printing and free variables against the structural-recursion oracles."""
+printing, free variables and the fragment facts against the
+structural-recursion oracles."""
 
 import random
 from dataclasses import fields, is_dataclass, replace
@@ -8,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (brute_free_vars, brute_to_text, brute_wrdl_free_vars,
-                      brute_wrdl_to_text, outcome, random_rdl_formula,
-                      random_weighted_formula)
+from conftest import (brute_dist_vars, brute_free_vars, brute_so_quantified_vars,
+                      brute_to_text, brute_wrdl_free_vars, brute_wrdl_to_text, outcome,
+                      random_rdl_formula, random_weighted_formula)
 from watl import rdl, wrdl
 from watl.errors import ParseError
 from watl.weights import INF, NEG_INF
@@ -154,7 +155,9 @@ def _shadows(node, bound=frozenset()):
 def test_the_walk_matches_the_recursive_oracles(logic):
     if logic == "rdl":
         draw = lambda rng: random_rdl_formula(rng, depth=5)
-        pairs = ((rdl.free_vars, brute_free_vars), (rdl.to_text, brute_to_text))
+        pairs = ((rdl.free_vars, brute_free_vars), (rdl.to_text, brute_to_text),
+                 (rdl.dist_vars, brute_dist_vars),
+                 (rdl.so_quantified_vars, brute_so_quantified_vars))
         junks = ("junk", 7, wrdl.Const(Fraction(1)))
     else:
         draw = lambda rng: random_weighted_formula(rng, depth=4)

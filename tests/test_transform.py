@@ -29,8 +29,9 @@ from watl.transform import (
     product_intersect,
     relabel,
 )
+from watl.serialize import triple_from_dict, triple_to_dict
 from watl.weights import INF
-from watl.wta import behavior
+from watl.wta import WeightedTimedAutomaton, behavior
 
 
 def preimage_sum(automaton, mapping, word, monoid):
@@ -210,6 +211,23 @@ def test_decompose_uses_edge_identities_as_letters():
     assert triple.language_class == "sequential"
     assert classify_automaton(triple.language)["sequential"]
     assert len(triple.language.initial) == 1
+
+
+def test_decomposed_start_copies_take_edge_ids_not_in_use():
+    # a@start already names an edge, so the start copy of edge a needs another id
+    true = ClockConstraint.true()
+    base = TimedAutomaton(("a",), ("p", "q", "r"), (), ("p", "q"), ("r",),
+                          (Edge("a", "p", "a", true, frozenset(), "r"),
+                           Edge("a@start", "q", "a", true, frozenset(), "r")))
+    automaton = WeightedTimedAutomaton(base, monoid_from_id("sum"),
+                                       {"p": Fraction(1), "q": Fraction(2), "r": Fraction(0)},
+                                       {"a": Fraction(0), "a@start": Fraction(5)})
+    triple = nivat_decompose(automaton)
+    ids = [e.id for e in triple.language.edges]
+    assert ids == ["a", "a@start", "_a@start", "a@start@start"]
+    assert triple_from_dict(triple_to_dict(triple)) == triple
+    word = wd(("a", 3))
+    assert nivat_eval(triple, word, automaton.monoid) == behavior(automaton, word) == 3
 
 
 def test_decomposed_runs_stay_accepted():

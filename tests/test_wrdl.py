@@ -1,6 +1,7 @@
 """Weighted distance logic: semantics, fragments, and both translations."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from watl import rdl, sampling, wrdl
 from watl.errors import DomainError, FragmentError, ParseError, WatlError
 from watl.fixtures import average_cost_sentence, squared_length_sentence
 from watl.monoids import monoid_from_id
+from watl.optcost import decide_avg_threshold, decide_sum_threshold
 from watl.transform import NivatTriple, nivat_eval
 from watl.weights import INF
 from watl.wrdl import (
@@ -103,7 +105,6 @@ def test_formulas_too_deep_to_recurse_are_walked():
         assert rdl.to_text(renamed) == text.replace("(x)", "(y)")
         relettered = rdl.map_letter_atoms(formula, lambda a, var: rdl.Letter("b", var))
         assert rdl.to_text(relettered) == f"(ex x. {text})".replace("P[a]", "P[b]")
-        assert wrdl_classify(Bool(formula)) == WrdlClassification(True, True, True)
 
 
 def test_guards_too_deep_to_recurse_are_relabeled():
@@ -120,24 +121,109 @@ def test_guards_too_deep_to_recurse_are_relabeled():
     assert rdl.to_text(second) == f"!({text.replace('Z1', 'Z2')})"
 
 
-def test_formulas_too_deep_to_walk_are_refused_cleanly():
-    # parse_rdl accepts 400 conjuncts, but each & is !(!a | !b), which
-    # nests deeper than the recursive evaluators and classifiers can follow
+_NONE, _X, _XS = frozenset(), frozenset("x"), frozenset("X")
+
+
+def _check_classify(deep, dist, text):
+    answer = rdl.RdlClassification
+    assert rdl.classify(deep) == answer(_NONE, _NONE, _NONE, True, True, True)
+    assert rdl.classify(deep.sub) == answer(_NONE, _X, _NONE, False, True, False)
+    assert rdl.classify(dist) == answer(_XS, _NONE, _NONE, True, False, True)
+    assert rdl.classify(dist.sub) == answer(_XS, _NONE, _XS, False, True, False)
+
+
+def _check_dist_vars(deep, dist, text):
+    assert (rdl.dist_vars(deep), rdl.dist_vars(dist)) == (_NONE, _XS)
+
+
+def _check_so_quantified_vars(deep, dist, text):
+    assert (rdl.so_quantified_vars(deep), rdl.so_quantified_vars(dist)) == (_NONE, _XS)
+
+
+def _check_subformulas(deep, dist, text):
+    nodes = list(rdl.iter_subformulas(deep))
+    assert nodes[0] is deep and nodes[1] is deep.sub
+    kinds = Counter(type(node) for node in nodes)
+    assert kinds == {rdl.ExistsFO: 1, rdl.Letter: 400, rdl.Or: 399, rdl.Not: 3 * 399}
+
+
+def _check_validate_formula(deep, dist, text):
+    assert wrdl.validate_formula(Bool(deep), SUM0) is None
+    with pytest.raises(FragmentError, match="leaves the past fragment"):
+        wrdl.validate_formula(Bool(dist), SUM0)
+
+
+def _check_wrdl_classify(deep, dist, text):
+    assert wrdl_classify(Bool(deep)) == WrdlClassification(True, True, True)
+
+
+def _check_parse_wrdl(deep, dist, text):
+    assert to_text(parse_wrdl("B(" + text + ")", SUM0)) == to_text(Bool(deep))
+
+
+def _check_canonicalize(deep, dist, text):
+    canonical = canonicalize(Bool(deep), SUM0)
+    assert canonical.guards[0] is deep and canonical.guards[1] == rdl.Not(deep)
+    assert (canonical.so_vars, canonical.var) == ((), "y0")
+    assert canonical.left == (SUM0.one, SUM0.one) and canonical.right == (SUM0.one, SUM0.zero)
+
+
+def _check_sentence_to_nivat(deep, dist, text):
+    triple = sentence_to_nivat(canonicalize(Bool(deep), SUM0), ("a",), SUM0)
+    assert (triple.gamma, triple.h, triple.language_class) == (("a|0|0",), {"a|0|0": "a"},
+                                                              "sentence")
+    language = rdl.to_text(triple.language)
+    assert (language.count("P[a|0|0](x)"), language.count("P[a]")) == (800, 0)
+    assert rdl.classify(triple.language).exists_rdl_past_sentence
+
+
+def _check_nivat_to_sentence(deep, dist, text):
+    triple = sentence_to_nivat(canonicalize(Bool(deep), SUM0), ("a",), SUM0)
+    back = nivat_to_sentence(triple, SUM0)
+    assert wrdl_classify(back) == WrdlClassification(True, False, True)
+    # each letter test of the guard and its negation reads the guessed set
+    assert to_text(back).count("(P[a](x)) | !(X0(x))") == 800
+
+
+# Each & of the chain is !(!a | !b), so 400 conjuncts nest deeper than
+# the interpreter's recursion limit.  Every entry point that walks a
+# formula answers; the ones that compile it recursively refuse it.
+DEEP_ANSWERS = {
+    "classify": _check_classify,
+    "dist_vars": _check_dist_vars,
+    "so_quantified_vars": _check_so_quantified_vars,
+    "iter_subformulas": _check_subformulas,
+    "validate_formula": _check_validate_formula,
+    "wrdl_classify": _check_wrdl_classify,
+    "parse_wrdl": _check_parse_wrdl,
+    "canonicalize": _check_canonicalize,
+    "sentence_to_nivat": _check_sentence_to_nivat,
+    "nivat_to_sentence": _check_nivat_to_sentence,
+}
+
+DEEP_REFUSALS = {
+    "wrdl_eval": lambda deep: wrdl_eval(Bool(deep), wd(("a", 1)), SUM0),
+    "model_check": lambda deep: rdl.model_check(deep, wd(("a", 1))),
+    "decide_sum_threshold": lambda deep: decide_sum_threshold(Bool(deep), ("a",), 1),
+    "decide_avg_threshold": lambda deep: decide_avg_threshold(Bool(deep), ("a",), 1),
+}
+
+
+@pytest.mark.parametrize("entry", DEEP_ANSWERS)
+def test_formulas_too_deep_to_recurse_are_answered(entry):
     text = "ex x. " + " & ".join(["P[a](x)"] * 400)
-    deep = rdl.parse_rdl(text)
-    word = wd(("a", 1))
-    calls = (lambda: wrdl_eval(Bool(deep), word, SUM0),
-             lambda: canonicalize(Bool(deep), SUM0),
-             lambda: rdl.classify(deep),
-             lambda: rdl.model_check(deep, word))
-    for call in calls:
-        with pytest.raises(WatlError) as info:
-            call()
-        assert type(info.value) is WatlError
-        assert str(info.value) == "formula nested too deeply"
-    # the parser still refuses the same formula with a ParseError
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse_wrdl("B(" + text + ")", SUM0)
+    # the chain with a distance test on X for its last conjunct, behind EX X.
+    dist = rdl.parse_rdl("EX X. " + text.rpartition("&")[0] + "& dpast[<1](X,x)")
+    DEEP_ANSWERS[entry](rdl.parse_rdl(text), dist, text)
+
+
+@pytest.mark.parametrize("entry", DEEP_REFUSALS)
+def test_formulas_too_deep_to_compile_are_refused_cleanly(entry):
+    deep, _ = _conjunction_chain(400)
+    with pytest.raises(WatlError) as info:
+        DEEP_REFUSALS[entry](deep)
+    assert type(info.value) is WatlError
+    assert str(info.value) == "formula nested too deeply"
 
 
 def test_deeply_nested_payloads_translate():
@@ -146,15 +232,12 @@ def test_deeply_nested_payloads_translate():
     assert nivat_eval(triple, wd(("a", 1)), SUM0) == SUM0.one
 
 
-def test_wide_canonical_sentences_translate_or_are_refused_cleanly():
+def test_wide_canonical_sentences_translate():
     canonical = canonicalize(parse_wrdl(WIDE_UNIVERSAL, SUM0), SUM0)
     assert len(canonical.guards) == 512
-    try:
-        triple = sentence_to_nivat(canonical, ("a",), SUM0)
-    except WatlError as exc:
-        assert str(exc) == "formula nested too deeply"
-    else:
-        assert triple.language_class == "sentence"
+    triple = sentence_to_nivat(canonical, ("a",), SUM0)
+    assert len(triple.gamma) == 9
+    assert triple.language_class == "sentence"
 
 
 def test_letters_holding_a_closing_bracket_are_refused():
