@@ -218,7 +218,8 @@ def classify_command(ctx, model_path, samples):
 def relabel_command(model_path, map_path, alphabet_text):
     """Rename edge labels through a letter map, keeping weights."""
     wta = _load_wta(model_path)
-    mapping = {str(k): str(v) for k, v in _read_json(map_path).items()}
+    raw = serialize.require_shape(_read_json(map_path), dict, "letter map")
+    mapping = {str(k): str(v) for k, v in raw.items()}
     alphabet = _split_alphabet(alphabet_text) if alphabet_text else None
     result = transform.relabel(wta, mapping, alphabet)
     _emit(serialize.wta_to_dict(result),
@@ -236,12 +237,7 @@ def comp_command(alphabet_text, g_path, monoid_id):
     """Build the one-run-per-word automaton valuing each word by g."""
     monoid = monoid_from_id(monoid_id)
     alphabet = _split_alphabet(alphabet_text)
-    raw = _read_json(g_path)
-    g = {}
-    for letter, pair in raw.items():
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise click.ClickException(f"g({letter}) must be a [rate, weight] pair")
-        g[str(letter)] = (parse_weight(str(pair[0])), parse_weight(str(pair[1])))
+    g = serialize.letter_weights_from_dict(_read_json(g_path), "letter weights")
     result = transform.comp_automaton(alphabet, g, monoid)
     _emit(serialize.wta_to_dict(result),
           f"valuation automaton over {{{alphabet_text}}} under {monoid.id}")

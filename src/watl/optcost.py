@@ -349,26 +349,29 @@ def build_corner_points(wta: WeightedTimedAutomaton) -> CornerPointGraph:
 
 def _bellman_ford(nodes, arcs, inits, size):
     """Least path costs from the initial nodes, found by relaxing every
-    arc in order for at most one round per node.
+    arc in order, round by round, until a round lowers no cost or the
+    arcs that last lowered the costs close a cycle.
 
-    Nodes are numbers below size; nodes holds those of the graph, whose
-    count bounds the rounds, and arcs are ``_build_graph`` tuples between
-    them.  Costs are multiplied by scale, the least common multiple of
-    the cost denominators, so every sum and comparison is exact on ints.
+    Nodes are numbers below size; nodes holds those of the graph, in the
+    order their pred arcs are scanned, and arcs are ``_build_graph``
+    tuples between them.  Costs are multiplied by scale, the least common
+    multiple of the cost denominators, so every sum and comparison is
+    exact on ints.
 
-    Returns (dist, unstable, pred, scale): dist[n] is the least cost of
-    node n times scale, or None when unreached; pred[n] is the arc that
-    last lowered it, or None; unstable lists the targets of the arcs that
-    could still be relaxed after the last round, each once, in the order
-    of the first such arc, and is empty when the costs converged.
+    Returns (dist, cycle, pred, scale): dist[n] is the least cost of node
+    n times scale, or None when unreached; pred[n] is the arc that last
+    lowered it, or None; cycle is None when the costs converged, else the
+    first cycle of pred arcs closed by a scan from the nodes in order
+    after the round, as arcs in forward order from the node where it
+    closed.
 
-    The arcs are relaxed in their given order with a strict comparison,
-    so dist, pred and unstable are exactly those of relaxing the
-    Fractions themselves.  That matters: ``_negative_cycle`` walks pred
-    back from the unstable nodes in list order, and another relaxation
-    order (a work queue, or stopping at the first cycle of the pred
-    graph) can pick a different negative cycle and so pump a different
-    witness, or none.
+    Two facts make that cycle the verdict of minus infinity.  The
+    relaxation is strict, so every cycle of pred arcs has negative cost.
+    And a node lowered in round k has k defined pred steps behind it, so
+    when round len(nodes) still lowers a cost the pred arcs close a cycle
+    in that round.  The arcs are relaxed in their given order, so dist,
+    pred and the cycle are exactly those of relaxing the Fractions
+    themselves, and fixed for each graph.
     """
     scale = common_denominator(arc[2] for arc in arcs)
     rows = [(arc[0], arc[1], scaled(arc[2], scale), arc) for arc in arcs]
@@ -376,8 +379,7 @@ def _bellman_ford(nodes, arcs, inits, size):
     pred = [None] * size
     for n in inits:
         dist[n] = 0
-    converged = False
-    for _ in range(len(nodes)):
+    while True:
         changed = False
         for s, d, cost, arc in rows:
             ds = dist[s]
@@ -390,18 +392,20 @@ def _bellman_ford(nodes, arcs, inits, size):
                 pred[d] = arc
                 changed = True
         if not changed:
-            converged = True
-            break
-    unstable = {}
-    if not converged:
-        for s, d, cost, arc in rows:
-            ds = dist[s]
-            if ds is None:
-                continue
-            dd = dist[d]
-            if dd is None or ds + cost < dd:
-                unstable[d] = None
-    return dist, list(unstable), pred, scale
+            return dist, None, pred, scale
+        # each node is visited once, marked by the scan that reached it
+        mark = [None] * size
+        for start in nodes:
+            node = start
+            while mark[node] is None and pred[node] is not None:
+                mark[node] = start
+                node = pred[node][0]
+            if mark[node] == start:
+                cycle = [pred[node]]
+                while cycle[-1][0] != node:
+                    cycle.append(pred[cycle[-1][0]])
+                cycle.reverse()
+                return dist, cycle, pred, scale
 
 
 def _bfs(sources, adjacency, ahead=1, targets=()):
@@ -487,32 +491,6 @@ def _useful_subgraph(wta: WeightedTimedAutomaton):
     return nodes, useful, arcs, inits, acc_arcs, out
 
 
-def _negative_cycle(nodes, unstable, pred):
-    """Extract one negative-cost cycle after a failed convergence, as a
-    forward-ordered arc list: walk pred back from each unstable node for
-    as many steps as the graph has nodes, then around the cycle there."""
-    for start in unstable:
-        node = start
-        for _ in range(len(nodes)):
-            arc = pred[node]
-            if arc is None:
-                break
-            node = arc[0]
-        else:
-            cycle = []
-            cur = node
-            while True:
-                arc = pred[cur]
-                cycle.append(arc)
-                cur = arc[0]
-                if cur == node:
-                    break
-            cycle.reverse()
-            if sum(arc[2] for arc in cycle) < 0:
-                return cycle
-    return None
-
-
 def _inner_delay(values, caps) -> Fraction:
     """The delay that moves a valuation into its time-successor region:
     half the open interval before the next integer when a clock sits on
@@ -535,10 +513,9 @@ class _Search:
         self.nodes, self.inits, self.acc_arcs = nodes, inits, acc_arcs
         if not acc_arcs or not inits:
             return
-        dist, unstable, pred, scale = _bellman_ford(useful, arcs, inits, len(nodes))
-        if unstable:
+        dist, self.cycle, _, scale = _bellman_ford(useful, arcs, inits, len(nodes))
+        if self.cycle:
             self.value = NEG_INF
-            self.cycle = functools.partial(_negative_cycle, useful, unstable, pred)
             return
         # An accepting arc may end outside the useful subgraph, so its cost
         # may need a finer scale than the arcs relaxed.
@@ -652,15 +629,13 @@ class _Search:
             point = [x + weight * (y - x) for x, y in zip(corner, point)]
         return TimedWord.from_pairs(zip(letters, point))
 
-    def _pumped(self, bound) -> Optional[TimedWord]:
+    def _pumped(self, bound) -> TimedWord:
         """A word below the bound for an infimum of minus infinity: the
-        negative cycle entered on a shortest path and left on a shortest
-        path to the cheapest accepting arc, with the least number of laps
-        that brings this corner path below the bound."""
-        cycle = self.cycle()
-        if cycle is None:
-            return None
-        entry = cycle[0][0]
+        negative cycle that stopped Bellman-Ford, entered on a shortest
+        path and left on a shortest path to the cheapest accepting arc,
+        with the least number of laps that brings this corner path below
+        the bound."""
+        entry = self.cycle[0][0]
         # Shortest paths to a useful node only pass useful nodes, so the
         # searches over every node built find the same ones.
         parent, _ = _bfs(self.inits, self.out, targets={entry})
@@ -668,9 +643,9 @@ class _Search:
         last = min((arc for arc in self.acc_arcs if arc[0] == end), key=lambda arc: arc[2])
         prefix, suffix = _path_to(parent, entry), _path_to(back, end) + [last]
         fixed = sum(arc[2] for arc in prefix) + sum(arc[2] for arc in suffix)
-        lap = sum(arc[2] for arc in cycle)
+        lap = sum(arc[2] for arc in self.cycle)
         laps = 0 if fixed < bound else (fixed - bound) // -lap + 1
-        return self._word_below(prefix + cycle * laps + suffix, bound)
+        return self._word_below(prefix + self.cycle * laps + suffix, bound)
 
     def below(self, bound, strict: bool) -> Optional[TimedWord]:
         """A word below the bound (strictly, or weakly when strict is False),
@@ -705,11 +680,20 @@ def _below(value, bound, strict: bool) -> bool:
     return value < bound or (not strict and value <= bound)
 
 
+def _rational(value, what: str) -> Fraction:
+    """The value read exactly, or a DomainError naming it as what."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise DomainError(f"{what} must be a finite rational, got {value!r}") from None
+
+
 def witness_below(wta: WeightedTimedAutomaton, result: InfCostResult,
                   bound, strict: bool = True) -> Optional[tuple]:
     """A concrete word whose behavior lies below the bound (strictly, or
     weakly when strict is False), with its exact value, or None when no
-    word does.
+    word does.  The bound is read exactly: a finite rational, or inf, or
+    -inf, below which no word's value lies.
 
     An attaining witness of the result answers when its value is below
     the bound.  Otherwise one cost search builds the word: an infimum
@@ -720,6 +704,10 @@ def witness_below(wta: WeightedTimedAutomaton, result: InfCostResult,
     the bound by construction: at most the cost of the run built, and
     less when another run of the word is cheaper.
     """
+    if bound == NEG_INF:
+        return None
+    if bound != INF:
+        bound = _rational(bound, "bound")
     if result.attained and _below(result.value, bound, strict):
         return result.witness, result.value
     if result.value is NEG_INF or (is_finite(result.value) and result.value < bound):
@@ -1080,7 +1068,7 @@ def _decide(sentence, alphabet, threshold, pv: TimedPvMonoid, strict: bool,
     for a value below zero, its witness must last a positive time, and its
     infimum is reported as the shifted one.  A witness is valued by the
     family's behavior over the base monoid of pv: its sentence value."""
-    threshold = Fraction(threshold)
+    threshold = _rational(threshold, "threshold")
     canonical = sentence if isinstance(sentence, CanonicalSentence) \
         else wrdl.canonicalize(sentence, pv)
     for v in canonical.left + canonical.right:

@@ -25,9 +25,24 @@ def dump_json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"), sort_keys=False)
 
 
+_SHAPES = {list: "a list", dict: "an object", bool: "true or false"}
+
+
+def require_shape(value, shape, what: str):
+    """The value when it is of the JSON shape (list, dict or bool), else
+    a ParseError naming what it is."""
+    if not isinstance(value, shape):
+        raise ParseError(f"{what} must be {_SHAPES[shape]}, got {type(value).__name__}")
+    return value
+
+
+def _strings(values, what: str) -> tuple:
+    """The items of a JSON list as strings."""
+    return tuple(str(v) for v in require_shape(values, list, what))
+
+
 def _require_fields(data, fields, what: str):
-    if not isinstance(data, dict):
-        raise ParseError(f"{what} must be an object, got {type(data).__name__}")
+    require_shape(data, dict, what)
     missing = [f for f in fields if f not in data]
     if missing:
         raise ParseError(f"{what} is missing fields: {', '.join(missing)}")
@@ -109,21 +124,21 @@ def automaton_from_dict(data) -> TimedAutomaton:
     _require_fields(data, ("alphabet", "locations", "clocks", "initial",
                            "final", "edges"), "automaton")
     edges = []
-    for k, entry in enumerate(data["edges"]):
+    for k, entry in enumerate(require_shape(data["edges"], list, "automaton edges")):
         _require_fields(entry, ("id", "source", "label", "guard", "resets",
                                 "target"), f"edge {k}")
         edges.append(Edge(
             str(entry["id"]), str(entry["source"]), str(entry["label"]),
             ClockConstraint.parse(str(entry["guard"])),
-            frozenset(str(c) for c in entry["resets"]), str(entry["target"])))
+            frozenset(_strings(entry["resets"], f"resets of edge {k}")), str(entry["target"])))
     automaton = TimedAutomaton(
-        alphabet=tuple(str(a) for a in data["alphabet"]),
-        locations=tuple(str(l) for l in data["locations"]),
-        clocks=tuple(str(c) for c in data["clocks"]),
-        initial=tuple(str(l) for l in data["initial"]),
-        final=tuple(str(l) for l in data["final"]),
+        alphabet=_strings(data["alphabet"], "automaton alphabet"),
+        locations=_strings(data["locations"], "automaton locations"),
+        clocks=_strings(data["clocks"], "automaton clocks"),
+        initial=_strings(data["initial"], "automaton initial"),
+        final=_strings(data["final"], "automaton final"),
         edges=tuple(edges),
-        unambiguous=bool(data.get("unambiguous", False)),
+        unambiguous=require_shape(data.get("unambiguous", False), bool, "automaton unambiguous"),
     )
     automaton.validate()
     return automaton
@@ -149,10 +164,10 @@ def wta_from_dict(data) -> WeightedTimedAutomaton:
     monoid = monoid_from_id(str(data["monoid"]))
     weights = data["weights"]
     _require_fields(weights, ("locations", "edges"), "weights")
-    location_weights = {str(l): _weight(v, f"weight of location {l!r}")
-                        for l, v in weights["locations"].items()}
-    edge_weights = {str(e): _weight(v, f"weight of edge {e!r}")
-                    for e, v in weights["edges"].items()}
+    location_weights = {str(l): _weight(v, f"weight of location {l!r}") for l, v in
+                        require_shape(weights["locations"], dict, "location weights").items()}
+    edge_weights = {str(e): _weight(v, f"weight of edge {e!r}") for e, v in
+                    require_shape(weights["edges"], dict, "edge weights").items()}
     missing = ([f"location {l!r}" for l in base.locations if l not in location_weights]
                + [f"edge {e.id!r}" for e in base.edges if e.id not in edge_weights])
     if missing:
@@ -181,19 +196,25 @@ def triple_to_dict(triple: NivatTriple) -> dict:
 
 def triple_from_dict(data) -> NivatTriple:
     _require_fields(data, ("gamma", "h", "g", "language", "class"), "triple")
-    gamma = tuple(str(c) for c in data["gamma"])
-    h = {str(c): str(a) for c, a in data["h"].items()}
-    g = {}
-    for c, pair in data["g"].items():
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError(f"g({c}) must be a [rate, weight] pair")
-        g[str(c)] = (_weight(pair[0], f"g1({c})"), _weight(pair[1], f"g2({c})"))
+    gamma = _strings(data["gamma"], "triple gamma")
+    h = {str(c): str(a) for c, a in require_shape(data["h"], dict, "triple h").items()}
+    g = letter_weights_from_dict(data["g"], "triple g")
     language_class = str(data["class"])
     if language_class == "sentence":
         language = rdl.parse_rdl(str(data["language"]))
     else:
         language = automaton_from_dict(data["language"])
     return NivatTriple(gamma, h, g, language, language_class)
+
+
+def letter_weights_from_dict(data, what: str) -> dict:
+    """Letter -> (rate, weight) from an object of [rate, weight] pairs."""
+    g = {}
+    for c, pair in require_shape(data, dict, what).items():
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError(f"g({c}) must be a [rate, weight] pair")
+        g[str(c)] = (_weight(pair[0], f"g1({c})"), _weight(pair[1], f"g2({c})"))
+    return g
 
 
 # ---------------------------------------------------------------------------

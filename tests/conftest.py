@@ -471,16 +471,38 @@ def ambiguous_counting_triple():
                                         "recognizable"))
 
 
+def pred_cycle(nodes, pred, source):
+    """The first cycle of pred arcs that a scan from the nodes in order
+    closes, as arcs in forward order from the node where it closes, or
+    None: pred(n) is the arc into node n or None, source(arc) its source.
+    Each node is marked by the first scan that reaches it."""
+    mark = {}
+    for start in nodes:
+        node = start
+        while node not in mark and (arc := pred(node)) is not None:
+            mark[node] = start
+            node = source(arc)
+        if mark.get(node) == start:
+            cycle = [pred(node)]
+            while source(cycle[-1]) != node:
+                cycle.append(pred(source(cycle[-1])))
+            cycle.reverse()
+            return cycle
+    return None
+
+
 def brute_bellman_ford(nodes, arcs, inits):
     """Bellman-Ford over Fraction costs and node-keyed dicts, relaxing the
-    arcs in their given order: the plain oracle for the integer
-    ``optcost._bellman_ford``, returning the same (dist, unstable, pred)."""
+    arcs in their given order until a round lowers no cost or its pred
+    arcs close a cycle (``pred_cycle``): the plain oracle for the integer
+    ``optcost._bellman_ford``, returning the same (dist, cycle, pred)."""
     dist = {n: None for n in nodes}
     pred = {}
     for n in inits:
         dist[n] = Fraction(0)
-    converged = False
-    for _ in range(len(nodes)):
+    cycle = None
+    changed = True
+    while changed and cycle is None:
         changed = False
         for arc in arcs:
             ds = dist[arc.src]
@@ -492,19 +514,9 @@ def brute_bellman_ford(nodes, arcs, inits):
                 dist[arc.dst] = candidate
                 pred[arc.dst] = arc
                 changed = True
-        if not changed:
-            converged = True
-            break
-    unstable = []
-    if not converged:
-        for arc in arcs:
-            ds = dist[arc.src]
-            if ds is None:
-                continue
-            dd = dist[arc.dst]
-            if (dd is None or ds + arc.cost < dd) and arc.dst not in unstable:
-                unstable.append(arc.dst)
-    return dist, unstable, pred
+        if changed:
+            cycle = pred_cycle(nodes, pred.get, lambda arc: arc.src)
+    return dist, cycle, pred
 
 
 def grid_minimum(automaton, grid, max_len):
@@ -772,8 +784,9 @@ _SRC, _DST = attrgetter("src"), attrgetter("dst")
 def keyed_bellman_ford(nodes, arcs, inits):
     """``brute_bellman_ford`` on exact integers over indexed nodes: every
     cost times the least common multiple of the cost denominators, the
-    arcs relaxed in the same order, the results Fractions and node keys
-    again at the end (equal to the Fraction oracle's, only faster)."""
+    arcs relaxed in the same order and the same stop, the results
+    Fractions and node keys again at the end (equal to the Fraction
+    oracle's, only faster)."""
     order = list(nodes)
     index = {n: i for i, n in enumerate(order)}
     scale = math.lcm(*{a.cost.denominator for a in arcs})
@@ -783,8 +796,9 @@ def keyed_bellman_ford(nodes, arcs, inits):
     pred = [None] * len(order)
     for n in inits:
         dist[index[n]] = 0
-    converged = False
-    for _ in range(len(order)):
+    cycle = None
+    changed = True
+    while changed and cycle is None:
         changed = False
         for s, d, cost, arc in rows:
             ds = dist[s]
@@ -796,20 +810,10 @@ def keyed_bellman_ford(nodes, arcs, inits):
                 dist[d] = candidate
                 pred[d] = arc
                 changed = True
-        if not changed:
-            converged = True
-            break
-    unstable = {}
-    if not converged:
-        for s, d, cost, arc in rows:
-            ds = dist[s]
-            if ds is None:
-                continue
-            dd = dist[d]
-            if dd is None or ds + cost < dd:
-                unstable[arc.dst] = None
+        if changed:
+            cycle = pred_cycle(range(len(order)), pred.__getitem__, lambda a: index[a.src])
     return ({n: None if v is None else Fraction(v, scale) for n, v in zip(order, dist)},
-            list(unstable),
+            cycle,
             {n: arc for n, arc in zip(order, pred) if arc is not None})
 
 
@@ -930,8 +934,8 @@ def brute_inf_cost(wta, corner_graph=optcost.build_corner_points):
     useful, arcs, inits, acc_arcs = _useful_subgraph(graph)
     if not acc_arcs or not inits:
         return optcost.InfCostResult(INF, False, None, None)
-    dist, unstable, _ = keyed_bellman_ford(useful, arcs, inits)
-    if unstable:
+    dist, cycle, _ = keyed_bellman_ford(useful, arcs, inits)
+    if cycle:
         return optcost.InfCostResult(NEG_INF, False, None, None)
     best = None
     best_arc = None

@@ -533,6 +533,53 @@ def test_bad_letter_weights_are_refused_cleanly(tmp_path):
     assert_clean_refusal(invoke("comp", "--alphabet", "a", "--g", g, "--monoid", "sum"))
 
 
+def _put_at(data, path, value):
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("source, path, value", [
+    ("model", ("weights", "locations"), ["w"]),
+    ("model", ("weights", "edges"), "w"),
+    ("model", ("edges", 0, "resets"), 5),
+    ("model", ("edges", 0, "resets"), "x"),
+    ("model", ("alphabet",), 5),
+    ("model", ("alphabet",), "a"),
+    ("triple", ("h",), [["first_a", "a"]]),
+    ("triple", ("g",), [["1", "0"]]),
+    ("triple", ("gamma",), "ab"),
+])
+def test_misshapen_json_is_refused_cleanly(tmp_path, source, path, value):
+    word = put_json(tmp_path, "w.json", [["a", "3"]])
+    if source == "model":
+        data = _put_at(serialize.wta_to_dict(fixtures.priced_min_wait()), path, value)
+        result = invoke("behavior", "--model", put_json(tmp_path, "m.json", data),
+                        "--word", word)
+    else:
+        triple = transform.nivat_decompose(fixtures.first_letter_rates())
+        data = _put_at(serialize.triple_to_dict(triple), path, value)
+        result = invoke("nivat-eval", "--triple", put_json(tmp_path, "t.json", data),
+                        "--word", word, "--monoid", "sum")
+    assert_clean_refusal(result)
+    assert result.stderr.startswith("Error: ")
+    assert "must be a list" in result.stderr or "must be an object" in result.stderr
+
+
+def test_letter_maps_given_as_lists_are_refused_cleanly(tmp_path):
+    g = put_json(tmp_path, "g.json", [["1", "0"]])
+    result = invoke("comp", "--alphabet", "a", "--g", g, "--monoid", "sum")
+    assert_clean_refusal(result)
+    assert result.stderr == "Error: letter weights must be an object, got list\n"
+    model = wta_file(tmp_path, "m.json", fixtures.first_letter_rates())
+    mapping = put_json(tmp_path, "map.json", ["a", "c"])
+    result = invoke("relabel", "--model", model, "--map", mapping)
+    assert_clean_refusal(result)
+    assert result.stderr == "Error: letter map must be an object, got list\n"
+
+
 @pytest.mark.parametrize("theta", ["abc", "1/0", "inf"])
 def test_bad_thresholds_are_refused_cleanly(tmp_path, theta):
     formula = put_text(tmp_path, "lin.txt", "all z. (3, 1)")

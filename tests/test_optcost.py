@@ -272,6 +272,38 @@ def test_witnesses_below_a_bound_are_real_words(monkeypatch):
     assert evaluated == [1, 101, 2001, 6001]
 
 
+@pytest.mark.parametrize("automaton, bound, want", [
+    (fixtures.priced_negative_cycle, NEG_INF, None),
+    (fixtures.priced_negative_cycle, -2.5, Fraction(-3)),
+    (fixtures.priced_negative_cycle, "-5/2", Fraction(-3)),
+    (fixtures.priced_negative_cycle, -3, Fraction(-4)),
+    (fixtures.priced_negative_cycle, INF, Fraction(-1)),
+    (fixtures.priced_strict_guard, -0.5, Fraction(-3, 4)),
+    (fixtures.priced_strict_guard, NEG_INF, None),
+    (fixtures.priced_strict_guard, INF, Fraction(-1, 2)),
+], ids=["cycle_neg_inf", "cycle_float", "cycle_text", "cycle_int", "cycle_inf",
+        "strict_float", "strict_neg_inf", "strict_inf"])
+def test_witness_bounds_are_read_exactly(automaton, bound, want):
+    # No word is valued -inf; a float bound is the rational it denotes.
+    wta = automaton()
+    result = inf_cost(wta)
+    found = witness_below(wta, result, bound)
+    if want is None:
+        assert found is None
+    else:
+        word, value = found
+        assert value == want and behavior(wta, word) == want
+        if is_finite(bound):
+            assert found == witness_below(wta, result, Fraction(bound))
+
+
+@pytest.mark.parametrize("bound", ["abc", float("nan"), float("inf"), None, "1/0"])
+def test_malformed_witness_bounds_are_domain_errors(bound):
+    wta = fixtures.priced_negative_cycle()
+    with pytest.raises(DomainError, match="bound must be a finite rational"):
+        witness_below(wta, inf_cost(wta), bound)
+
+
 def test_infimum_is_a_lower_bound_on_sampled_behaviors():
     rng = random.Random(13)
     monoid = monoid_from_id("sum")
@@ -357,6 +389,28 @@ def _rational_sum_automaton(rng, **kwargs):
         {e.id: weight(-6) for e in base.edges})
 
 
+def _classical_bellman_ford(nodes, arcs, inits):
+    """The textbook run over Fraction costs: at most len(nodes) rounds of
+    relaxing the arcs in order; (dist, pred) as ``brute_bellman_ford``
+    has them when a round lowers no cost, else None (a negative cycle)."""
+    dist = {n: None for n in nodes}
+    pred = {}
+    for n in inits:
+        dist[n] = Fraction(0)
+    changed = False
+    for _ in range(len(nodes)):
+        changed = False
+        for arc in arcs:
+            ds, dd = dist[arc.src], dist[arc.dst]
+            if ds is not None and (dd is None or ds + arc.cost < dd):
+                dist[arc.dst] = ds + arc.cost
+                pred[arc.dst] = arc
+                changed = True
+        if not changed:
+            break
+    return None if changed else (dist, pred)
+
+
 def test_integer_bellman_ford_matches_the_fraction_oracle():
     rng = random.Random(404)
     negative = fractional = 0
@@ -374,10 +428,10 @@ def test_integer_bellman_ford_matches_the_fraction_oracle():
                 return optcost.CornerArc(nodes[arc[0]], nodes[arc[1]], *arc[2:])
 
             members, numbered, starts = graph
-            dist, unstable, pred, scale = optcost._bellman_ford(*graph, len(nodes))
+            dist, cycle, pred, scale = optcost._bellman_ford(*graph, len(nodes))
             keyed = ([nodes[n] for n in members], [named(a) for a in numbered],
                      [nodes[n] for n in starts])
-            want_dist, want_unstable, want_pred = want = brute_bellman_ford(*keyed)
+            want_dist, want_cycle, want_pred = want = brute_bellman_ford(*keyed)
             # the Region-node search of the oracle relaxes node keys on ints
             assert keyed_bellman_ford(*keyed) == want
             assert {nodes[n]: None if dist[n] is None else Fraction(dist[n], scale)
@@ -386,10 +440,20 @@ def test_integer_bellman_ford_matches_the_fraction_oracle():
                     if pred[n] is not None} == want_pred
             assert all(dist[n] is None and pred[n] is None
                        for n in range(len(nodes)) if n not in members)
-            # Same members in the same order, so _negative_cycle starts its
-            # walks from the same nodes.
-            assert [nodes[n] for n in unstable] == want_unstable
-            negative += bool(unstable)
+            # the same cycle, so the search pumps the same witness
+            assert (None if cycle is None else [named(a) for a in cycle]) == want_cycle
+            # The verdict, checked without the early stop: a cycle exactly
+            # when len(nodes) rounds do not converge, and then one that is
+            # closed, made of pred arcs and negative.
+            classical = _classical_bellman_ford(*keyed)
+            assert (cycle is None) == (classical is not None)
+            if cycle is None:
+                assert classical == (want_dist, want_pred)
+            else:
+                assert all(a[1] == b[0] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                assert all(pred[arc[1]] == arc for arc in cycle)
+                assert sum(arc[2] for arc in cycle) < 0
+                negative += 1
             fractional += any(a[2].denominator > 1 for a in numbered)
     assert 150 <= negative <= 250
     assert fractional >= 200
@@ -403,7 +467,7 @@ def _fraction_bellman_ford(calls):
         calls.append(len(arcs))
         views = [optcost.CornerArc(*arc) for arc in arcs]
         numbered = {id(view): arc for view, arc in zip(views, arcs)}
-        dist, unstable, pred = brute_bellman_ford(nodes, views, inits)
+        dist, cycle, pred = brute_bellman_ford(nodes, views, inits)
         scale = math.lcm(*{arc[2].denominator for arc in arcs})
         scaled = [None] * size
         for n, value in dist.items():
@@ -413,7 +477,9 @@ def _fraction_bellman_ford(calls):
         arcs_to = [None] * size
         for n, view in pred.items():
             arcs_to[n] = numbered[id(view)]
-        return scaled, unstable, arcs_to, scale
+        if cycle is not None:
+            cycle = [numbered[id(view)] for view in cycle]
+        return scaled, cycle, arcs_to, scale
     return bellman_ford
 
 
@@ -479,6 +545,25 @@ def test_the_search_matches_the_region_node_oracle():
     assert minus_infinity >= 100
     assert attained[True] >= 100 and attained[False] >= 5
     assert witnesses >= 300
+
+
+def test_weighted_corner_automata_match_the_region_node_oracle():
+    # The corner-graph sampler with its weights: up to three clocks and
+    # constants up to 8.  Draw 56 has 5,444 useful nodes and an infimum
+    # of minus infinity, which a few Bellman-Ford rounds already show.
+    rng = random.Random(406)
+    minus_infinity = witnesses = 0
+    for _ in range(60):
+        automaton = _random_corner_automaton(rng)
+        result = inf_cost(automaton)
+        check_inf_cost(automaton, result)
+        bound = Fraction(-20) if result.value is NEG_INF else result.value + 1
+        found = witness_below(automaton, result, bound)
+        check_witness_below(automaton, result, bound, True, found)
+        minus_infinity += result.value is NEG_INF
+        witnesses += found is not None
+    assert minus_infinity >= 30
+    assert witnesses >= 45
 
 
 _HASH_SEED_SCRIPT = """
@@ -604,9 +689,10 @@ def test_negative_cycles_off_the_useful_subgraph_are_ignored(edges, trap_explore
     assert any(n[0] == "trap" for n in build_corner_points(with_cycle).nodes) == trap_explored
     # the search builds no trap node: unreachable, or unable to reach l1
     assert not any(n[0] == "trap" for n in optcost._useful_subgraph(with_cycle)[0])
-    _, unstable, _, _ = optcost._bellman_ford(range(len(nodes)), arcs, inits, len(nodes))
+    _, cycle, _, _ = optcost._bellman_ford(range(len(nodes)), arcs, inits, len(nodes))
     # where the corner graph reaches the trap, its loop is a negative cycle
-    assert bool(unstable) == trap_explored
+    assert (cycle is not None) == trap_explored
+    assert all(nodes[arc[0]][0] == "trap" for arc in cycle or ())
 
 
 def test_building_only_live_locations_changes_no_result(monkeypatch):
@@ -685,6 +771,15 @@ def test_sum_threshold_weak_variant_accepts_the_attained_infimum():
     weak = decide_sum_threshold(sentence, ("a",), Fraction(7), strict=False)
     assert weak.holds
     assert wrdl.wrdl_eval(sentence, weak.witness, SUM0) == 7
+
+
+@pytest.mark.parametrize("threshold", [INF, NEG_INF, "abc", float("nan"), "1/0", None])
+@pytest.mark.parametrize("decide", [decide_sum_threshold, decide_avg_threshold],
+                         ids=["sum", "avg"])
+def test_thresholds_must_be_finite_rationals(decide, threshold):
+    sentence = wrdl.parse_wrdl("all x.(3, 1)")
+    with pytest.raises(DomainError, match="threshold must be a finite rational"):
+        decide(sentence, ("a",), threshold)
 
 
 def test_constantly_infinite_sentences_never_pass():

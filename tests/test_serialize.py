@@ -108,6 +108,36 @@ def test_loaded_automaton_is_validated():
         serialize.automaton_from_dict(data)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alphabet", 5), ("alphabet", "a"), ("locations", {"wait": 1, "done": 2}),
+    ("clocks", "x"), ("initial", "wait"), ("final", None), ("edges", {"go": 1}),
+])
+def test_automaton_lists_must_be_lists(field, value):
+    # A string would otherwise be read as the list of its characters.
+    data = serialize.automaton_to_dict(fixtures.priced_min_wait().base)
+    data[field] = value
+    with pytest.raises(ParseError, match=f"automaton {field} must be a list, got"):
+        serialize.automaton_from_dict(data)
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_unambiguous_flag_must_be_a_bool(value):
+    # bool("false") is True: the string would declare an ambiguous
+    # automaton unambiguous.
+    data = serialize.automaton_to_dict(fixtures.all_words_ambiguous(("a",)))
+    data["unambiguous"] = value
+    with pytest.raises(ParseError, match="automaton unambiguous must be true or false, got"):
+        serialize.automaton_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [5, "x", {"x": 1}])
+def test_edge_resets_must_be_a_list(value):
+    data = serialize.automaton_to_dict(fixtures.priced_min_wait().base)
+    data["edges"][0]["resets"] = value
+    with pytest.raises(ParseError, match="resets of edge 0 must be a list, got"):
+        serialize.automaton_from_dict(data)
+
+
 def test_wta_round_trip():
     wta = fixtures.priced_min_wait()
     data = serialize.wta_to_dict(wta)
@@ -137,6 +167,15 @@ def test_malformed_model_weights_are_parse_errors(value):
     location = next(iter(data["weights"]["locations"]))
     data["weights"]["locations"][location] = value
     with pytest.raises(ParseError, match=f"location {location!r}"):
+        serialize.wta_from_dict(data)
+
+
+@pytest.mark.parametrize("kind", ["location", "edge"])
+@pytest.mark.parametrize("value", [["w"], "w", 5])
+def test_model_weight_maps_must_be_objects(kind, value):
+    data = serialize.wta_to_dict(fixtures.first_letter_rates())
+    data["weights"][f"{kind}s"] = value
+    with pytest.raises(ParseError, match=f"{kind} weights must be an object, got"):
         serialize.wta_from_dict(data)
 
 
@@ -182,6 +221,18 @@ def test_triple_rejects_bad_rate_weight_pair():
     first = data["gamma"][0]
     data["g"][first] = ["1"]
     with pytest.raises(ParseError, match="rate, weight"):
+        serialize.triple_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value, shape", [
+    ("gamma", "ab", "a list"), ("gamma", 5, "a list"),
+    ("h", [["first_a", "a"]], "an object"), ("g", [["1", "0"]], "an object"),
+    ("g", "x", "an object"),
+])
+def test_triple_fields_must_have_their_shape(field, value, shape):
+    data = serialize.triple_to_dict(transform.nivat_decompose(fixtures.first_letter_rates()))
+    data[field] = value
+    with pytest.raises(ParseError, match=f"triple {field} must be {shape}, got"):
         serialize.triple_from_dict(data)
 
 
