@@ -8,7 +8,6 @@ every command byte-reproducible.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 
@@ -16,13 +15,23 @@ import click
 
 from . import optcost, rdl, sampling, serialize, transform, wrdl
 from .core import ambiguity_probe, classify_automaton, enumerate_runs
-from .errors import PreimageCapError, WatlError
+from .errors import WatlError
 from .monoids import WeightPairWord, check_axioms, monoid_from_id, valuate
 from .weights import format_weight, is_finite, parse_weight
 from .wta import behavior, run_weight
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a library error of any command as click's ``Error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except WatlError as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Group)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for every randomized step.")
 @click.option("--cap-preimages", type=int, default=transform.DEFAULT_PREIMAGE_CAP,
@@ -38,16 +47,6 @@ def main(ctx, seed, cap_preimages, max_word_len):
     """Weighted timed automata, relative distance logic and the
     translations between them."""
     ctx.obj = {"seed": seed, "cap": cap_preimages, "maxlen": max_word_len}
-
-
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except WatlError as exc:
-            raise click.ClickException(str(exc))
-    return wrapper
 
 
 def _read_json(path):
@@ -128,7 +127,6 @@ _TRIPLE = click.option("--triple", "triple_path", required=True,
 @_MONOID
 @click.option("--pairs", "pairs_path", required=True, type=click.Path(exists=True),
               help="JSON list of [rate, weight, delay] triples.")
-@_guard
 def eval_command(monoid_id, pairs_path):
     """Apply a monoid's global valuation to a weight-pair word."""
     monoid = monoid_from_id(monoid_id)
@@ -150,7 +148,6 @@ def eval_command(monoid_id, pairs_path):
 @_MODEL
 @_WORD
 @_TIMESTAMPS
-@_guard
 def behavior_command(model_path, word_path, timestamps):
     """Evaluate a weighted automaton's behavior on a timed word."""
     wta = _load_wta(model_path)
@@ -164,7 +161,6 @@ def behavior_command(model_path, word_path, timestamps):
 @_MODEL
 @_WORD
 @_TIMESTAMPS
-@_guard
 def runs_command(model_path, word_path, timestamps):
     """List the accepting runs of a model on a timed word."""
     model = _load_model(model_path)
@@ -187,7 +183,6 @@ def runs_command(model_path, word_path, timestamps):
 @click.option("--samples", type=click.IntRange(min=1), default=50, show_default=True,
               help="Number of random words for the ambiguity probe.")
 @click.pass_context
-@_guard
 def classify_command(ctx, model_path, samples):
     """Report structural run-uniqueness classes plus an ambiguity probe."""
     model = _load_model(model_path)
@@ -214,7 +209,6 @@ def classify_command(ctx, model_path, samples):
               help="JSON object mapping each letter to its image.")
 @click.option("--alphabet", "alphabet_text", default=None,
               help="Comma-separated target alphabet (defaults to the image).")
-@_guard
 def relabel_command(model_path, map_path, alphabet_text):
     """Rename edge labels through a letter map, keeping weights."""
     wta = _load_wta(model_path)
@@ -232,7 +226,6 @@ def relabel_command(model_path, map_path, alphabet_text):
 @click.option("--g", "g_path", required=True, type=click.Path(exists=True),
               help="JSON object letter -> [rate, weight].")
 @_MONOID
-@_guard
 def comp_command(alphabet_text, g_path, monoid_id):
     """Build the one-run-per-word automaton valuing each word by g."""
     monoid = monoid_from_id(monoid_id)
@@ -247,7 +240,6 @@ def comp_command(alphabet_text, g_path, monoid_id):
 @_MODEL
 @click.option("--language", "language_path", required=True,
               type=click.Path(exists=True), help="Plain acceptor model file.")
-@_guard
 def product_command(model_path, language_path):
     """Intersect a weighted automaton with a language acceptor."""
     wta = _load_wta(model_path)
@@ -259,7 +251,6 @@ def product_command(model_path, language_path):
 
 @main.command("decompose")
 @_MODEL
-@_guard
 def decompose_command(model_path):
     """Present a weighted automaton as (gamma, h, g, language)."""
     wta = _load_wta(model_path)
@@ -273,7 +264,6 @@ def decompose_command(model_path):
 @_MONOID
 @click.option("--alphabet", default=None,
               help="Comma-separated target alphabet (default: image of h).")
-@_guard
 def compose_command(triple_path, monoid_id, alphabet):
     """Fold a triple with an automaton language into one weighted automaton."""
     monoid = monoid_from_id(monoid_id)
@@ -289,7 +279,6 @@ def compose_command(triple_path, monoid_id, alphabet):
 @_MONOID
 @_TIMESTAMPS
 @click.pass_context
-@_guard
 def nivat_eval_command(ctx, triple_path, word_path, monoid_id, timestamps):
     """Evaluate a triple on a word.
 
@@ -312,7 +301,6 @@ def nivat_eval_command(ctx, triple_path, word_path, monoid_id, timestamps):
 @_TIMESTAMPS
 @click.option("--assign", "assign_path", default=None, type=click.Path(exists=True),
               help="JSON assignment {'fo': {...}, 'so': {...}} for free variables.")
-@_guard
 def rdl_check_command(formula_path, word_path, timestamps, assign_path):
     """Model check an unweighted formula on a timed word."""
     formula = rdl.parse_rdl(_read_text(formula_path))
@@ -329,7 +317,6 @@ def rdl_check_command(formula_path, word_path, timestamps, assign_path):
 @_TIMESTAMPS
 @click.option("--assign", "assign_path", default=None, type=click.Path(exists=True),
               help="JSON assignment for free variables.")
-@_guard
 def wrdl_eval_command(formula_path, word_path, monoid_id, timestamps, assign_path):
     """Evaluate a weighted formula on a timed word."""
     monoid = monoid_from_id(monoid_id)
@@ -343,7 +330,6 @@ def wrdl_eval_command(formula_path, word_path, monoid_id, timestamps, assign_pat
 
 @main.command("wrdl-classify")
 @_FORMULA
-@_guard
 def wrdl_classify_command(formula_path):
     """Report the fragment memberships of a weighted formula."""
     formula = wrdl.parse_wrdl(_read_text(formula_path))
@@ -359,7 +345,6 @@ def wrdl_classify_command(formula_path):
 @main.command("canonicalize")
 @_FORMULA
 @_MONOID
-@_guard
 def canonicalize_command(formula_path, monoid_id):
     """Normalize a restricted sentence to prefix + one guard family."""
     monoid = monoid_from_id(monoid_id)
@@ -382,7 +367,6 @@ def canonicalize_command(formula_path, monoid_id):
 @_MONOID
 @click.option("--alphabet", "alphabet_text", required=True,
               help="Comma-separated alphabet of the words.")
-@_guard
 def to_nivat_command(formula_path, monoid_id, alphabet_text):
     """Translate a restricted sentence into a decomposition triple."""
     monoid = monoid_from_id(monoid_id)
@@ -396,7 +380,6 @@ def to_nivat_command(formula_path, monoid_id, alphabet_text):
 @main.command("from-nivat")
 @_TRIPLE
 @_MONOID
-@_guard
 def from_nivat_command(triple_path, monoid_id):
     """Translate a triple with a sentence language back into the logic."""
     monoid = monoid_from_id(monoid_id)
@@ -408,7 +391,6 @@ def from_nivat_command(triple_path, monoid_id):
 
 @main.command("infcost")
 @_MODEL
-@_guard
 def infcost_command(model_path):
     """Infimum of accepting-run costs of a priced automaton."""
     wta = _load_wta(model_path)
@@ -434,7 +416,6 @@ def infcost_command(model_path):
               help="Comma-separated alphabet (default: letters in the formula, else 'a').")
 @click.option("--non-strict", is_flag=True,
               help="Ask for value <= theta instead of value < theta.")
-@_guard
 def decide_command(formula_path, monoid_id, theta, alphabet_text, non_strict):
     """Decide whether some word's value lies below a threshold."""
     monoid = monoid_from_id(monoid_id)
@@ -471,7 +452,6 @@ def decide_command(formula_path, monoid_id, theta, alphabet_text, non_strict):
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Number of random samples per law.")
 @click.pass_context
-@_guard
 def check_axioms_command(ctx, monoid_id, samples):
     """Randomized check of a monoid's declared algebraic laws."""
     monoid = monoid_from_id(monoid_id)
@@ -494,7 +474,6 @@ def check_axioms_command(ctx, monoid_id, samples):
 @click.option("--count", type=click.IntRange(min=1), default=100, show_default=True,
               help="Number of cases.")
 @click.pass_context
-@_guard
 def fuzz_command(ctx, suite, seed, count):
     """Run a seeded differential suite and count mismatches."""
     rng = random.Random(ctx.obj["seed"] if seed is None else seed)

@@ -26,6 +26,12 @@ _COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
             ">=": operator.ge, ">": operator.gt}
 
 
+def is_natural(value) -> bool:
+    """A non-negative int; True and False, which Python counts as ints,
+    are not naturals here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -127,7 +133,7 @@ class ClockAtom:
     def __post_init__(self):
         if self.rel not in RELATIONS:
             raise ValueError(f"unknown relation {self.rel!r}")
-        if not isinstance(self.bound, int) or self.bound < 0:
+        if not is_natural(self.bound):
             raise ValueError(f"guard bounds must be naturals, got {self.bound!r}")
 
     def holds(self, value: Fraction) -> bool:

@@ -26,7 +26,7 @@ from functools import reduce, wraps
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
-from .core import _COMPARE, RELATIONS, TimedWord
+from .core import _COMPARE, RELATIONS, TimedWord, is_natural
 from .errors import ParseError, WatlError
 
 
@@ -62,7 +62,7 @@ class Dist:
     def __post_init__(self):
         if self.rel not in RELATIONS:
             raise ValueError(f"unknown distance relation {self.rel!r}")
-        if not isinstance(self.bound, int) or self.bound < 0:
+        if not is_natural(self.bound):
             raise ValueError("distance bounds are naturals")
 
 
@@ -127,12 +127,14 @@ def rdl_false():
 
 def rdl_first(var):
     """No position lies strictly before var."""
-    return Not(ExistsFO("z0", rdl_and(Leq("z0", var), Not(Leq(var, "z0")))))
+    z = "z1" if var == "z0" else "z0"
+    return Not(ExistsFO(z, rdl_and(Leq(z, var), Not(Leq(var, z)))))
 
 
 def rdl_last(var):
     """No position lies strictly after var."""
-    return Not(ExistsFO("z0", rdl_and(Leq(var, "z0"), Not(Leq("z0", var)))))
+    z = "z1" if var == "z0" else "z0"
+    return Not(ExistsFO(z, rdl_and(Leq(var, z), Not(Leq(z, var)))))
 
 
 def rdl_singleton(setvar, z, u):
@@ -160,7 +162,7 @@ class _Shape(NamedTuple):
     """What the shared walk needs to know of one node class."""
 
     children: tuple         # the fields holding subformulas, left to right
-    binder: Optional[str]   # the field holding the name a binder binds
+    names: tuple            # variable-name fields, a set's in ``setvar``; a binder binds the first
     text: Callable          # node -> the texts before, between and after its children
     inner: Optional[dict] = None  # the syntax of its children, if not its own
 
@@ -180,20 +182,16 @@ class _Syntax(dict):
 
 
 _SYNTAX = _Syntax("formula", {
-    Letter: _Shape((), None, lambda f: (f"P[{f.letter}]({f.var})",)),
-    Leq: _Shape((), None, lambda f: (f"{f.left} <= {f.right}",)),
-    InSet: _Shape((), None, lambda f: (f"{f.setvar}({f.var})",)),
-    Dist: _Shape((), None, lambda f: (f"dpast[{f.rel}{f.bound}]({f.setvar},{f.var})",)),
-    Not: _Shape(("sub",), None, lambda f: ("!(", ")")),
-    Or: _Shape(("left", "right"), None, lambda f: ("(", " | ", ")")),
-    ExistsFO: _Shape(("sub",), "var", lambda f: (f"(ex {f.var}. ", ")")),
-    ExistsSO: _Shape(("sub",), "setvar", lambda f: (f"(EX {f.setvar}. ", ")")),
+    Letter: _Shape((), ("var",), lambda f: (f"P[{f.letter}]({f.var})",)),
+    Leq: _Shape((), ("left", "right"), lambda f: (f"{f.left} <= {f.right}",)),
+    InSet: _Shape((), ("setvar", "var"), lambda f: (f"{f.setvar}({f.var})",)),
+    Dist: _Shape((), ("setvar", "var"),
+                 lambda f: (f"dpast[{f.rel}{f.bound}]({f.setvar},{f.var})",)),
+    Not: _Shape(("sub",), (), lambda f: ("!(", ")")),
+    Or: _Shape(("left", "right"), (), lambda f: ("(", " | ", ")")),
+    ExistsFO: _Shape(("sub",), ("var",), lambda f: (f"(ex {f.var}. ", ")")),
+    ExistsSO: _Shape(("sub",), ("setvar",), lambda f: (f"(EX {f.setvar}. ", ")")),
 })
-
-# The variable names each node carries; a binder carries the name it
-# binds, and a field named ``setvar`` holds a second-order name.
-_NAME_FIELDS = {Letter: ("var",), Leq: ("left", "right"), InSet: ("setvar", "var"),
-                Dist: ("setvar", "var"), ExistsFO: ("var",), ExistsSO: ("setvar",)}
 
 
 def _walk(formula, syntax: _Syntax, text: bool = False, scoped: bool = False):
@@ -219,8 +217,8 @@ def _walk(formula, syntax: _Syntax, text: bool = False, scoped: bool = False):
             yield node, shape, bound
         if shape is None or not shape.children:
             continue
-        if scoped and shape.binder is not None:
-            bound = bound | {(shape.binder == "setvar", getattr(node, shape.binder))}
+        if scoped and shape.names:
+            bound = bound | {(shape.names[0] == "setvar", getattr(node, shape.names[0]))}
         syntax, after = shape.inner or syntax, len(shape.children)
         for field in reversed(shape.children):
             if text:
@@ -229,20 +227,29 @@ def _walk(formula, syntax: _Syntax, text: bool = False, scoped: bool = False):
             push((getattr(node, field), syntax, bound))
 
 
-def _free_vars(formula, syntax: _Syntax) -> tuple:
-    free = (set(), set())
+def _facts(formula, syntax: _Syntax) -> tuple:
+    """The name facts of a formula from one scoped walk: its (first-order,
+    second-order) free names, every name it holds, bound or free, the set
+    variables of its distance tests, and the names its set quantifiers
+    bind, in walk order."""
+    free, names, dist, quantified = (set(), set()), set(), set(), []
     for node, shape, bound in _walk(formula, syntax, scoped=True):
-        if not shape.children:
-            for field in _NAME_FIELDS.get(type(node), ()):
-                key = (field == "setvar", getattr(node, field))
-                if key not in bound:
-                    free[key[0]].add(key[1])
-    return frozenset(free[0]), frozenset(free[1])
+        for field in shape.names:
+            so, name = field == "setvar", getattr(node, field)
+            names.add(name)
+            if not shape.children:
+                if (so, name) not in bound:
+                    free[so].add(name)
+            elif so:
+                quantified.append(name)
+        if node.__class__ is Dist:
+            dist.add(node.setvar)
+    return (frozenset(free[0]), frozenset(free[1])), names, frozenset(dist), quantified
 
 
 def free_vars(formula):
     """(free first-order vars, free second-order vars)."""
-    return _free_vars(formula, _SYNTAX)
+    return _facts(formula, _SYNTAX)[0]
 
 
 def iter_subformulas(formula) -> Iterator:
@@ -252,26 +259,16 @@ def iter_subformulas(formula) -> Iterator:
 
 def dist_vars(formula) -> frozenset:
     """Set variables applied in a past distance predicate anywhere."""
-    return frozenset(
-        sub.setvar for sub in iter_subformulas(formula) if isinstance(sub, Dist)
-    )
+    return _facts(formula, _SYNTAX)[2]
 
 
 def so_quantified_vars(formula) -> frozenset:
-    return frozenset(
-        sub.setvar for sub in iter_subformulas(formula) if isinstance(sub, ExistsSO)
-    )
-
-
-def _names(formula, syntax: _Syntax, fields: dict) -> set:
-    """The names in the given fields of every node the syntax walks."""
-    return {getattr(node, field) for node, _, _ in _walk(formula, syntax)
-            for field in fields.get(type(node), ())}
+    return frozenset(_facts(formula, _SYNTAX)[3])
 
 
 def variable_names(formula) -> set:
     """Every variable name occurring in the formula, bound or free."""
-    return _names(formula, _SYNTAX, _NAME_FIELDS)
+    return _facts(formula, _SYNTAX)[1]
 
 
 def _rebuild(formula, visit: Callable):
@@ -315,7 +312,7 @@ def _rebuild(formula, visit: Callable):
 
 def _rename_atom(node, renames: Mapping[str, str]):
     """An atom with the names it carries renamed by the map."""
-    changes = {field: renames[name] for field in _NAME_FIELDS[type(node)]
+    changes = {field: renames[name] for field in _SYNTAX[type(node)].names
                if (name := getattr(node, field)) in renames}
     return replace(node, **changes) if changes else node
 
@@ -742,24 +739,19 @@ def classify(formula) -> RdlClassification:
     in_rdl_past: no second-order quantifier binds a variable that is
     used in a past distance predicate anywhere in the formula.
     exists_rdl_past_sentence: the formula is a sentence of the shape
-    EX X1. ... EX Xm. body where {X1..Xm} is exactly the set of distance
-    variables of the body and the body is in the past fragment.
+    EX X1. ... EX Xm. body where the Xi are distinct, {X1..Xm} is exactly
+    the set of distance variables of the body and the body is in the past
+    fragment.
     """
-    fo, so = free_vars(formula)
-    dvars = dist_vars(formula)
+    (fo, so), _, dvars, quantified = _facts(formula, _SYNTAX)
     is_sentence = not fo and not so
-    in_past = not (so_quantified_vars(formula) & dvars)
-
-    prefix = []
-    body = formula
+    in_past = dvars.isdisjoint(quantified)
+    # The prefix binders are the first set quantifiers the walk meets and
+    # hold no distance test, so the body quantifies the rest and tests dvars.
+    body, m = formula, 0
     while isinstance(body, ExistsSO):
-        prefix.append(body.setvar)
-        body = body.sub
-    body_class_ok = not (so_quantified_vars(body) & dist_vars(body))
-    exists_past = (
-        is_sentence
-        and len(prefix) == len(set(prefix))
-        and frozenset(prefix) == dist_vars(body)
-        and body_class_ok
-    )
+        body, m = body.sub, m + 1
+    prefix = frozenset(quantified[:m])
+    exists_past = (is_sentence and len(prefix) == m and prefix == dvars
+                   and dvars.isdisjoint(quantified[m:]))
     return RdlClassification(dvars, fo, so, is_sentence, in_past, exists_past)

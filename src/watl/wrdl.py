@@ -73,16 +73,14 @@ class ExistsSO:
 
 
 _SYNTAX = rdl._Syntax("weighted formula", {
-    Bool: rdl._Shape(("payload",), None, lambda f: ("B(", ")"), rdl._SYNTAX),
-    Const: rdl._Shape((), None, lambda f: (format_weight(f.value),)),
+    Bool: rdl._Shape(("payload",), (), lambda f: ("B(", ")"), rdl._SYNTAX),
+    Const: rdl._Shape((), (), lambda f: (format_weight(f.value),)),
     Or: rdl._SYNTAX[rdl.Or],
-    And: rdl._Shape(("left", "right"), None, lambda f: ("(", " & ", ")")),
+    And: rdl._Shape(("left", "right"), (), lambda f: ("(", " & ", ")")),
     ExistsFO: rdl._SYNTAX[rdl.ExistsFO],
-    Forall: rdl._Shape(("left", "right"), "var", lambda f: (f"(all {f.var}. (", ", ", "))")),
+    Forall: rdl._Shape(("left", "right"), ("var",), lambda f: (f"(all {f.var}. (", ", ", "))")),
     ExistsSO: rdl._SYNTAX[rdl.ExistsSO],
 })
-
-_NAME_FIELDS = {**rdl._NAME_FIELDS, ExistsFO: ("var",), Forall: ("var",), ExistsSO: ("setvar",)}
 
 # The weighted nodes alone: payloads are not entered, other nodes passed over.
 _NODES = rdl._Syntax(None, {**_SYNTAX, Bool: _SYNTAX[Bool]._replace(children=())})
@@ -90,7 +88,7 @@ _NODES = rdl._Syntax(None, {**_SYNTAX, Bool: _SYNTAX[Bool]._replace(children=())
 
 def free_vars(formula):
     """(free first-order vars, free second-order vars)."""
-    return rdl._free_vars(formula, _SYNTAX)
+    return rdl._facts(formula, _SYNTAX)[0]
 
 
 def iter_nodes(formula):
@@ -551,7 +549,7 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
     validate_formula(formula, monoid)
     if not wrdl_classify(formula).syntactically_restricted:
         raise FragmentError("canonical form needs a syntactically restricted sentence")
-    names = NameSupply(rdl._names(formula, _SYNTAX, _NAME_FIELDS))
+    names = NameSupply(rdl._facts(formula, _SYNTAX)[1])
 
     def canon(node) -> CanonicalSentence:
         if almost_boolean(node):
@@ -645,6 +643,13 @@ def _ordered_unique(values):
     return out
 
 
+def _require_writable(letters) -> None:
+    """Refuse a letter holding ``]``, which would end its letter test early."""
+    for a in letters:
+        if "]" in a:
+            raise WatlError(f"letter {a!r} holds ']', which a letter test cannot write")
+
+
 def gamma_letter(letter: str, m, mp) -> str:
     return f"{letter}|{format_weight(m)}|{format_weight(mp)}"
 
@@ -691,9 +696,7 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     ``WatlError``.
     """
     monoid = _require_pv(monoid)
-    for a in alphabet:
-        if "]" in a:
-            raise WatlError(f"letter {a!r} holds ']', which a letter test cannot write")
+    _require_writable(alphabet)
     for v in canonical.left + canonical.right:
         monoid.require(v, "canonical value")
     lefts = [m for m in _ordered_unique(canonical.left) if is_finite(m)]
@@ -746,7 +749,9 @@ def nivat_to_sentence(triple: NivatTriple, monoid):
     Fresh set variables X_c guess which auxiliary letter each position
     came from; the boolean part asserts the guess is a partition refining
     the letter projection and that the relabeled language sentence holds,
-    while the universal part charges g1/g2 of the guessed letter.
+    while the universal part charges g1/g2 of the guessed letter.  A
+    letter of h holding ``]``, which the letter tests of the payload
+    cannot write, is refused with a ``WatlError``.
     """
     monoid = _require_pv(monoid)
     if triple.language_class != "sentence":
@@ -759,6 +764,7 @@ def nivat_to_sentence(triple: NivatTriple, monoid):
     for c in triple.gamma:
         monoid.require(triple.g[c][0], f"g1({c})")
         monoid.require(triple.g[c][1], f"g2({c})")
+    _require_writable(triple.h[c] for c in triple.gamma)
 
     prefix = []
     body = sentence

@@ -231,6 +231,45 @@ def brute_so_quantified_vars(formula):
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def brute_variable_names(formula):
+    """The structural-recursion oracle for ``rdl.variable_names``."""
+    if isinstance(formula, rdl.Letter):
+        return {formula.var}
+    if isinstance(formula, rdl.Leq):
+        return {formula.left, formula.right}
+    if isinstance(formula, (rdl.InSet, rdl.Dist)):
+        return {formula.setvar, formula.var}
+    if isinstance(formula, rdl.Not):
+        return brute_variable_names(formula.sub)
+    if isinstance(formula, rdl.Or):
+        return brute_variable_names(formula.left) | brute_variable_names(formula.right)
+    if isinstance(formula, rdl.ExistsFO):
+        return brute_variable_names(formula.sub) | {formula.var}
+    if isinstance(formula, rdl.ExistsSO):
+        return brute_variable_names(formula.sub) | {formula.setvar}
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def brute_classify(formula):
+    """The oracle for ``rdl.classify``, read off its docstring: strip the
+    EX prefix, then compare the oracles' facts of the formula and of the
+    body under the prefix."""
+    fo, so = brute_free_vars(formula)
+    dist = brute_dist_vars(formula)
+    prefix, body = [], formula
+    while isinstance(body, rdl.ExistsSO):
+        prefix.append(body.setvar)
+        body = body.sub
+    sentence = not fo and not so
+    body_dist = brute_dist_vars(body)
+    return rdl.RdlClassification(
+        dist, fo, so, sentence,
+        in_rdl_past=not brute_so_quantified_vars(formula) & dist,
+        exists_rdl_past_sentence=(sentence and len(set(prefix)) == len(prefix)
+                                  and set(prefix) == body_dist
+                                  and not brute_so_quantified_vars(body) & body_dist))
+
+
 def brute_wrdl_free_vars(formula):
     """The structural-recursion oracle for ``wrdl.free_vars``."""
     if isinstance(formula, wrdl.Bool):

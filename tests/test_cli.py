@@ -264,6 +264,19 @@ def test_letters_holding_a_closing_bracket_are_refused_cleanly(tmp_path):
         "Error: letter 'a]b' holds ']', which a letter test cannot write\n")
 
 
+def test_h_letters_holding_a_closing_bracket_are_refused_cleanly(tmp_path):
+    formula = put_text(tmp_path, "f.txt", "B(ex x. P[a](x))")
+    forth = invoke("to-nivat", "--formula", formula, "--monoid", "sum0", "--alphabet", "a")
+    data = json.loads(forth.stdout)
+    data["h"] = {c: "a]" for c in data["h"]}
+    result = invoke("from-nivat", "--triple", put_json(tmp_path, "t.json", data),
+                    "--monoid", "sum0")
+    assert_clean_refusal(result)
+    assert result.stdout == ""
+    assert result.stderr == (
+        "Error: letter 'a]' holds ']', which a letter test cannot write\n")
+
+
 def test_repeated_alphabet_letters_are_refused_cleanly(tmp_path):
     formula = put_text(tmp_path, "f.txt", "B(ex x. P[a](x))")
     result = invoke("to-nivat", "--formula", formula, "--monoid", "sum0",

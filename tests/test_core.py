@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import wd
 from watl import sampling
 from watl.core import (
+    ClockAtom,
     ClockConstraint,
     Edge,
     TimedAutomaton,
@@ -69,6 +70,14 @@ def test_interval_intersection_produces_a_witness():
 def test_fractional_guard_bound_is_rejected():
     with pytest.raises(ParseError, match="natural"):
         ClockConstraint.parse("x>=1/2")
+
+
+@pytest.mark.parametrize("bound", [True, False, -1, 1.0])
+def test_guard_bounds_must_be_naturals(bound):
+    # True would be written as the guard x<True, which does not read back
+    with pytest.raises(ValueError) as info:
+        ClockAtom("x", "<", bound)
+    assert str(info.value) == f"guard bounds must be naturals, got {bound!r}"
 
 
 def test_malformed_guard_atom_is_rejected():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dist_holds, outcome, random_rdl_formula, wd
+from conftest import brute_model_check, dist_holds, outcome, random_rdl_formula, wd
 from watl import sampling, wrdl
 from watl.errors import ParseError, WatlError
 from watl.monoids import monoid_from_id
@@ -28,7 +28,9 @@ from watl.rdl import (
     parse_rdl,
     rdl_and,
     rdl_false,
+    rdl_first,
     rdl_forall_fo,
+    rdl_last,
     rdl_true,
     rename_free,
     to_text,
@@ -70,6 +72,14 @@ def test_unbalanced_parenthesis_reports_the_column():
 def test_fractional_distance_bound_is_rejected():
     with pytest.raises(ParseError):
         parse_rdl("dpast[<=1/2](X,x)")
+
+
+@pytest.mark.parametrize("bound", [True, False, -1, 1.0])
+def test_distance_bounds_must_be_naturals(bound):
+    # True would print as dpast[<True](X,x), which does not parse back
+    with pytest.raises(ValueError) as info:
+        Dist("<", bound, "X", "x")
+    assert str(info.value) == "distance bounds are naturals"
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -200,6 +210,19 @@ def test_boolean_constants():
     assert model_check(rdl_true(), word, Assignment({}, {}))
     assert not model_check(rdl_false(), word, Assignment({}, {}))
     assert model_check(rdl_and(rdl_true(), rdl_true()), word, Assignment({}, {}))
+
+
+@pytest.mark.parametrize("var", ["x", "z0"])
+def test_first_and_last_test_their_argument(var):
+    # the builders bind a name of their own, which must not capture var
+    word = wd(("a", 1), ("a", 1))
+    for build, holds_at in ((rdl_first, 1), (rdl_last, 2)):
+        formula = build(var)
+        assert free_vars(formula) == (frozenset([var]), frozenset())
+        for position in (1, 2):
+            sigma = Assignment({var: position})
+            assert model_check(formula, word, sigma) is (position == holds_at)
+            assert brute_model_check(formula, word, sigma) is (position == holds_at)
 
 
 # --- classification --------------------------------------------------------

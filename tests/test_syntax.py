@@ -1,7 +1,7 @@
 """Concrete syntax of both logics: the exact messages of malformed input,
 parse(to_text(f)) == f on random formulas, and the shared walk behind
-printing, free variables and the fragment facts against the
-structural-recursion oracles."""
+printing, free variables, variable names and the fragment facts against
+the structural-recursion oracles."""
 
 import random
 from dataclasses import fields, is_dataclass, replace
@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (brute_dist_vars, brute_free_vars, brute_so_quantified_vars,
-                      brute_to_text, brute_wrdl_free_vars, brute_wrdl_to_text, outcome,
-                      random_rdl_formula, random_weighted_formula)
-from watl import rdl, wrdl
+from conftest import (brute_classify, brute_dist_vars, brute_free_vars,
+                      brute_so_quantified_vars, brute_to_text, brute_variable_names,
+                      brute_wrdl_free_vars, brute_wrdl_to_text, outcome, random_rdl_formula,
+                      random_weighted_formula)
+from watl import rdl, sampling, wrdl
 from watl.errors import ParseError
+from watl.monoids import monoid_from_id
 from watl.weights import INF, NEG_INF
 
 MALFORMED_RDL = [
@@ -157,7 +159,8 @@ def test_the_walk_matches_the_recursive_oracles(logic):
         draw = lambda rng: random_rdl_formula(rng, depth=5)
         pairs = ((rdl.free_vars, brute_free_vars), (rdl.to_text, brute_to_text),
                  (rdl.dist_vars, brute_dist_vars),
-                 (rdl.so_quantified_vars, brute_so_quantified_vars))
+                 (rdl.so_quantified_vars, brute_so_quantified_vars),
+                 (rdl.variable_names, brute_variable_names), (rdl.classify, brute_classify))
         junks = ("junk", 7, wrdl.Const(Fraction(1)))
     else:
         draw = lambda rng: random_weighted_formula(rng, depth=4)
@@ -183,3 +186,66 @@ def test_the_walk_matches_the_recursive_oracles(logic):
     # junk both in payloads and in weighted positions
     labels = {"not a formula"} | ({"not a weighted formula"} if logic == "wrdl" else set())
     assert set(refusals) == labels
+
+
+SUM0 = monoid_from_id("sum0")
+
+# EX-prefixed sentences, which random formulas rarely are, each with
+# whether it is an existentially prefixed past sentence.
+PREFIXED = [
+    ("EX X. ex x. dpast[<1](X,x)", True),
+    ("EX X. EX Y. ex x. dpast[<1](X,x) & dpast[<2](Y,x)", True),
+    # a repeated prefix name
+    ("EX X. EX X. ex x. dpast[<1](X,x)", False),
+    # a prefix name rebound in the body
+    ("EX X. ex x. dpast[<1](X,x) & (EX X. X(x))", False),
+    # a prefix name with no distance test
+    ("EX X. EX Y. ex x. dpast[<1](X,x)", False),
+    # a distance variable bound inside the body
+    ("EX X. ex x. (EX Y. dpast[<1](Y,x)) & dpast[<1](X,x)", False),
+]
+
+
+@pytest.mark.parametrize("text, prefixed", PREFIXED)
+def test_classify_matches_its_oracle_on_prefixed_sentences(text, prefixed):
+    formula = rdl.parse_rdl(text)
+    assert rdl.classify(formula) == brute_classify(formula)
+    assert rdl.classify(formula).exists_rdl_past_sentence is prefixed
+    assert rdl.variable_names(formula) == brute_variable_names(formula)
+
+
+def test_classify_matches_its_oracle_on_the_pool_translations():
+    # the language sentences and back-translation payloads of the first
+    # 40 sentences of the Random(5) pool
+    rng = random.Random(5)
+    formulas = []
+    for _ in range(40):
+        alphabet = ("a",) if rng.random() < 0.5 else ("a", "b")
+        sentence = sampling.random_restricted_sentence(rng, alphabet)
+        triple = wrdl.sentence_to_nivat(wrdl.canonicalize(sentence, SUM0), alphabet, SUM0)
+        back = wrdl.nivat_to_sentence(triple, SUM0)
+        formulas.append(triple.language)
+        formulas += [node.payload for node in wrdl.iter_nodes(back)
+                     if isinstance(node, wrdl.Bool)]
+    prefixed = 0
+    for formula in formulas:
+        report = rdl.classify(formula)
+        assert report == brute_classify(formula)
+        assert rdl.variable_names(formula) == brute_variable_names(formula)
+        prefixed += report.exists_rdl_past_sentence
+    assert prefixed == 40    # the languages; no payload is a sentence
+
+
+def test_classify_walks_its_formula_once(monkeypatch):
+    walked, walk = [], rdl._walk
+
+    def counted(formula, *args, **kwargs):
+        walked.append(formula)
+        return walk(formula, *args, **kwargs)
+
+    monkeypatch.setattr(rdl, "_walk", counted)
+    for text, _ in PREFIXED:
+        formula = rdl.parse_rdl(text)
+        walked.clear()
+        rdl.classify(formula)
+        assert walked == [formula]

@@ -249,6 +249,18 @@ def test_letters_holding_a_closing_bracket_are_refused():
     assert str(info.value) == "letter 'a]b' holds ']', which a letter test cannot write"
 
 
+def test_h_letters_holding_a_closing_bracket_are_refused():
+    # the payload would test P[a]](p0), which does not parse back
+    canonical = canonicalize(parse_wrdl("B(ex x. P[a](x))", SUM0), SUM0)
+    triple = sentence_to_nivat(canonical, ("a",), SUM0)
+    odd = NivatTriple(triple.gamma, {c: "a]" for c in triple.gamma}, triple.g,
+                      triple.language, "sentence")
+    with pytest.raises(WatlError) as info:
+        nivat_to_sentence(odd, SUM0)
+    assert type(info.value) is WatlError
+    assert str(info.value) == "letter 'a]' holds ']', which a letter test cannot write"
+
+
 def test_parse_disjunction_with_a_constant():
     formula = parse_wrdl("1/2 | B(P[a](x))", SUM0)
     assert isinstance(formula, Or)
