@@ -20,51 +20,59 @@ The package provides:
   (:mod:`watl.serialize`, :mod:`watl.sampling`, :mod:`watl.cli`).
 """
 
-from . import rdl, sampling, serialize, wrdl  # noqa: F401
-from .core import (ClockAtom, ClockConstraint, Edge, Run, TimedAutomaton,
-                   TimedWord, ambiguity_probe, classify_automaton,
-                   clock_step, constraint_satisfiable, enumerate_runs,
-                   feasible_valuation)
-from .errors import (DomainError, FragmentError, ModelValidationError,
-                     ParseError, PreimageCapError, UnsoundCompositionError,
-                     UnsupportedGuardError, WatlError)
-from .monoids import (AvgMonoid, DiscountMonoid, ProductMonoid, SumMonoid,
-                      TimedPvMonoid, TimedValuationMonoid, WeightPairWord,
-                      check_axioms, monoid_from_id, register_monoid,
-                      sum_over, valuate)
-from .optcost import (CornerArc, CornerPointGraph, DecisionResult,
-                      InfCostResult, build_corner_points,
-                      decide_avg_threshold, decide_sum_threshold, inf_cost,
-                      witness_below)
-from .transform import (NivatTriple, comp_automaton, nivat_compose,
-                        nivat_decompose, nivat_eval, product_intersect,
-                        relabel)
-from .rdl import parse_rdl
-from .weights import (INF, NEG_INF, Infinity, format_weight, is_finite,
-                      parse_weight)
-from .wrdl import (CanonicalSentence, StepFunction, WrdlClassification,
-                   canonicalize, nivat_to_sentence, parse_wrdl,
-                   sentence_to_nivat, to_step_function, wrdl_classify,
-                   wrdl_eval)
-from .wta import WeightedTimedAutomaton, behavior, run_weight, wt_sharp
+import importlib
 
-__all__ = [
-    "AvgMonoid", "CanonicalSentence", "ClockAtom", "ClockConstraint",
-    "CornerArc", "CornerPointGraph", "DecisionResult", "DiscountMonoid",
-    "DomainError", "Edge", "FragmentError", "INF", "Infinity",
-    "InfCostResult", "ModelValidationError", "NEG_INF", "NivatTriple",
-    "ParseError", "PreimageCapError", "ProductMonoid", "Run", "StepFunction",
-    "SumMonoid", "TimedAutomaton", "TimedPvMonoid", "TimedValuationMonoid",
-    "TimedWord", "UnsoundCompositionError", "UnsupportedGuardError",
-    "WatlError", "WeightPairWord", "WeightedTimedAutomaton",
-    "WrdlClassification", "ambiguity_probe", "behavior",
-    "build_corner_points", "canonicalize", "check_axioms",
-    "classify_automaton", "clock_step", "comp_automaton",
-    "constraint_satisfiable", "decide_avg_threshold", "decide_sum_threshold",
-    "enumerate_runs", "feasible_valuation", "format_weight", "inf_cost",
-    "is_finite", "monoid_from_id", "nivat_compose", "nivat_decompose",
-    "nivat_eval", "nivat_to_sentence", "parse_rdl", "parse_weight",
-    "parse_wrdl", "product_intersect", "register_monoid", "relabel",
-    "run_weight", "sentence_to_nivat", "sum_over", "to_step_function",
-    "valuate", "witness_below", "wrdl_classify", "wrdl_eval", "wt_sharp",
-]
+# Each public name and the submodule that defines it, in the order of
+# __all__.  A name is imported on first use, so ``import watl`` loads no
+# submodule and a program pays only for the modules it touches.
+_HOMES = {
+    "AvgMonoid": "monoids", "CanonicalSentence": "wrdl", "ClockAtom": "core",
+    "ClockConstraint": "core", "CornerArc": "optcost",
+    "CornerPointGraph": "optcost", "DecisionResult": "optcost",
+    "DiscountMonoid": "monoids", "DomainError": "errors", "Edge": "core",
+    "FragmentError": "errors", "INF": "weights", "Infinity": "weights",
+    "InfCostResult": "optcost", "ModelValidationError": "errors",
+    "NEG_INF": "weights", "NivatTriple": "transform", "ParseError": "errors",
+    "PreimageCapError": "errors", "ProductMonoid": "monoids", "Run": "core",
+    "StepFunction": "wrdl", "SumMonoid": "monoids", "TimedAutomaton": "core",
+    "TimedPvMonoid": "monoids", "TimedValuationMonoid": "monoids",
+    "TimedWord": "core", "UnsoundCompositionError": "errors",
+    "UnsupportedGuardError": "errors", "WatlError": "errors",
+    "WeightPairWord": "monoids", "WeightedTimedAutomaton": "wta",
+    "WrdlClassification": "wrdl", "ambiguity_probe": "core", "behavior": "wta",
+    "build_corner_points": "optcost", "canonicalize": "wrdl",
+    "check_axioms": "monoids", "classify_automaton": "core",
+    "clock_step": "core", "comp_automaton": "transform",
+    "constraint_satisfiable": "core", "decide_avg_threshold": "optcost",
+    "decide_sum_threshold": "optcost", "enumerate_runs": "core",
+    "feasible_valuation": "core", "format_weight": "weights",
+    "inf_cost": "optcost", "is_finite": "weights", "monoid_from_id": "monoids",
+    "nivat_compose": "transform", "nivat_decompose": "transform",
+    "nivat_eval": "transform", "nivat_to_sentence": "wrdl", "parse_rdl": "rdl",
+    "parse_weight": "weights", "parse_wrdl": "wrdl",
+    "product_intersect": "transform", "register_monoid": "monoids",
+    "relabel": "transform", "run_weight": "wta", "sentence_to_nivat": "wrdl",
+    "sum_over": "monoids", "to_step_function": "wrdl", "valuate": "monoids",
+    "witness_below": "optcost", "wrdl_classify": "wrdl", "wrdl_eval": "wrdl",
+    "wt_sharp": "wta",
+}
+
+# Submodules that ``watl.<name>`` reaches without an import of its own.
+_SUBMODULES = frozenset({"core", "errors", "monoids", "optcost", "rdl", "sampling",
+                         "serialize", "transform", "weights", "wrdl", "wta"})
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -4,6 +4,10 @@ Every command prints one machine-readable JSON object on stdout and a
 short human summary on stderr; rationals travel as "p/q" strings.  The
 exit status is 0 exactly when no error occurred, and a fixed seed makes
 every command byte-reproducible.
+
+Each command imports the logic, cost and sampling modules it calls
+itself, so a command that only reads a model and a word does not load
+them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import random
 
 import click
 
-from . import optcost, rdl, sampling, serialize, transform, wrdl
+from . import serialize, transform
 from .core import ambiguity_probe, classify_automaton, enumerate_runs
 from .errors import WatlError
 from .monoids import WeightPairWord, check_axioms, monoid_from_id, valuate
@@ -185,6 +189,7 @@ def runs_command(model_path, word_path, timestamps):
 @click.pass_context
 def classify_command(ctx, model_path, samples):
     """Report structural run-uniqueness classes plus an ambiguity probe."""
+    from . import sampling
     model = _load_model(model_path)
     base = model.base if hasattr(model, "monoid") else model
     report = classify_automaton(base)
@@ -303,6 +308,7 @@ def nivat_eval_command(ctx, triple_path, word_path, monoid_id, timestamps):
               help="JSON assignment {'fo': {...}, 'so': {...}} for free variables.")
 def rdl_check_command(formula_path, word_path, timestamps, assign_path):
     """Model check an unweighted formula on a timed word."""
+    from . import rdl
     formula = rdl.parse_rdl(_read_text(formula_path))
     word = _load_word(word_path, timestamps)
     sigma = _load_assignment(assign_path)
@@ -319,6 +325,7 @@ def rdl_check_command(formula_path, word_path, timestamps, assign_path):
               help="JSON assignment for free variables.")
 def wrdl_eval_command(formula_path, word_path, monoid_id, timestamps, assign_path):
     """Evaluate a weighted formula on a timed word."""
+    from . import wrdl
     monoid = monoid_from_id(monoid_id)
     formula = wrdl.parse_wrdl(_read_text(formula_path), monoid)
     word = _load_word(word_path, timestamps)
@@ -332,6 +339,7 @@ def wrdl_eval_command(formula_path, word_path, monoid_id, timestamps, assign_pat
 @_FORMULA
 def wrdl_classify_command(formula_path):
     """Report the fragment memberships of a weighted formula."""
+    from . import wrdl
     formula = wrdl.parse_wrdl(_read_text(formula_path))
     decision = wrdl.wrdl_classify(formula)
     payload = {
@@ -347,6 +355,7 @@ def wrdl_classify_command(formula_path):
 @_MONOID
 def canonicalize_command(formula_path, monoid_id):
     """Normalize a restricted sentence to prefix + one guard family."""
+    from . import rdl, wrdl
     monoid = monoid_from_id(monoid_id)
     formula = wrdl.parse_wrdl(_read_text(formula_path), monoid)
     canonical = wrdl.canonicalize(formula, monoid)
@@ -369,6 +378,7 @@ def canonicalize_command(formula_path, monoid_id):
               help="Comma-separated alphabet of the words.")
 def to_nivat_command(formula_path, monoid_id, alphabet_text):
     """Translate a restricted sentence into a decomposition triple."""
+    from . import wrdl
     monoid = monoid_from_id(monoid_id)
     formula = wrdl.parse_wrdl(_read_text(formula_path), monoid)
     canonical = wrdl.canonicalize(formula, monoid)
@@ -382,6 +392,7 @@ def to_nivat_command(formula_path, monoid_id, alphabet_text):
 @_MONOID
 def from_nivat_command(triple_path, monoid_id):
     """Translate a triple with a sentence language back into the logic."""
+    from . import wrdl
     monoid = monoid_from_id(monoid_id)
     triple = serialize.triple_from_dict(_read_json(triple_path))
     formula = wrdl.nivat_to_sentence(triple, monoid)
@@ -393,6 +404,7 @@ def from_nivat_command(triple_path, monoid_id):
 @_MODEL
 def infcost_command(model_path):
     """Infimum of accepting-run costs of a priced automaton."""
+    from . import optcost
     wta = _load_wta(model_path)
     result = optcost.inf_cost(wta)
     payload = {
@@ -418,6 +430,7 @@ def infcost_command(model_path):
               help="Ask for value <= theta instead of value < theta.")
 def decide_command(formula_path, monoid_id, theta, alphabet_text, non_strict):
     """Decide whether some word's value lies below a threshold."""
+    from . import optcost, rdl, wrdl
     monoid = monoid_from_id(monoid_id)
     formula = wrdl.parse_wrdl(_read_text(formula_path), monoid)
     if alphabet_text:
@@ -476,6 +489,7 @@ def check_axioms_command(ctx, monoid_id, samples):
 @click.pass_context
 def fuzz_command(ctx, suite, seed, count):
     """Run a seeded differential suite and count mismatches."""
+    from . import sampling
     rng = random.Random(ctx.obj["seed"] if seed is None else seed)
     maxlen = ctx.obj["maxlen"]
     failed = 0
@@ -497,6 +511,7 @@ def fuzz_command(ctx, suite, seed, count):
                     details.append(f"case {k} ({monoid.id}) on {word}: "
                                    f"{direct} / {via_triple} / {via_compose}")
     else:
+        from . import wrdl
         monoid = monoid_from_id("sum0")
         for k in range(count):
             alphabet = ("a",) if rng.random() < 0.5 else ("a", "b")

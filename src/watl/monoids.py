@@ -364,6 +364,12 @@ class _ProductFold(StepFold):
         return Fraction(partial)
 
 
+def _is_number(value, kinds) -> bool:
+    """An instance of one of the kinds; True and False, which Python
+    counts as ints, are not weights."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 class _MinPlusMonoid(TimedValuationMonoid):
     """The part the sum, average and discounted monoids share: rationals
     and inf under min, whose neutral element inf is the zero."""
@@ -379,7 +385,7 @@ class _MinPlusMonoid(TimedValuationMonoid):
         return _min_plus(x, y)
 
     def contains(self, x):
-        return x is INF or isinstance(x, (Fraction, int))
+        return x is INF or _is_number(x, (Fraction, int))
 
     def sample(self, rng):
         if rng.random() < 0.08:
@@ -434,7 +440,7 @@ class DiscountMonoid(_MinPlusMonoid):
         self.id = f"disc:{lam}"
 
     def contains(self, x):
-        return x is INF or isinstance(x, (Fraction, int, mpmath.mpf))
+        return x is INF or _is_number(x, (Fraction, int, mpmath.mpf))
 
     def step_fold(self, delays):
         return _DiscountFold(self.lam, delays)
@@ -465,7 +471,7 @@ class ProductMonoid(TimedValuationMonoid):
         return x + y
 
     def contains(self, x):
-        return isinstance(x, (Fraction, int)) and x == int(x) and x >= 0
+        return _is_number(x, (Fraction, int)) and x == int(x) and x >= 0
 
     def step_fold(self, delays):
         return _ProductFold(self, delays)

@@ -3,21 +3,26 @@
 Rationals travel as strings "p/q" (bare integers allowed) so that no
 float drift can enter through files; discounted values are decimal
 strings with twelve significant digits.  All loaders validate the
-reconstructed object and report every problem at once.
+reconstructed object and report every problem at once.  The logic and
+triple modules are imported by the functions that read or write triples
+and assignments, so loading a model or a word does not load them.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import rdl
 from .core import ClockConstraint, Edge, TimedAutomaton, TimedWord
 from .errors import ParseError
 from .monoids import monoid_from_id
-from .transform import NivatTriple
 from .weights import format_weight, parse_weight
 from .wta import WeightedTimedAutomaton
+
+if TYPE_CHECKING:
+    from . import rdl
+    from .transform import NivatTriple
 
 
 def dump_json(payload) -> str:
@@ -181,6 +186,7 @@ def wta_from_dict(data) -> WeightedTimedAutomaton:
 
 def triple_to_dict(triple: NivatTriple) -> dict:
     if triple.language_class == "sentence":
+        from . import rdl
         language = rdl.to_text(triple.language)
     else:
         language = automaton_to_dict(triple.language)
@@ -195,12 +201,14 @@ def triple_to_dict(triple: NivatTriple) -> dict:
 
 
 def triple_from_dict(data) -> NivatTriple:
+    from .transform import NivatTriple
     _require_fields(data, ("gamma", "h", "g", "language", "class"), "triple")
     gamma = _strings(data["gamma"], "triple gamma")
     h = {str(c): str(a) for c, a in require_shape(data["h"], dict, "triple h").items()}
     g = letter_weights_from_dict(data["g"], "triple g")
     language_class = str(data["class"])
     if language_class == "sentence":
+        from . import rdl
         language = rdl.parse_rdl(str(data["language"]))
     else:
         language = automaton_from_dict(data["language"])
@@ -222,6 +230,7 @@ def letter_weights_from_dict(data, what: str) -> dict:
 
 
 def assignment_from_dict(data) -> rdl.Assignment:
+    from . import rdl
     if not isinstance(data, dict) or not all(
             isinstance(data.get(kind, {}), dict) for kind in ("fo", "so")):
         raise ParseError("an assignment is an object with 'fo' and 'so' maps")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from . import rdl
 from .core import (ClockConstraint, Edge, TimedAutomaton, TimedWord, accepts,
                    classify_automaton)
 from .errors import (ModelValidationError, PreimageCapError,
@@ -274,6 +273,7 @@ def nivat_decompose(automaton: WeightedTimedAutomaton) -> NivatTriple:
 def _accepts(triple: NivatTriple, word: TimedWord) -> bool:
     if isinstance(triple.language, TimedAutomaton):
         return accepts(triple.language, word)
+    from . import rdl
     return rdl.model_check(triple.language, word)
 
 

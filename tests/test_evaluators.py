@@ -130,6 +130,8 @@ def test_errors_match_the_oracles():
         (ExistsFO("X", Const(Fraction(1))), sum0, None),                  # FragmentError
         (Const(Fraction(1)), monoid_from_id("sum"), None),                # DomainError
         (Const(Fraction(1)), monoid_from_id("prod"), None),               # DomainError
+        *((Const(flag), monoid_from_id(monoid_id), None)                  # FragmentError:
+          for monoid_id in PV_MONOIDS for flag in (True, False)),        # a bool is no weight
     ]
     raised = set()
     for formula, monoid, sigma in wrdl_cases:
@@ -137,6 +139,8 @@ def test_errors_match_the_oracles():
         assert isinstance(got, tuple)
         assert got == outcome(brute_wrdl_eval, formula, word, monoid, sigma)
         raised.add(got[0])
+        if type(getattr(formula, "value", None)) is bool:
+            assert got[0] is FragmentError
     assert raised == {WatlError, TypeError, FragmentError, DomainError}
 
 

@@ -91,6 +91,19 @@ def test_prod_rejects_values_outside_the_naturals():
         valuate(monoid_from_id("prod"), pairs((0, "1/2", 1)))
 
 
+@pytest.mark.parametrize("identifier", [
+    "sum", "avg", "disc:1/2", "prod", "sum0", "avg0", "disc0:1/2",
+])
+def test_booleans_are_not_weights(identifier):
+    # Python counts True and False as the ints 1 and 0.
+    monoid = monoid_from_id(identifier)
+    for flag in (True, False):
+        assert not monoid.contains(flag)
+        with pytest.raises(DomainError):
+            monoid.require(flag)
+    assert monoid.contains(1) and monoid.contains(Fraction(0))
+
+
 @given(st.lists(st.tuples(weights, weights, delays), min_size=1, max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_avg_equals_sum_divided_by_duration(triples):
