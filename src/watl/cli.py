@@ -5,9 +5,9 @@ short human summary on stderr; rationals travel as "p/q" strings.  The
 exit status is 0 exactly when no error occurred, and a fixed seed makes
 every command byte-reproducible.
 
-Each command imports the logic, cost and sampling modules it calls
-itself, so a command that only reads a model and a word does not load
-them.
+Each command imports the transform, logic, cost and sampling modules it
+calls itself, so a command that only reads a model and a word does not
+load them.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import random
 
 import click
 
-from . import serialize, transform
+from . import serialize
 from .core import ambiguity_probe, classify_automaton, enumerate_runs
-from .errors import WatlError
+from .errors import DEFAULT_PREIMAGE_CAP, WatlError
 from .monoids import WeightPairWord, check_axioms, monoid_from_id, valuate
 from .weights import format_weight, is_finite, parse_weight
 from .wta import behavior, run_weight
@@ -38,7 +38,7 @@ class _Group(click.Group):
 @click.group(cls=_Group)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for every randomized step.")
-@click.option("--cap-preimages", type=int, default=transform.DEFAULT_PREIMAGE_CAP,
+@click.option("--cap-preimages", type=int, default=DEFAULT_PREIMAGE_CAP,
               show_default=True,
               help="Bound on the h-preimage count of a word in nivat-eval where "
                    "the preimages are enumerated: for sentence languages, "
@@ -216,6 +216,7 @@ def classify_command(ctx, model_path, samples):
               help="Comma-separated target alphabet (defaults to the image).")
 def relabel_command(model_path, map_path, alphabet_text):
     """Rename edge labels through a letter map, keeping weights."""
+    from . import transform
     wta = _load_wta(model_path)
     raw = serialize.require_shape(_read_json(map_path), dict, "letter map")
     mapping = {str(k): str(v) for k, v in raw.items()}
@@ -233,6 +234,7 @@ def relabel_command(model_path, map_path, alphabet_text):
 @_MONOID
 def comp_command(alphabet_text, g_path, monoid_id):
     """Build the one-run-per-word automaton valuing each word by g."""
+    from . import transform
     monoid = monoid_from_id(monoid_id)
     alphabet = _split_alphabet(alphabet_text)
     g = serialize.letter_weights_from_dict(_read_json(g_path), "letter weights")
@@ -247,6 +249,7 @@ def comp_command(alphabet_text, g_path, monoid_id):
               type=click.Path(exists=True), help="Plain acceptor model file.")
 def product_command(model_path, language_path):
     """Intersect a weighted automaton with a language acceptor."""
+    from . import transform
     wta = _load_wta(model_path)
     language = serialize.automaton_from_dict(_read_json(language_path))
     result = transform.product_intersect(wta, language)
@@ -258,6 +261,7 @@ def product_command(model_path, language_path):
 @_MODEL
 def decompose_command(model_path):
     """Present a weighted automaton as (gamma, h, g, language)."""
+    from . import transform
     wta = _load_wta(model_path)
     triple = transform.nivat_decompose(wta)
     _emit(serialize.triple_to_dict(triple),
@@ -271,6 +275,7 @@ def decompose_command(model_path):
               help="Comma-separated target alphabet (default: image of h).")
 def compose_command(triple_path, monoid_id, alphabet):
     """Fold a triple with an automaton language into one weighted automaton."""
+    from . import transform
     monoid = monoid_from_id(monoid_id)
     triple = serialize.triple_from_dict(_read_json(triple_path))
     target = _split_alphabet(alphabet) if alphabet else None
@@ -292,6 +297,7 @@ def nivat_eval_command(ctx, triple_path, word_path, monoid_id, timestamps):
     triples enumerate the h-preimages, after checking their count against
     --cap-preimages.
     """
+    from . import transform
     monoid = monoid_from_id(monoid_id)
     triple = serialize.triple_from_dict(_read_json(triple_path))
     word = _load_word(word_path, timestamps)
@@ -489,7 +495,7 @@ def check_axioms_command(ctx, monoid_id, samples):
 @click.pass_context
 def fuzz_command(ctx, suite, seed, count):
     """Run a seeded differential suite and count mismatches."""
-    from . import sampling
+    from . import sampling, transform
     rng = random.Random(ctx.obj["seed"] if seed is None else seed)
     maxlen = ctx.obj["maxlen"]
     failed = 0

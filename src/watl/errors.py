@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Shared exception types, the default preimage cap and the recursion guard."""
+
+from functools import wraps
 
 
 class WatlError(Exception):
@@ -54,6 +56,9 @@ class PreimageCapError(WatlError):
     """Raised when preimage enumeration would exceed the configured cap."""
 
 
+DEFAULT_PREIMAGE_CAP = 10 ** 6
+
+
 class UnsupportedGuardError(WatlError):
     """Raised when a canonical guard cannot be compiled to an automaton.
 
@@ -63,3 +68,17 @@ class UnsupportedGuardError(WatlError):
     outside it other than by ``<=`` with its bound one, or mentions a
     position two binders out.
     """
+
+
+def refuse_deep(func):
+    """Let func refuse a formula nested deeper than the interpreter's
+    recursion limit with ``WatlError("formula nested too deeply")``
+    instead of a raw ``RecursionError``."""
+
+    @wraps(func)
+    def guarded(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except RecursionError:
+            raise WatlError("formula nested too deeply") from None
+    return guarded

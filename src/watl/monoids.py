@@ -11,7 +11,7 @@ delays (``step_fold``) whose steps distribute over ``plus``; ``val``
 runs it along one sequence, and behaviors fold it over automaton
 configurations instead of over runs.  The folds of sum, avg and prod
 run exactly on ints over one common denominator per call; the
-discounting fold runs on mpf.
+discounting fold runs on mpf, and only discounting imports mpmath.
 
 Product valuation monoids additionally carry a second operation
 ``diamond`` with unit ``one``; they back the weighted logic semantics.
@@ -25,12 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-import mpmath
-from mpmath.libmp import to_rational
-
 from .errors import DomainError
-from .weights import (INF, Infinity, Weight, common_denominator, delay_ticks, is_finite,
-                      scaled, to_mpf)
+from .weights import (INF, Infinity, Weight, _is_mpf, common_denominator, delay_ticks,
+                      is_finite, scaled, to_mpf)
 
 # Working precision for the discounting valuation: comfortably past the
 # 1e-9 comparison tolerance used for its values.
@@ -139,20 +136,31 @@ class TimedValuationMonoid:
 def _exact(x):
     """An mpf as the Fraction of its exact binary value; any other weight
     unchanged."""
-    if isinstance(x, mpmath.mpf) and mpmath.isfinite(x):
-        return Fraction(*to_rational(x._mpf_))
+    if _is_mpf(x):
+        import mpmath
+        if mpmath.isfinite(x):
+            return Fraction(*mpmath.libmp.to_rational(x._mpf_))
     return x
 
 
 def _min_plus(x, y):
-    # min with INF as neutral; works across Fraction/mpf/Infinity.  mpmath
-    # cannot order an mpf against a Fraction, so mixed pairs are compared
-    # exactly, and the smaller operand is returned unchanged.
+    # min with INF as neutral, over rationals and the infinities
     if isinstance(x, Infinity) and x.sign > 0:
         return y
     if isinstance(y, Infinity) and y.sign > 0:
         return x
-    if isinstance(x, mpmath.mpf) != isinstance(y, mpmath.mpf):
+    return x if x <= y else y
+
+
+def _discount_plus(x, y):
+    # _min_plus across Fraction/mpf/Infinity.  mpmath cannot order an mpf
+    # against a Fraction, so mixed pairs are compared exactly, and the
+    # smaller operand is returned unchanged.
+    if isinstance(x, Infinity) and x.sign > 0:
+        return y
+    if isinstance(y, Infinity) and y.sign > 0:
+        return x
+    if _is_mpf(x) != _is_mpf(y):
         return x if _exact(x) <= _exact(y) else y
     return x if x <= y else y
 
@@ -292,14 +300,14 @@ class _DiscountFold(StepFold):
     lam^t_i and lam^(t_1 + ... + t_(i-1)) depend only on the word.  They
     are computed once per word, when the first finite step is taken."""
 
-    start = mpmath.mpf(0)
-
     def __init__(self, lam: Fraction, delays):
         super().__init__(delays)
         self.lam = lam
         self._steps = None
+        self.start = to_mpf(0)
 
     def _factors(self) -> list:
+        import mpmath
         steps = []
         with mpmath.workdps(_DISC_DPS):
             lam = to_mpf(self.lam)
@@ -314,8 +322,7 @@ class _DiscountFold(StepFold):
     def prepare(self, charges, ticks) -> list:
         return [(_mpf_weight(m), _mpf_weight(mp)) for m, mp in charges]
 
-    def plus(self, x, y):
-        return _min_plus(x, y)
+    plus = staticmethod(_discount_plus)
 
     def step(self, partial, i, charge):
         # Infinite components absorb, matching x * inf = inf even at t = 0.
@@ -328,6 +335,7 @@ class _DiscountFold(StepFold):
         return partial + factor * (rate_part * m + decay * mp)
 
     def __enter__(self):
+        import mpmath
         self._precision = mpmath.workdps(_DISC_DPS)
         self._precision.__enter__()
         return self
@@ -381,8 +389,7 @@ class _MinPlusMonoid(TimedValuationMonoid):
     def zero(self):
         return INF
 
-    def plus(self, x, y):
-        return _min_plus(x, y)
+    plus = staticmethod(_min_plus)
 
     def contains(self, x):
         return x is INF or _is_number(x, (Fraction, int))
@@ -439,8 +446,10 @@ class DiscountMonoid(_MinPlusMonoid):
         self.lam = lam
         self.id = f"disc:{lam}"
 
+    plus = staticmethod(_discount_plus)
+
     def contains(self, x):
-        return x is INF or _is_number(x, (Fraction, int, mpmath.mpf))
+        return super().contains(x) or _is_mpf(x)
 
     def step_fold(self, delays):
         return _DiscountFold(self.lam, delays)

@@ -31,13 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import rdl, wrdl
 from .core import (_COMPARE, ClockAtom, ClockConstraint, Edge, TimedAutomaton,
                    TimedWord, constraint_satisfiable)
-from .errors import DomainError, UnsupportedGuardError
+from .errors import DomainError, UnsupportedGuardError, refuse_deep
 from .monoids import TimedPvMonoid, monoid_from_id
 from .weights import INF, NEG_INF, Weight, common_denominator, is_finite, scaled
-from .wrdl import CanonicalSentence
 from .wta import WeightedTimedAutomaton, behavior
 
 # ---------------------------------------------------------------------------
@@ -767,6 +765,8 @@ class _GuardCompiler:
     """
 
     def __init__(self, so_vars, alphabet):
+        from . import rdl
+        self.rdl = rdl
         self.so = set(so_vars)
         self.letters = set(alphabet)
         self.atoms = set()
@@ -777,7 +777,7 @@ class _GuardCompiler:
         self._placed = {}
 
     def compile(self, formula, places):
-        kind = type(formula)
+        rdl, kind = self.rdl, type(formula)
         if kind is rdl.Not:
             sub = self.compile(formula.sub, places)
             if sub is True or sub is False:
@@ -869,7 +869,7 @@ class CompiledFamily:
         return WeightedTimedAutomaton(self.automaton, monoid, self.rates, self.weights)
 
 
-@rdl.refuse_deep
+@refuse_deep
 def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledFamily:
     """Compile a canonical guard family with its (left, right) branch
     values into a timed automaton over ``alphabet`` with one accepting
@@ -904,7 +904,7 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
     clock_of = {x: f"k_{x}" for x in clock_vars}
     bodies = list(enumerate(parts))
     future = [i for i, (kind, _) in enumerate(facts) if kind == "future"]
-    rates = wrdl._ordered_unique(m for m, mp in values if is_finite(m) and is_finite(mp))
+    rates = list(dict.fromkeys(m for m, mp in values if is_finite(m) and is_finite(mp)))
     slots = [rates.index(m) if is_finite(m) and is_finite(mp) else None
              for m, mp in values]
 
@@ -1068,8 +1068,9 @@ def _decide(sentence, alphabet, threshold, pv: TimedPvMonoid, strict: bool,
     for a value below zero, its witness must last a positive time, and its
     infimum is reported as the shifted one.  A witness is valued by the
     family's behavior over the base monoid of pv: its sentence value."""
+    from . import wrdl
     threshold = _rational(threshold, "threshold")
-    canonical = sentence if isinstance(sentence, CanonicalSentence) \
+    canonical = sentence if isinstance(sentence, wrdl.CanonicalSentence) \
         else wrdl.canonicalize(sentence, pv)
     for v in canonical.left + canonical.right:
         pv.require(v, "canonical value")

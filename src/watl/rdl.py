@@ -22,12 +22,12 @@ connectives; quantifier bodies extend as far right as possible)::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce, wraps
+from functools import reduce
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import _COMPARE, RELATIONS, TimedWord, is_natural
-from .errors import ParseError, WatlError
+from .errors import ParseError, WatlError, refuse_deep
 
 
 # ---------------------------------------------------------------------------
@@ -685,20 +685,6 @@ class _Compiler:
         if setvar is not None:
             return k, compile_sub(node.sub, fo, {**so, setvar: k}), range(1 << self.n)
         return k, compile_sub(node.sub, {**fo, node.var: k}, so), range(1, self.n + 1)
-
-
-def refuse_deep(func: Callable) -> Callable:
-    """Let func refuse a formula nested deeper than the interpreter's
-    recursion limit with ``WatlError("formula nested too deeply")``
-    instead of a raw ``RecursionError``."""
-
-    @wraps(func)
-    def guarded(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except RecursionError:
-            raise WatlError("formula nested too deeply") from None
-    return guarded
 
 
 @refuse_deep

@@ -11,10 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import rdl
 from .core import (ClockConstraint, Edge, TimedAutomaton, TimedWord,
                    constraint_satisfiable)
-from .wrdl import And, Bool, Const, ExistsSO, Forall, Or, wrdl_classify
 from .wta import WeightedTimedAutomaton
 
 _CLOCK_NAMES = ("x", "y", "z")
@@ -101,6 +99,7 @@ def random_wta(rng: random.Random, monoid, alphabet=("a", "b"),
 
 def random_assignment(rng: random.Random, word: TimedWord, fo_vars=(),
                       so_vars=()) -> rdl.Assignment:
+    from . import rdl
     n = len(word)
     sigma = rdl.Assignment()
     for v in fo_vars:
@@ -122,6 +121,7 @@ def random_assignment(rng: random.Random, word: TimedWord, fo_vars=(),
 
 
 def _leaf_guard(rng: random.Random, alphabet, var: str, setvar):
+    from . import rdl
     kinds = ["letter", "letter", "first", "last", "closed"]
     if setvar is not None:
         kinds += ["dist", "dist"]
@@ -139,6 +139,7 @@ def _leaf_guard(rng: random.Random, alphabet, var: str, setvar):
 
 def _almost_boolean(rng: random.Random, alphabet, var: str, setvar,
                     pool, depth: int):
+    from .wrdl import And, Bool, Const, Or
     if depth > 0 and rng.random() < 0.5:
         op = Or if rng.random() < 0.5 else And
         return op(_almost_boolean(rng, alphabet, var, setvar, pool, depth - 1),
@@ -155,6 +156,8 @@ def random_restricted_sentence(rng: random.Random, alphabet=("a", "b")):
     families is allowed to vary, keeping the Nivat alphabet at four
     letters or fewer.
     """
+    from . import rdl
+    from .wrdl import And, Bool, ExistsSO, Forall, Or, wrdl_classify
     alphabet = tuple(alphabet)
     if len(alphabet) == 1:
         pools = ([0, 1], [0, 1])

@@ -17,12 +17,11 @@ from typing import Mapping, Optional, Union
 
 from .core import (ClockConstraint, Edge, TimedAutomaton, TimedWord, accepts,
                    classify_automaton)
-from .errors import (ModelValidationError, PreimageCapError,
+from .errors import (DEFAULT_PREIMAGE_CAP, ModelValidationError, PreimageCapError,
                      UnsoundCompositionError, WatlError)
 from .monoids import TimedValuationMonoid, WeightPairWord, sum_over
 from .wta import WeightedTimedAutomaton, behavior, fold_charges
 
-DEFAULT_PREIMAGE_CAP = 10 ** 6
 
 LANGUAGE_CLASSES = ("sequential", "deterministic", "unambiguous", "recognizable", "sentence")
 

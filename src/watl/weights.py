@@ -4,7 +4,8 @@ Weights on automata and in formulas are exact ``fractions.Fraction``
 values.  Valuation results may additionally be ``INF`` (the absorbing
 zero of the min-plus style monoids), ``NEG_INF`` (only produced by
 optimal-cost computations), or an ``mpmath.mpf`` high-precision float
-(only produced by the discounting valuation).
+(only produced by the discounting valuation).  mpmath is imported by the
+first conversion to mpf, so only discounting loads it.
 
 Arithmetic follows the absorption convention of the ambient monoids:
 ``x + INF = INF`` and ``x * INF = INF`` for every ``x``, including 0.
@@ -13,14 +14,19 @@ Arithmetic follows the absorption convention of the ambient monoids:
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-
 from .errors import ParseError
 
-_REAL_TYPES = (int, Fraction, mpmath.mpf)
+_REAL_TYPES = (int, float, Fraction)
+
+
+def _is_mpf(x) -> bool:
+    """Whether x is an mpmath float; none exists before mpmath is loaded."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(x, mpmath.mpf)
 
 
 class Infinity:
@@ -43,14 +49,14 @@ class Infinity:
     def __lt__(self, other):
         if isinstance(other, Infinity):
             return self.sign < other.sign
-        if isinstance(other, _REAL_TYPES) or isinstance(other, float):
+        if isinstance(other, _REAL_TYPES) or _is_mpf(other):
             return self.sign < 0
         return NotImplemented
 
     def __gt__(self, other):
         if isinstance(other, Infinity):
             return self.sign > other.sign
-        if isinstance(other, _REAL_TYPES) or isinstance(other, float):
+        if isinstance(other, _REAL_TYPES) or _is_mpf(other):
             return self.sign > 0
         return NotImplemented
 
@@ -123,6 +129,7 @@ def delay_ticks(delays) -> tuple:
 
 def to_mpf(x):
     """Convert a finite rational (or mpf) to an mpmath float."""
+    import mpmath
     if isinstance(x, mpmath.mpf):
         return x
     if isinstance(x, int):
@@ -157,12 +164,12 @@ def format_weight(x, significant: int = 12) -> str:
     """
     if isinstance(x, Infinity):
         return repr(x)
-    if isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, significant, strip_zeros=False)
     if isinstance(x, int):
         return str(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
+    if _is_mpf(x):
+        return sys.modules["mpmath"].nstr(x, significant, strip_zeros=False)
     raise TypeError(f"not a weight: {x!r}")

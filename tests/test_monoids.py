@@ -17,7 +17,7 @@ from watl.monoids import (
     sum_over,
     valuate,
 )
-from watl.weights import INF, is_finite
+from watl.weights import INF, NEG_INF, Infinity, is_finite
 
 weights = st.fractions(min_value=-10, max_value=10, max_denominator=4)
 delays = st.fractions(min_value=0, max_value=10, max_denominator=4)
@@ -224,3 +224,61 @@ def test_min_plus_compares_mpf_and_fractions_exactly():
     assert disc0.plus(low, mpmath.mpf(-2)) is low
     assert disc0.plus(mpmath.mpf(-2), low) is low
     assert disc0.plus(INF, third) is third
+
+
+def old_min_plus(x, y):
+    """The single min-plus of every min monoid before sum and avg got their
+    own: INF is neutral, and an mpf meets a Fraction by exact value."""
+    if isinstance(x, Infinity) and x.sign > 0:
+        return y
+    if isinstance(y, Infinity) and y.sign > 0:
+        return x
+    if isinstance(x, mpmath.mpf) != isinstance(y, mpmath.mpf):
+        exact = [Fraction(*mpmath.libmp.to_rational(v._mpf_))
+                 if isinstance(v, mpmath.mpf) else v for v in (x, y)]
+        return x if exact[0] <= exact[1] else y
+    return x if x <= y else y
+
+
+def random_operand(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return INF
+    if kind == 1:
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("monoid_id", ["sum", "avg", "sum0", "avg0"])
+def test_sum_and_avg_plus_match_the_old_min_plus(monoid_id):
+    plus = monoid_from_id(monoid_id).plus
+    rng = random.Random(41)
+    for _ in range(2000):
+        x, y = random_operand(rng), random_operand(rng)
+        got, want = plus(x, y), old_min_plus(x, y)
+        assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("monoid_id", ["disc:1/2", "disc0:1/3"])
+def test_discount_plus_returns_the_exactly_smaller_operand(monoid_id):
+    plus = monoid_from_id(monoid_id).plus
+    rng = random.Random(43)
+    for _ in range(2000):
+        x = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+        # the nearest mpf to x, or one just above or below it
+        y = mpmath.mpf(x.numerator) / x.denominator
+        y += rng.choice((-2, 0, 2)) * mpmath.eps * max(1, abs(y))
+        exact_y = Fraction(*mpmath.libmp.to_rational(y._mpf_))
+        for left, right in ((x, y), (y, x)):
+            got = plus(left, right)
+            assert got is old_min_plus(left, right)
+            assert got is x and x <= exact_y or got is y and exact_y <= x
+        assert plus(x, INF) is x and plus(INF, y) is y
+        assert plus(y, NEG_INF) is NEG_INF and plus(NEG_INF, y) is NEG_INF
+
+
+def test_infinities_order_against_mpf_both_ways():
+    for value in (mpmath.mpf(0), mpmath.mpf("-1e30"), mpmath.mpf(1) / 3):
+        assert NEG_INF < value < INF and INF > value > NEG_INF
+        assert not (INF < value or value > INF or NEG_INF > value or value < NEG_INF)
+        assert NEG_INF <= value <= INF and INF >= value >= NEG_INF
