@@ -43,11 +43,7 @@ def relabel(automaton: WeightedTimedAutomaton, mapping: Mapping[str, str],
     if missing:
         raise ModelValidationError([f"relabeling undefined on {a!r}" for a in missing])
     if alphabet is None:
-        seen = []
-        for a in base.alphabet:
-            if mapping[a] not in seen:
-                seen.append(mapping[a])
-        alphabet = tuple(seen)
+        alphabet = tuple(dict.fromkeys(mapping[a] for a in base.alphabet))
     injective = len(set(mapping[a] for a in base.alphabet)) == len(base.alphabet)
     new_base = TimedAutomaton(
         alphabet=alphabet,
@@ -216,11 +212,7 @@ class NivatTriple:
             raise ModelValidationError(problems)
 
     def target_alphabet(self) -> tuple:
-        seen = []
-        for letter in self.gamma:
-            if self.h[letter] not in seen:
-                seen.append(self.h[letter])
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.h[letter] for letter in self.gamma))
 
 
 def nivat_decompose(automaton: WeightedTimedAutomaton) -> NivatTriple:

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import rdl
 from .core import TimedWord
 from .errors import DomainError, FragmentError, ParseError, WatlError
 from .monoids import TimedPvMonoid, WeightPairWord
-from .transform import NivatTriple
 from .weights import INF, NEG_INF, Weight, format_weight, is_finite
+
+if TYPE_CHECKING:
+    from .transform import NivatTriple
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -116,7 +118,7 @@ def validate_formula(formula, monoid: Optional[TimedPvMonoid] = None) -> None:
     """Structural validity: payloads in the past fragment, constants in
     the monoid domain, variable kinds consistent."""
     problems = []
-    for node in iter_nodes(formula):
+    for node, shape, _ in rdl._walk(formula, _NODES):
         if isinstance(node, Bool):
             if not rdl.classify(node.payload).in_rdl_past:
                 problems.append(
@@ -124,12 +126,11 @@ def validate_formula(formula, monoid: Optional[TimedPvMonoid] = None) -> None:
         elif isinstance(node, Const):
             if monoid is not None and not monoid.contains(node.value):
                 problems.append(f"constant {node.value!r} outside monoid domain")
-        elif isinstance(node, (ExistsFO, Forall)):
-            if not rdl.is_fo_name(node.var):
-                problems.append(f"{node.var!r} is not a first-order variable name")
-        elif isinstance(node, ExistsSO):
-            if not rdl.is_so_name(node.setvar):
-                problems.append(f"{node.setvar!r} is not a second-order variable name")
+        for field in shape.names if shape else ():
+            so, name = field == "setvar", getattr(node, field)
+            if not (rdl.is_so_name if so else rdl.is_fo_name)(name):
+                problems.append(f"{name!r} is not a {'second' if so else 'first'}-order "
+                                "variable name")
     if problems:
         raise FragmentError("; ".join(problems))
 
@@ -255,12 +256,21 @@ def to_text(formula) -> str:
 # Semantics
 
 
-_UNSET = object()
+def _remembered(slots: frozenset, compute) -> tuple:
+    """(closure env -> compute(env), slots): the closure remembers its last
+    value with the values of the given slots, and calls compute again only
+    when one of those changed.  Recomputing a node takes two stack frames,
+    one for each closure."""
+    key_of = itemgetter(*slots) if slots else (lambda env: ())
+    key, value = object(), None    # a key no environment holds
 
-
-def _key_getter(slots):
-    """env -> the values of the given slots, comparable with ``!=``."""
-    return itemgetter(*slots) if slots else (lambda env: ())
+    def remembered(env):
+        nonlocal key, value
+        k = key_of(env)
+        if k != key:
+            key, value = k, compute(env)
+        return value
+    return remembered, slots
 
 
 class _WeightedCompiler(rdl._Compiler):
@@ -284,73 +294,44 @@ class _WeightedCompiler(rdl._Compiler):
     def weighted(self, node, fo: dict, so: dict) -> tuple:
         """(closure env -> value, frozenset of the free variables' slots)."""
         monoid = self.monoid
-        plus, zero, key, value = monoid.plus, monoid.zero, _UNSET, None
+        plus, zero = monoid.plus, monoid.zero
         if isinstance(node, Const):
             const = node.value
             return (lambda env: const), frozenset()
         if isinstance(node, Bool):
-            check = self.compile(node.payload, fo, so)
+            check, one = self.compile(node.payload, fo, so), monoid.one
             pfo, pso = rdl.free_vars(node.payload)
             slots = frozenset([fo[v] for v in pfo] + [so[v] for v in pso])
-            key_of, one = _key_getter(slots), monoid.one
-
-            def boolean(env):
-                nonlocal key, value
-                k = key_of(env)
-                if k != key:
-                    key, value = k, one if check(env) else zero
-                return value
-            return boolean, slots
+            return _remembered(slots, lambda env: one if check(env) else zero)
         if isinstance(node, (Or, And)):
             left, ls = self.weighted(node.left, fo, so)
             right, rs = self.weighted(node.right, fo, so)
-            slots = ls | rs
-            key_of = _key_getter(slots)
             combine = plus if isinstance(node, Or) else monoid.diamond
-
-            def binary(env):
-                nonlocal key, value
-                k = key_of(env)
-                if k != key:
-                    key, value = k, combine(left(env), right(env))
-                return value
-            return binary, slots
+            return _remembered(ls | rs, lambda env: combine(left(env), right(env)))
         if isinstance(node, (ExistsFO, ExistsSO)):
             slot, (sub, ss), values = self.bind(node, fo, so, self.weighted)
-            slots = ss - {slot}
-            key_of = _key_getter(slots)
 
             def exists(env):
-                nonlocal key, value
-                k = key_of(env)
-                if k != key:
-                    total = zero
-                    for v in values:
-                        env[slot] = v
-                        total = plus(total, sub(env))
-                    key, value = k, total
-                return value
-            return exists, slots
+                total = zero
+                for v in values:
+                    env[slot] = v
+                    total = plus(total, sub(env))
+                return total
+            return _remembered(ss - {slot}, exists)
         if isinstance(node, Forall):
             slot = self.slot()
             inner = {**fo, node.var: slot}
             left, ls = self.weighted(node.left, inner, so)
             right, rs = self.weighted(node.right, inner, so)
-            slots = (ls | rs) - {slot}
-            key_of, val, delays = _key_getter(slots), monoid.val, self.delays
-            positions = range(1, self.n + 1)
+            val, delays, positions = monoid.val, self.delays, range(1, self.n + 1)
 
             def forall(env):
-                nonlocal key, value
-                k = key_of(env)
-                if k != key:
-                    entries = []
-                    for p in positions:
-                        env[slot] = p
-                        entries.append(((left(env), right(env)), delays[p - 1]))
-                    key, value = k, val(WeightPairWord(tuple(entries)))
-                return value
-            return forall, slots
+                entries = []
+                for p in positions:
+                    env[slot] = p
+                    entries.append(((left(env), right(env)), delays[p - 1]))
+                return val(WeightPairWord(tuple(entries)))
+            return _remembered((ls | rs) - {slot}, forall)
         raise TypeError(f"not a weighted formula: {node!r}")
 
 
@@ -458,14 +439,17 @@ def to_step_function(formula, monoid) -> StepFunction:
                              (rdl.Not(formula.payload), monoid.zero)))
     if isinstance(formula, (Or, And)):
         combine = monoid.plus if isinstance(formula, Or) else monoid.diamond
-        left = to_step_function(formula.left, monoid)
-        right = to_step_function(formula.right, monoid)
-        branches = []
-        for g1, v1 in left.branches:
-            for g2, v2 in right.branches:
-                branches.append((rdl.rdl_and(g1, g2), combine(v1, v2)))
-        return StepFunction(tuple(branches))
+        product = _branch_product(to_step_function(formula.left, monoid),
+                                  to_step_function(formula.right, monoid))
+        return StepFunction(tuple((guard, combine(v1, v2)) for guard, v1, v2 in product))
     raise FragmentError(f"not almost boolean: {to_text(formula)}")
+
+
+def _branch_product(first: StepFunction, second: StepFunction) -> list:
+    """(g1 & g2, v1, v2) for every branch (g1, v1) of the first step
+    function and (g2, v2) of the second, the first's branches outer."""
+    return [(rdl.rdl_and(g1, g2), v1, v2)
+            for g1, v1 in first.branches for g2, v2 in second.branches]
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +535,14 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
         raise FragmentError("canonical form needs a syntactically restricted sentence")
     names = NameSupply(rdl._facts(formula, _SYNTAX)[1])
 
+    def refined(inner, test, guards, so_vars=()) -> CanonicalSentence:
+        """The inner family under the test: each of the guards (the inner
+        ones, as the test reads them) conjoined to it, then a rejecting
+        (one, zero) branch for its negation, the prefix led by so_vars."""
+        return CanonicalSentence(so_vars + inner.so_vars, inner.var,
+                                 tuple(rdl.rdl_and(test, g) for g in guards) + (rdl.Not(test),),
+                                 inner.left + (monoid.one,), inner.right + (monoid.zero,))
+
     def canon(node) -> CanonicalSentence:
         if almost_boolean(node):
             step = to_step_function(node, monoid)
@@ -568,29 +560,18 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
                         "canonicalized")
             return CanonicalSentence((), names.fresh("y"), guards, left, tuple(right))
         if isinstance(node, Forall):
-            s1 = to_step_function(node.left, monoid)
-            s2 = to_step_function(node.right, monoid)
-            guards, left, right = [], [], []
-            for g1, v1 in s1.branches:
-                for g2, v2 in s2.branches:
-                    guards.append(rdl.rdl_and(g1, g2))
-                    left.append(v1)
-                    right.append(v2)
-            return CanonicalSentence((), node.var, tuple(guards), tuple(left), tuple(right))
+            guards, left, right = zip(*_branch_product(to_step_function(node.left, monoid),
+                                                       to_step_function(node.right, monoid)))
+            return CanonicalSentence((), node.var, guards, left, right)
         if isinstance(node, And):
             # restricted and not almost boolean, so one operand is a test
             if isinstance(node.left, Bool):
                 test, rest = node.left, node.right
             else:
                 test, rest = node.right, node.left
-            inner = canon(rest)
             pf_fo, pf_so = rdl.free_vars(test.payload)
-            inner = _freshen(inner, names, avoid_fo=pf_fo, avoid_so=pf_so)
-            guards = tuple(rdl.rdl_and(test.payload, g) for g in inner.guards)
-            guards += (rdl.Not(test.payload),)
-            return CanonicalSentence(inner.so_vars, inner.var, guards,
-                                     inner.left + (monoid.one,),
-                                     inner.right + (monoid.zero,))
+            inner = _freshen(canon(rest), names, avoid_fo=pf_fo, avoid_so=pf_so)
+            return refined(inner, test.payload, inner.guards)
         if isinstance(node, Or):
             first = canon(node.left)
             second = canon(node.right)
@@ -613,34 +594,20 @@ def canonicalize(formula, monoid) -> CanonicalSentence:
             return CanonicalSentence((node.setvar,) + inner.so_vars, inner.var,
                                      inner.guards, inner.left, inner.right)
         # every other kind of node is handled above: this is an ExistsFO
-        inner = canon(node.sub)
-        inner = _freshen(inner, names, avoid_fo=frozenset([node.var]))
+        inner = _freshen(canon(node.sub), names, avoid_fo=frozenset([node.var]))
         witness = names.fresh("S")
         singleton = rdl.rdl_singleton(witness, names.fresh("y"), names.fresh("y"))
         # the singleton test already says some position is in the set
-        guards = tuple(
-            rdl.rdl_and(singleton, g if node.var not in rdl.free_vars(g)[0] else
-                        rdl.ExistsFO(node.var,
-                                     rdl.rdl_and(rdl.InSet(witness, node.var), g)))
-            for g in inner.guards)
-        guards += (rdl.Not(singleton),)
-        return CanonicalSentence((witness,) + inner.so_vars, inner.var, guards,
-                                 inner.left + (monoid.one,),
-                                 inner.right + (monoid.zero,))
+        return refined(inner, singleton, [
+            g if node.var not in rdl.free_vars(g)[0] else
+            rdl.ExistsFO(node.var, rdl.rdl_and(rdl.InSet(witness, node.var), g))
+            for g in inner.guards], (witness,))
 
     return canon(formula)
 
 
 # ---------------------------------------------------------------------------
 # Translations between sentences and Nivat triples
-
-
-def _ordered_unique(values):
-    out = []
-    for v in values:
-        if not any(v == u for u in out):
-            out.append(v)
-    return out
 
 
 def _require_writable(letters) -> None:
@@ -695,12 +662,13 @@ def sentence_to_nivat(canonical: CanonicalSentence, alphabet: tuple,
     which the syntax of letter tests cannot write, is refused with a
     ``WatlError``.
     """
+    from .transform import NivatTriple
     monoid = _require_pv(monoid)
     _require_writable(alphabet)
     for v in canonical.left + canonical.right:
         monoid.require(v, "canonical value")
-    lefts = [m for m in _ordered_unique(canonical.left) if is_finite(m)]
-    rights = [m for m in _ordered_unique(canonical.right) if is_finite(m)]
+    lefts = [m for m in dict.fromkeys(canonical.left) if is_finite(m)]
+    rights = [m for m in dict.fromkeys(canonical.right) if is_finite(m)]
     gamma, h, g = [], {}, {}
     for a in alphabet:
         for m in lefts:

@@ -5,7 +5,7 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import mpmath
 
@@ -1017,6 +1017,52 @@ def check_witness_below(wta, result, bound, strict, found) -> None:
         word, claimed = found
         assert behavior(wta, word) == claimed
         assert optcost._below(claimed, bound, strict)
+
+
+_FROM, _TO = itemgetter(0), itemgetter(1)
+
+
+def check_certificate(wta, search) -> None:
+    """Assert that a finished ``optcost._Search`` of the automaton proves
+    its infimum, by one pass over the arcs of ``optcost._useful_subgraph``
+    and no Bellman-Ford.
+
+    A finite value: the potentials ``dist`` (costs times ``scale``) hold at
+    most 0 at every initial node, no useful arc s -> d of cost c has dist[d]
+    above dist[s] + c * scale, and every accepting arc from a reached node
+    costs at least the value.  Summed along any corner path, these prove
+    that no accepting corner path costs less than the value; the search's
+    optimal corner path, an accepting path from an initial node, costs
+    exactly it.  An initial node need not hold 0: one initial node may
+    reach another at a negative cost.
+
+    Minus infinity: the cycle that stopped the search is closed and
+    negative, is reached from an initial node and reaches an accepting arc,
+    so pumping it goes below every bound.  An infinite value is not
+    certified here."""
+    _, _, arcs, inits, acc_arcs, _ = optcost._useful_subgraph(wta)
+    forward = _adjacency(arcs, _FROM)
+    if search.value is NEG_INF:
+        cycle = search.cycle
+        assert all(a[1] == b[0] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        assert sum(arc[2] for arc in cycle) < 0
+        entry = cycle[0][0]
+        assert _bfs(inits, forward, _TO, {entry})[1] == entry
+        assert _bfs([entry], forward, _TO, {arc[0] for arc in acc_arcs})[1] is not None
+        return
+    if search.value is INF:
+        return
+    dist, scale, value = search.dist, search.scale, search.value
+    assert all(dist[n] <= 0 for n in inits)
+    for s, d, cost, _, _ in arcs:
+        if dist[s] is not None:
+            assert dist[d] is not None and dist[d] <= dist[s] + cost * scale
+    assert all(Fraction(dist[s], scale) + cost >= value
+               for s, _, cost, _, _ in acc_arcs if dist[s] is not None)
+    path = search.corner_path
+    assert path[0][0] in inits and set(path[:-1]) <= set(arcs) and path[-1] in acc_arcs
+    assert all(a[1] == b[0] for a, b in zip(path, path[1:]))
+    assert sum(arc[2] for arc in path) == value
 
 
 class BruteSearch:

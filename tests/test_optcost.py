@@ -1,5 +1,6 @@
 """Corner-point graphs, infimum costs, and the threshold deciders."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -13,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (BruteSearch, brute_bellman_ford, brute_compile_guard_family,
-                      brute_corner_graph, check_inf_cost, check_witness_below, grid_minimum,
-                      keyed_bellman_ford, nivat_compile_guard_family, outcome,
+                      brute_corner_graph, check_certificate, check_inf_cost, check_witness_below,
+                      grid_minimum, keyed_bellman_ford, nivat_compile_guard_family, outcome,
                       random_comparing_sentence, reachable_regions, region_of, region_reset,
                       region_satisfies, region_zero, time_successor, wd)
 from watl import fixtures, optcost, rdl, sampling, wrdl
@@ -566,6 +567,55 @@ def test_weighted_corner_automata_match_the_region_node_oracle():
     assert witnesses >= 45
 
 
+def _sampled_sum_automata():
+    """The draws of the two region-node oracle tests above."""
+    for seed in (404, 405, 406, 1671):
+        rng = random.Random(seed)
+        for _ in range(150):
+            yield _rational_sum_automaton(rng, max_locations=3, max_clocks=2, max_edges=6)
+    rng = random.Random(406)
+    for _ in range(60):
+        yield _random_corner_automaton(rng)
+
+
+def test_every_sampled_infimum_holds_its_certificate():
+    finite = minus_infinity = 0
+    for automaton in _sampled_sum_automata():
+        search = optcost._Search(automaton)
+        check_certificate(automaton, search)
+        finite += is_finite(search.value)
+        minus_infinity += search.value is NEG_INF
+    assert finite >= 120 and minus_infinity >= 400
+
+
+def test_a_lowered_potential_or_an_open_cycle_breaks_the_certificate():
+    # The potential of every node of an optimal corner path binds: the
+    # path's arc out of it is tight, or is the accepting arc that costs
+    # exactly the value.
+    automata = [fixtures.priced_min_wait(), fixtures.priced_strict_guard()]
+    automata += itertools.islice((a for a in _sampled_sum_automata()
+                                  if is_finite(inf_cost(a).value)), 5)
+    lowered = 0
+    for automaton in automata:
+        search = optcost._Search(automaton)
+        check_certificate(automaton, search)
+        for node in {arc[0] for arc in search.corner_path}:
+            broken = copy.copy(search)
+            broken.dist = list(search.dist)
+            broken.dist[node] -= 1
+            with pytest.raises(AssertionError):
+                check_certificate(automaton, broken)
+            lowered += 1
+    assert lowered >= 20
+    automaton = fixtures.priced_negative_cycle()
+    search = optcost._Search(automaton)
+    check_certificate(automaton, search)
+    broken = copy.copy(search)
+    broken.cycle = search.cycle[:-1]
+    with pytest.raises(AssertionError):
+        check_certificate(automaton, broken)
+
+
 _HASH_SEED_SCRIPT = """
 import random
 from fractions import Fraction
@@ -788,6 +838,12 @@ def test_constantly_infinite_sentences_never_pass():
         assert not decide_sum_threshold(sentence, ("a",), theta).holds
 
 
+def test_a_sentence_with_no_finite_left_value_is_decided_without_a_search(monkeypatch):
+    monkeypatch.setattr(optcost, "compile_guard_family", None)
+    result = decide_sum_threshold(wrdl.parse_wrdl("all x.(inf, 1)"), ("a",), Fraction(5))
+    assert (result.holds, result.infimum, result.witness) == (False, INF, None)
+
+
 def test_avg_threshold_handles_unbounded_durations():
     sentence = fixtures.min_wait_sentence()
     # values (3t+1)/t for t >= 2: infimum 3, never attained
@@ -954,6 +1010,24 @@ def test_every_yes_on_the_pool_carries_a_witness():
         result = decide_avg_threshold(sentence, alphabet, theta)
         assert result.shifted_infimum is NEG_INF and result.witness is not None
     assert yes >= 600
+
+
+def test_every_infimum_on_the_pool_holds_its_certificate(monkeypatch):
+    searches = []
+
+    class Recorded(optcost._Search):
+        def __init__(self, wta):
+            super().__init__(wta)
+            searches.append((wta, self))
+
+    monkeypatch.setattr(optcost, "_Search", Recorded)
+    for alphabet, sentence in _decide_pool():
+        decide_sum_threshold(sentence, alphabet, Fraction(0))
+        decide_avg_threshold(sentence, alphabet, Fraction(2))
+    for wta, search in searches:
+        check_certificate(wta, search)
+    values = [search.value for _, search in searches]
+    assert sum(map(is_finite, values)) >= 190 and values.count(NEG_INF) >= 180
 
 
 # Pool draws below 30 whose back-translations (nivat_to_sentence of

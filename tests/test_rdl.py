@@ -93,6 +93,14 @@ def test_deeply_nested_formulas_that_parse_also_evaluate():
     assert model_check(formula, wd(("a", 1)))
 
 
+def test_a_universal_set_quantifier_is_the_dual_of_the_existential():
+    formula = parse_rdl("all X. ex x. X(x)")
+    assert formula == Not(ExistsSO("X", Not(ExistsFO("x", InSet("X", "x")))))
+    # the empty set has no member
+    assert not model_check(formula, wd(("a", 1), ("b", 2)))
+    assert model_check(parse_rdl("all X. ex x. (X(x) | P[a](x))"), wd(("a", 1)))
+
+
 def test_negative_bounds_are_rejected_at_construction():
     with pytest.raises(ValueError):
         Dist("<=", -1, "X", "x")

@@ -1,13 +1,14 @@
 """Weighted distance logic: semantics, fragments, and both translations."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import (WIDE_UNIVERSAL, brute_free_vars, brute_to_text, brute_wrdl_free_vars,
-                      brute_wrdl_to_text, wd)
+from conftest import (WIDE_UNIVERSAL, brute_free_vars, brute_to_text, brute_wrdl_eval,
+                      brute_wrdl_free_vars, brute_wrdl_to_text, wd)
 from watl import rdl, sampling, wrdl
 from watl.errors import DomainError, FragmentError, ParseError, WatlError
 from watl.fixtures import average_cost_sentence, squared_length_sentence
@@ -24,6 +25,7 @@ from watl.wrdl import (
     ExistsSO,
     Forall,
     Or,
+    StepFunction,
     WrdlClassification,
     canonicalize,
     nivat_to_sentence,
@@ -418,6 +420,24 @@ def test_step_functions_reject_quantified_formulas():
         to_step_function(ExistsFO("x", Const(Fraction(1))), SUM0)
 
 
+def test_step_functions_evaluate_to_their_one_matching_branch():
+    formula = And(Or(Const(Fraction(1)), Bool(rdl.parse_rdl("P[b](x)"))),
+                  Bool(rdl.parse_rdl("P[a](y)")))
+    step = to_step_function(formula, SUM0)
+    for word in (wd(("a", 1), ("b", 2)), wd(("b", 1), ("a", 2)), wd(("b", 1), ("b", 0))):
+        for x, y in itertools.product((1, 2), repeat=2):
+            sigma = rdl.Assignment({"x": x, "y": y})
+            assert step.evaluate(word, sigma) == wrdl_eval(formula, word, SUM0, sigma)
+    # a family that is not exclusive, or not exhaustive, names the count
+    overlapping = StepFunction(((rdl.rdl_true(), Fraction(1)),
+                                (rdl.parse_rdl("ex x. P[a](x)"), Fraction(2))))
+    assert overlapping.evaluate(wd(("b", 1))) == Fraction(1)
+    with pytest.raises(WatlError, match="guard family matched 2 branches, expected 1"):
+        overlapping.evaluate(wd(("a", 1)))
+    with pytest.raises(WatlError, match="guard family matched 0 branches, expected 1"):
+        StepFunction(((rdl.rdl_false(), Fraction(1)),)).evaluate(wd(("a", 1)))
+
+
 # --- canonical form ---------------------------------------------------------
 
 
@@ -457,6 +477,40 @@ def test_canonicalization_is_semantically_idempotent():
 def test_canonicalize_rejects_unrestricted_input():
     with pytest.raises(FragmentError):
         canonicalize(squared_length_sentence(), SUM0)
+
+
+# Every word of one or two letters over a and b with delays 1 and 1/2, and
+# every three-letter one whose delays are all equal.
+_SHORT_WORDS = tuple(wd(*zip(letters, delays))
+                     for n in (1, 2, 3)
+                     for letters in itertools.product("ab", repeat=n)
+                     for delays in itertools.product((1, Fraction(1, 2)), repeat=n)
+                     if n < 3 or len(set(delays)) == 1)
+
+
+@pytest.mark.parametrize("text, so_vars, var, values", [
+    # The test reads x free, so the universal's x is renamed away from it.
+    ("ex x. (B(P[a](x)) & all x.(1, 1))", ("S0",), "y0", (2, 5, 5)),
+    # The inner set quantifier's X is renamed away from the outer X.
+    ("EX X. EX X. all x.(B(X(x)), 1)", ("X", "S0"), "x", (1, 2, 3)),
+])
+def test_canonical_forms_rename_bound_names_that_would_clash(text, so_vars, var, values):
+    sentence = parse_wrdl(text, SUM0)
+    canonical = canonicalize(sentence, SUM0)
+    assert (canonical.so_vars, canonical.var) == (so_vars, var)
+    formula = canonical.to_formula()
+    words = (wd(("a", 1)), wd(("b", 1), ("a", 2)), wd(("a", 1), ("b", 1), ("b", 0)))
+    assert tuple(wrdl_eval(sentence, word, SUM0) for word in words) == values
+    for word in _SHORT_WORDS:
+        want = brute_wrdl_eval(sentence, word, SUM0)
+        assert wrdl_eval(sentence, word, SUM0) == want == wrdl_eval(formula, word, SUM0)
+
+
+def test_a_family_with_two_guards_holding_at_a_position_fails_the_check():
+    family = CanonicalSentence((), "y", (rdl.parse_rdl("P[a](y)"), rdl.rdl_true()),
+                               (SUM0.one, SUM0.one), (SUM0.one, SUM0.zero))
+    assert family.check_family(wd(("b", 1), ("b", 2)))
+    assert not family.check_family(wd(("b", 1), ("a", 2)))
 
 
 # --- sentence to triple -----------------------------------------------------
