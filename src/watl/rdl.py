@@ -21,6 +21,7 @@ connectives; quantifier bodies extend as far right as possible)::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import itemgetter
@@ -393,10 +394,12 @@ def _tokenize(text: str, lexicon: _Lexicon, i: int = 0, opened: Optional[int] = 
             tokens.append(("NAME", name, i))
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
+            if 0 < sys.get_int_max_str_digits() < j - i:
+                raise ParseError(f"number of more than {sys.get_int_max_str_digits()} digits", i)
             tokens.append(("NAT", int(text[i:j]), i))
             i = j
             continue
@@ -439,20 +442,21 @@ _LEXICON = _Lexicon(
 
 
 class _Parser:
-    """Recursive descent over a token list from ``pos`` on, shared by both
-    logics: ``|`` binds weaker than ``&`` and both associate to the left.
-    A logic supplies the node constructors of the two connectives, and
-    ``unary``."""
+    """Operator-precedence parsing of a token list from ``pos`` on, shared by
+    both logics, on an explicit stack of (binding strength, operands,
+    constructor, closers) frames, so a formula of any depth parses.  A frame
+    is built once the token after its operands binds no tighter than it:
+    ``!`` (3), ``&`` (2) and ``|`` (1), so both connectives associate to the
+    left; a binder (0) only at a closer or the end, so its body extends as
+    far right as possible.  A group (-1) reads an operand before each of its
+    closers.  A logic supplies ``connectives``, ``binder`` and ``atom``."""
 
-    disjoin = Or
-    conjoin = staticmethod(rdl_and)
+    prefixes = {"!": (3, 1, Not, ""), "(": (-1, 1, None, ")")}
+    connectives = {"|": (1, Or), "&": (2, rdl_and)}
 
     def __init__(self, tokens: list, pos: int = 0):
         self.tokens = tokens
         self.pos = pos
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -466,55 +470,53 @@ class _Parser:
         return tok
 
     def parse(self):
-        formula = self.or_expr()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise ParseError(f"trailing input starting at {tok[1]!r}", tok[2])
-        return formula
+        frames, operands, prefixes = [], [], self.prefixes
+        while True:
+            kind, value, pos = self.tokens[self.pos]
+            self.pos += 1
+            if kind in prefixes:
+                frames.append(prefixes[kind])
+                continue
+            if kind == "NAME" and value in ("ex", "EX", "all"):
+                var = self.expect("NAME")[1]
+                self.expect(".")
+                frames.append(self.binder(value, var, pos))
+                continue
+            operands.append(self.atom(kind, value, pos))
+            while True:
+                kind, value, pos = self.tokens[self.pos]
+                strength, connective = self.connectives.get(kind, (0, None))
+                while frames and frames[-1][0] >= strength:
+                    _, arity, build, _ = frames.pop()
+                    operands[-arity:] = [build(*operands[-arity:])]
+                if strength:
+                    self.pos += 1
+                    frames.append((strength, 2, connective, ""))
+                    break
+                if not frames:
+                    if kind != "EOF":
+                        raise ParseError(f"trailing input starting at {value!r}", pos)
+                    return operands[0]
+                _, arity, build, closers = frames.pop()
+                self.expect(closers[0])
+                if closers[1:]:
+                    frames.append((-1, arity, build, closers[1:]))
+                    break
+                if build:  # not a parenthesis
+                    operands[-arity:] = [build(*operands[-arity:])]
 
-    def or_expr(self):
-        left = self.and_expr()
-        while self.peek()[0] == "|":
-            self.next()
-            left = self.disjoin(left, self.and_expr())
-        return left
+    @staticmethod
+    def binder(kind, var, pos):
+        def bind(body):
+            fo = is_fo_name(var) if kind == "all" else kind == "ex"
+            if not (is_fo_name if fo else is_so_name)(var):
+                raise ParseError(f"'{kind}' binds {'first' if fo else 'second'}-order variables, "
+                                 f"got {var!r}", pos)
+            exists = ExistsFO if fo else ExistsSO
+            return Not(exists(var, Not(body))) if kind == "all" else exists(var, body)
+        return 0, 1, bind, ""
 
-    def and_expr(self):
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.next()
-            left = self.conjoin(left, self.unary())
-        return left
-
-    def unary(self):
-        kind, value, pos = self.peek()
-        if kind == "!":
-            self.next()
-            return Not(self.unary())
-        if kind == "NAME" and value in ("ex", "EX", "all"):
-            self.next()
-            var = self.expect("NAME")[1]
-            self.expect(".")
-            body = self.or_expr()
-            if value == "ex":
-                if not is_fo_name(var):
-                    raise ParseError(f"'ex' binds first-order variables, got {var!r}", pos)
-                return ExistsFO(var, body)
-            if value == "EX":
-                if not is_so_name(var):
-                    raise ParseError(f"'EX' binds second-order variables, got {var!r}", pos)
-                return ExistsSO(var, body)
-            if is_fo_name(var):
-                return rdl_forall_fo(var, body)
-            return Not(ExistsSO(var, Not(body)))
-        return self.primary()
-
-    def primary(self):
-        kind, value, pos = self.next()
-        if kind == "(":
-            inner = self.or_expr()
-            self.expect(")")
-            return inner
+    def atom(self, kind, value, pos):
         if kind == "LETTER":
             self.expect("(")
             var = self.expect("NAME")[1]
@@ -557,15 +559,13 @@ class _Parser:
 
 def parse_rdl(text: str):
     """Parse concrete syntax into a formula."""
-    try:
-        return _Parser(_tokenize(text, _LEXICON)).parse()
-    except RecursionError:
-        raise ParseError("formula nested too deeply") from None
+    return _Parser(_tokenize(text, _LEXICON)).parse()
 
 
 def to_text(formula) -> str:
-    """Render a formula; parse_rdl(to_text(f)) == f when no letter holds
-    a ``]``, which would end its letter test early."""
+    """Render a formula.  At any depth, parse_rdl reads the text back to a
+    formula of the same text, unless a letter holds a ``]``, which would
+    end its letter test early."""
     return "".join(_walk(formula, _SYNTAX, text=True))
 
 

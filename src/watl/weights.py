@@ -140,19 +140,38 @@ def to_mpf(x):
 
 
 def parse_weight(text: str) -> Weight:
-    """Parse 'p/q', integer, or 'inf'/'-inf' notation.
+    """Parse 'p/q', integer, decimal, or 'inf'/'-inf' notation.
 
-    Raises ParseError on anything else, including a zero denominator.
+    Raises ParseError on anything else, including a zero denominator and a
+    numerator or denominator of more digits than ``str`` converts
+    (``sys.get_int_max_str_digits()``); an exponent above that limit is
+    refused before its power of ten is computed.
     """
     text = text.strip()
     if text == "inf":
         return INF
     if text == "-inf":
         return NEG_INF
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(text)
+        exponent = int(text.lower().partition("e")[2] or 0)
+        value = Fraction(text) if not limit or abs(exponent) <= limit else None
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"malformed rational {text!r}") from None
+    largest = 0 if value is None else max(abs(value.numerator), value.denominator)
+    # 10 ** limit has more than 3 * limit bits, so it is rarely computed
+    if value is None or limit and largest.bit_length() > 3 * limit and largest >= 10 ** limit:
+        raise ParseError(f"rational {text!r} needs more than {limit} digits")
+    return value
+
+
+def _integer(n: int) -> str:
+    """n in decimal digits, also past the digit limit of ``str``."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(n))
 
 
 def format_weight(x, significant: int = 12) -> str:
@@ -165,11 +184,11 @@ def format_weight(x, significant: int = 12) -> str:
     if isinstance(x, Infinity):
         return repr(x)
     if isinstance(x, int):
-        return str(x)
+        return _integer(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _integer(x.numerator)
+        return f"{_integer(x.numerator)}/{_integer(x.denominator)}"
     if _is_mpf(x):
         return sys.modules["mpmath"].nstr(x, significant, strip_zeros=False)
     raise TypeError(f"not a weight: {x!r}")

@@ -171,48 +171,29 @@ _LEXICON = rdl._Lexicon(tuple((sym, sym) for sym in "()|&.,-/"), "B", _payload)
 
 
 class _WParser(rdl._Parser):
-    """The weighted logic's connectives and prefix forms; the payload of
+    """The weighted logic's connectives, binders and atoms; the payload of
     B(...) is parsed by the unweighted grammar on its own tokens."""
 
-    disjoin = Or
-    conjoin = And
+    connectives = {"|": (1, Or), "&": (2, And)}
 
-    def unary(self):
-        kind, value, pos = self.peek()
-        if kind == "NAME" and value in ("ex", "EX", "all"):
-            self.next()
-            var = self.expect("NAME")[1]
-            self.expect(".")
-            if value == "all":
-                self.expect("(")
-                left = self.or_expr()
-                self.expect(",")
-                right = self.or_expr()
-                self.expect(")")
-                if not rdl.is_fo_name(var):
-                    raise ParseError("'all' binds a first-order variable", pos)
-                return Forall(var, left, right)
-            body = self.or_expr()
-            if value == "ex":
-                if not rdl.is_fo_name(var):
-                    raise ParseError("'ex' binds a first-order variable", pos)
-                return ExistsFO(var, body)
-            if not rdl.is_so_name(var):
-                raise ParseError("'EX' binds a second-order variable", pos)
-            return ExistsSO(var, body)
-        return self.primary()
+    def binder(self, kind, var, pos):
+        def bind(*operands):
+            fo = kind != "EX"
+            if not (rdl.is_fo_name if fo else rdl.is_so_name)(var):
+                raise ParseError(f"'{kind}' binds a {'first' if fo else 'second'}-order variable",
+                                 pos)
+            return {"ex": ExistsFO, "EX": ExistsSO, "all": Forall}[kind](var, *operands)
+        if kind != "all":
+            return 0, 1, bind, ""
+        self.expect("(")
+        return -1, 2, bind, ",)"
 
-    def primary(self):
-        kind, value, pos = self.next()
+    def atom(self, kind, value, pos):
         if kind == "B(":
             payload = rdl._Parser(self.tokens, self.pos)
             formula = payload.parse()
             self.pos = payload.pos + 1    # past the payload's EOF
             return Bool(formula)
-        if kind == "(":
-            inner = self.or_expr()
-            self.expect(")")
-            return inner
         if kind == "-" or kind == "NAT":
             negative = kind == "-"
             if negative:
@@ -223,7 +204,7 @@ class _WParser(rdl._Parser):
                     raise ParseError("expected a number after '-'", tok[2])
                 value = tok[1]
             numerator = value
-            if self.peek()[0] == "/":
+            if self.tokens[self.pos][0] == "/":
                 self.next()
                 _, denominator, at = self.expect("NAT")
                 if not denominator:
@@ -240,10 +221,7 @@ class _WParser(rdl._Parser):
 def parse_wrdl(text: str, monoid: Optional[TimedPvMonoid] = None):
     """Parse concrete syntax; validates payload fragments and, when a
     monoid is given, constant domains."""
-    try:
-        formula = _WParser(rdl._tokenize(text, _LEXICON)).parse()
-    except RecursionError:
-        raise ParseError("formula nested too deeply") from None
+    formula = _WParser(rdl._tokenize(text, _LEXICON)).parse()
     validate_formula(formula, monoid)
     return formula
 

@@ -1,14 +1,19 @@
 """End-to-end command-line tests driven through click's test runner."""
 
 import json
+import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import WIDE_UNIVERSAL, ambiguous_counting_triple
-from watl import fixtures, serialize, transform, wrdl
+from conftest import WIDE_UNIVERSAL, ambiguous_counting_triple, random_comparing_sentence
+from watl import fixtures, sampling, serialize, transform, wrdl
 from watl.cli import main
+from watl.core import TimedWord
 from watl.monoids import monoid_from_id, register_monoid
+from watl.weights import format_weight
 
 
 runner = CliRunner()
@@ -254,6 +259,129 @@ def test_wide_canonical_sentences_translate(tmp_path):
     assert triple["class"] == "sentence"
 
 
+# ---------------------------------------------------------------------------
+# Round trips: each command that writes a model, triple or formula feeds
+# its output to the commands that read it.
+
+
+DEEP = "Error: formula nested too deeply\n"
+
+
+def written(tmp_path, name, *args, field=None):
+    """Run a command that writes a model, triple or formula and save its
+    output, or one field of it, as the file name."""
+    result = invoke(*args)
+    assert result.exit_code == 0, result.stderr
+    return put_text(tmp_path, name, json.loads(result.stdout)[field] if field else result.stdout)
+
+
+def value_of(*args):
+    """The value a command prints, or the one line with which it refuses."""
+    result = invoke(*args)
+    if result.exit_code:
+        assert_clean_refusal(result)
+        return result.stderr
+    return json.loads(result.stdout)["value"]
+
+
+@pytest.mark.parametrize("monoid", ["sum", "avg", "prod"])
+def test_written_models_and_triples_read_back(tmp_path, monoid):
+    rng = random.Random(2727)
+    natural = monoid == "prod"
+    language = put_json(tmp_path, "l.json", serialize.automaton_to_dict(fixtures.all_words()))
+    rename = {"a": "c", "b": "d"}
+    renaming = put_json(tmp_path, "map.json", rename)
+    for _ in range(4):
+        model = wta_file(tmp_path, "m.json", sampling.random_wta(rng, monoid_from_id(monoid)))
+        g = {letter: [format_weight(sampling.random_weight(rng, natural)) for _ in "mw"]
+             for letter in "ab"}
+        comp = written(tmp_path, "g.json", "comp", "--alphabet", "a,b",
+                       "--g", put_json(tmp_path, "g_in.json", g), "--monoid", monoid)
+        models = {
+            "m": model,
+            "composed": written(tmp_path, "c.json", "compose", "--monoid", monoid, "--alphabet",
+                                "a,b", "--triple", written(tmp_path, "t.json", "decompose",
+                                                           "--model", model)),
+            "relabeled": written(tmp_path, "r.json", "relabel", "--model", model,
+                                 "--map", renaming, "--alphabet", "c,d"),
+            "product": written(tmp_path, "p.json", "product", "--model", model,
+                               "--language", language),
+        }
+        triples = {name: written(tmp_path, f"{name}_t.json", "decompose", "--model", path)
+                   for name, path in {**models, "comp": comp}.items()}
+        for _ in range(3):
+            word = sampling.random_word(rng, ("a", "b"), max_len=3)
+            plain = put_json(tmp_path, "w.json", serialize.word_to_list(word))
+            renamed = put_json(tmp_path, "wr.json", [[rename[letter], delay] for letter, delay
+                                                     in serialize.word_to_list(word)])
+            pairs = put_json(tmp_path, "pairs.json", [g[letter] + [format_weight(delay)]
+                                                      for letter, delay in word])
+            expected = value_of("behavior", "--model", model, "--word", plain)
+            for name, path in models.items():
+                at = renamed if name == "relabeled" else plain
+                assert value_of("behavior", "--model", path, "--word", at) == expected
+                assert value_of("nivat-eval", "--triple", triples[name], "--word", at,
+                                "--monoid", monoid) == expected
+            letterwise = value_of("eval", "--pairs", pairs, "--monoid", monoid)
+            assert value_of("behavior", "--model", comp, "--word", plain) == letterwise
+            assert value_of("nivat-eval", "--triple", triples["comp"], "--word", plain,
+                            "--monoid", monoid) == letterwise
+
+
+def check_sentence_round_trip(tmp_path, text, monoid, words, deep):
+    """Feed a sentence to canonicalize and to-nivat, the triple to
+    from-nivat, and every output to the commands that read it: each
+    evaluation gives the value of the sentence or, where ``deep``, one of
+    them refuses the depth cleanly.  Returns the from-nivat formula file."""
+    formula = put_text(tmp_path, "f.txt", text)
+    canonical = written(tmp_path, "c.txt", "canonicalize", "--formula", formula,
+                        "--monoid", monoid, field="formula")
+    triple = written(tmp_path, "t.json", "to-nivat", "--formula", formula,
+                     "--monoid", monoid, "--alphabet", "a,b")
+    back = written(tmp_path, "b.txt", "from-nivat", "--triple", triple,
+                   "--monoid", monoid, field="formula")
+    for path in (canonical, back):
+        classes = json.loads(invoke("wrdl-classify", "--formula", path).stdout)
+        assert classes["sentence"] and classes["syntactically_restricted"]
+    for word in words:
+        at = put_json(tmp_path, "w.json", serialize.word_to_list(word))
+        expected = value_of("wrdl-eval", "--formula", formula, "--word", at, "--monoid", monoid)
+        for reader in (("wrdl-eval", "--formula", canonical), ("wrdl-eval", "--formula", back),
+                       ("nivat-eval", "--triple", triple)):
+            value = value_of(*reader, "--word", at, "--monoid", monoid)
+            assert value == expected or deep and DEEP in (value, expected)
+    return back
+
+
+def check_back_translation_reads(tmp_path, back, monoid):
+    """What from-nivat writes, canonicalize and to-nivat read."""
+    written(tmp_path, "c2.json", "canonicalize", "--formula", back, "--monoid", monoid)
+    written(tmp_path, "t2.json", "to-nivat", "--formula", back, "--monoid", monoid,
+            "--alphabet", "a,b")
+
+
+@pytest.mark.parametrize("monoid", ["sum0", "avg0"])
+def test_written_sentences_and_triples_read_back(tmp_path, monoid):
+    # Not fed back: canonicalize's own output, whose guard family
+    # canonicalize refines again, to 2^(2n) guards for n.
+    rng = random.Random(2728)
+    for draw in range(8):
+        draw_sentence = random_comparing_sentence if draw % 2 else sampling.random_restricted_sentence
+        words = [sampling.random_word(rng, ("a", "b"), max_len=3) for _ in range(2)]
+        back = check_sentence_round_trip(tmp_path, wrdl.to_text(draw_sentence(rng)), monoid,
+                                         words, deep=False)
+        check_back_translation_reads(tmp_path, back, monoid)
+
+
+@pytest.mark.parametrize("conjuncts", [72, 400, 4000])
+def test_long_conjunctions_read_back(tmp_path, conjuncts):
+    text = "B(ex x. " + " & ".join(["P[a](x)"] * conjuncts) + ")"
+    words = [TimedWord.from_pairs([("b", 1), ("a", Fraction(1, 2))])]
+    back = check_sentence_round_trip(tmp_path, text, "sum0", words, deep=True)
+    if conjuncts < 4000:  # 4,000 conjuncts back take seconds to translate again
+        check_back_translation_reads(tmp_path, back, "sum0")
+
+
 def test_letters_holding_a_closing_bracket_are_refused_cleanly(tmp_path):
     formula = put_text(tmp_path, "f.txt", "B(ex x. P[a](x))")
     result = invoke("to-nivat", "--formula", formula, "--monoid", "sum0",
@@ -495,7 +623,7 @@ def test_deeply_nested_formulas_are_refused_cleanly(tmp_path):
     assert "nested too deeply" in result.stderr
 
 
-@pytest.mark.parametrize("delay", ["abc", "1/0", "-1", "inf"])
+@pytest.mark.parametrize("delay", ["abc", "1/0", "-1", "inf", "1e5000"])
 def test_bad_delays_are_refused_cleanly(tmp_path, delay):
     model = wta_file(tmp_path, "m.json", fixtures.first_letter_rates())
     word = put_json(tmp_path, "w.json", [["a", "1"], ["b", delay]])
@@ -646,6 +774,28 @@ def test_long_words_evaluate_and_list_runs(tmp_path):
     assert payload["count"] == 1
     assert len(payload["runs"][0]["edges"]) == 1500
     assert payload["runs"][0]["value"] == "750"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("rdl-check", "dpast[<\u00b2](X,x)"),
+    ("rdl-check", "dpast[<" + "9" * 5000 + "](X,x)"),
+    ("wrdl-classify", "\u00b2"),
+    ("wrdl-classify", "9" * 5000),
+], ids=["superscript bound", "5000-digit bound", "superscript constant", "5000-digit constant"])
+def test_numbers_that_are_not_naturals_are_refused_cleanly(tmp_path, command, text):
+    formula = put_text(tmp_path, "f.txt", text)
+    word = put_json(tmp_path, "w.json", [["a", "1"]])
+    extra = ("--word", word) if command == "rdl-check" else ()
+    result = invoke(command, "--formula", formula, *extra)
+    assert_clean_refusal(result)
+    assert "(column " in result.stderr
+
+
+def test_values_of_more_digits_than_str_converts_print_exactly(tmp_path):
+    pairs = put_json(tmp_path, "pairs.json", [[0, 3, 1]] * 10000)
+    result = invoke("eval", "--monoid", "prod", "--pairs", pairs)
+    assert result.exit_code == 0
+    assert Decimal(json.loads(result.stdout)["value"]) == 3 ** 10000
 
 
 @pytest.mark.parametrize("command", ["wrdl-eval", "decide"])

@@ -4,6 +4,7 @@ printing, free variables, variable names and the fragment facts against
 the structural-recursion oracles."""
 
 import random
+import sys
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from watl import rdl, sampling, wrdl
 from watl.errors import ParseError
 from watl.monoids import monoid_from_id
 from watl.weights import INF, NEG_INF
+
+TOO_LONG = f"number of more than {sys.get_int_max_str_digits()} digits"
 
 MALFORMED_RDL = [
     ("P[a](x", "expected ')', found None (column 7)"),
@@ -37,6 +40,9 @@ MALFORMED_RDL = [
     ("P[a](x) |", "unexpected token None (column 10)"),
     ("X <= x", "expected '(', found '<=' (column 3)"),
     (")", "unexpected token ')' (column 1)"),
+    # naturals are ASCII digits, no longer than int() reads from text
+    ("dpast[<\u00b2](X,x)", "unexpected character '\u00b2' (column 8)"),
+    pytest.param("dpast[<" + "9" * 5000 + "](X,x)", f"{TOO_LONG} (column 8)", id="5000 digits"),
 ]
 
 MALFORMED_WRDL = [
@@ -65,6 +71,8 @@ MALFORMED_WRDL = [
     # comes before any syntax error
     ("B(x # y) # 1", "unexpected character '#' (column 5)"),
     ("1 1 | B(#)", "unexpected character '#' (column 9)"),
+    ("\u00b2", "unexpected character '\u00b2' (column 1)"),
+    pytest.param("1/" + "9" * 5000, f"{TOO_LONG} (column 3)", id="5000 digits"),
 ]
 
 # Letters holding the characters that delimit payloads and connectives.
@@ -109,6 +117,15 @@ def test_rdl_text_round_trips_on_random_formulas():
         assert rdl.parse_rdl(rdl.to_text(odd)) == odd
         kinds |= {type(node) for node in rdl.iter_subformulas(formula)}
     assert len(kinds) == 8
+
+
+@pytest.mark.parametrize("conjuncts", [72, 400, 4000])
+def test_conjunction_chains_read_back_as_text(conjuncts):
+    # Compared as text: == on the formulas recurses through them and
+    # exceeds the recursion limit from about 150 conjuncts on.
+    text = rdl.to_text(rdl.parse_rdl("ex x. " + " & ".join(["P[a](x)"] * conjuncts)))
+    assert rdl.to_text(rdl.parse_rdl(text)) == text
+    assert wrdl.to_text(wrdl.parse_wrdl(f"B({text})")) == f"B({text})"
 
 
 def test_wrdl_text_round_trips_on_random_formulas():

@@ -1,12 +1,18 @@
-"""Arithmetic of the signed infinities against finite weights, and the
-exact integer scaling of rationals."""
+"""Arithmetic of the signed infinities against finite weights, the
+exact integer scaling of rationals, and weights as text."""
 
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+import pytest
 
+from watl.errors import ParseError
 from watl.weights import (INF, NEG_INF, common_denominator, delay_ticks, format_weight,
                           parse_weight, scaled)
+
+LIMIT = sys.get_int_max_str_digits()
 
 
 def test_finite_minus_an_infinity_is_the_opposite_infinity():
@@ -31,3 +37,25 @@ def test_weights_print_and_parse_back():
     assert format_weight(3) == "3" and format_weight(-7) == "-7"
     assert [format_weight(w) for w in (Fraction(4, 2), Fraction(-1, 3), NEG_INF)] == \
         ["2", "-1/3", "-inf"]
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e100000000", f"1e{LIMIT}", f"1e-{LIMIT}",
+                                  "1." + "9" * LIMIT])
+def test_weights_of_more_digits_than_str_converts_are_refused(text):
+    # 10 ** 10000000 alone took seconds: the exponent is refused first
+    with pytest.raises(ParseError) as info:
+        parse_weight(text)
+    assert str(info.value) == f"rational {text!r} needs more than {LIMIT} digits"
+
+
+def test_weights_up_to_the_digit_limit_are_read():
+    assert parse_weight(f"1e{LIMIT - 1}") == 10 ** (LIMIT - 1)
+    assert parse_weight(f"-1e-{LIMIT - 1}") == Fraction(-1, 10 ** (LIMIT - 1))
+    assert parse_weight("-1.5e2") == -150 and parse_weight("0.25") == Fraction(1, 4)
+
+
+def test_values_past_the_digit_limit_print_exactly():
+    big = 3 ** 10000
+    numerator, denominator = format_weight(Fraction(-big, 7)).split("/")
+    assert Decimal(numerator) == -big and len(numerator) == 4773 and denominator == "7"
+    assert Decimal(format_weight(big)) == big and format_weight(Fraction(big)).isdigit()

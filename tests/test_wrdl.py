@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (WIDE_UNIVERSAL, brute_free_vars, brute_to_text, brute_wrdl_eval,
-                      brute_wrdl_free_vars, brute_wrdl_to_text, wd)
+                      brute_wrdl_free_vars, brute_wrdl_to_text, outcome, wd)
 from watl import rdl, sampling, wrdl
-from watl.errors import DomainError, FragmentError, ParseError, WatlError
+from watl.errors import DomainError, FragmentError, WatlError
 from watl.fixtures import average_cost_sentence, squared_length_sentence
 from watl.monoids import monoid_from_id
 from watl.optcost import decide_avg_threshold, decide_sum_threshold
@@ -65,13 +65,17 @@ def test_boolean_payloads_must_stay_in_the_past_fragment():
         parse_wrdl("B(EX X. dpast[<2](X,x))", SUM0)
 
 
-def test_deep_nesting_is_a_parse_error():
+def test_deep_nesting_parses():
+    # The parser keeps its own stack; only the recursive compiler of
+    # wrdl_eval may refuse a formula this deep.
     texts = ("(" * 2000 + "B(P[a](x))" + ")" * 2000,
              "B(" + "!" * 2000 + "P[a](x))",
              "ex x. " * 2000 + "B(P[a](x))")
     for text in texts:
-        with pytest.raises(ParseError, match="nested too deeply"):
-            parse_wrdl(text, SUM0)
+        formula = parse_wrdl(text, SUM0)
+        assert to_text(formula) == to_text(parse_wrdl(to_text(formula), SUM0))
+        answer = outcome(wrdl_eval, formula, wd(("a", 1)), SUM0, rdl.Assignment(fo={"x": 1}))
+        assert answer in (SUM0.one, (WatlError, "formula nested too deeply"))
 
 
 def test_deeply_nested_formulas_that_parse_also_evaluate():
