@@ -454,12 +454,6 @@ class DiscountMonoid(_MinPlusMonoid):
     def step_fold(self, delays):
         return _DiscountFold(self.lam, delays)
 
-    def val(self, word: WeightPairWord):
-        # An infinite component gives inf without computing any power of lam.
-        if any(isinstance(x, Infinity) for pair, _ in word for x in pair):
-            return INF
-        return super().val(word)
-
 
 class ProductMonoid(TimedValuationMonoid):
     """(N, +, product of the discrete weights, 0).

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -190,7 +189,7 @@ def _build_graph(wta: WeightedTimedAutomaton, live=None):
     lists bitmasks of the clocks with equal nonzero fractional part,
     smallest fraction first.  A corner is a tuple of clock values.  Edges
     are compiled into checks, reset masks and Fraction weights once, and
-    successors, delay corners, enabled edges and resets are cached.
+    time successors and delay corners are cached.
 
     Nodes (location, region, corner) are numbered in the order found and
     explored last in, first out.  Each appends its free delay arc, its
@@ -236,8 +235,6 @@ def _build_graph(wta: WeightedTimedAutomaton, live=None):
     arcs = []
     successors = {}
     delays = {}
-    enabled = {}
-    reset_regions = {}
     free = Fraction(0)
 
     def push(target):
@@ -274,17 +271,11 @@ def _build_graph(wta: WeightedTimedAutomaton, live=None):
                 arcs.append((src, push((loc, succ, slide)), free, 0, None))
             if unit is not None:
                 arcs.append((src, push((loc, succ, unit)), rates[loc], 1, None))
-        fired = enabled.get((loc, region))
-        if fired is None:
-            fired = enabled[(loc, region)] = []
-            for checks, mask, target, weight, e in edges_by_source.get(loc, ()):
-                if all(rel(codes[i], bound) for i, rel, bound in checks):
-                    if (region, mask) not in reset_regions:
-                        reset_regions[(region, mask)] = _reset(region, mask)
-                    fired.append((mask, target, reset_regions[(region, mask)], weight, e))
-        for mask, target, reset_region, weight, e in fired:
+        for checks, mask, target, weight, e in edges_by_source.get(loc, ()):
+            if not all(rel(codes[i], bound) for i, rel, bound in checks):
+                continue
             if mask:
-                target = (target, reset_region,
+                target = (target, _reset(region, mask),
                           tuple(0 if mask >> i & 1 else value for i, value in enumerate(corner)))
             else:
                 target = (target, region, corner)
@@ -719,9 +710,7 @@ def witness_below(wta: WeightedTimedAutomaton, result: InfCostResult,
 # Compiling canonical guard families into timed automata
 
 
-_first, _last = operator.itemgetter(3), operator.itemgetter(4)
 _not_first, _not_last = (lambda c: not c[3]), (lambda c: not c[4])
-_NEGATED = {_first: _not_first, _not_first: _first, _last: _not_last, _not_last: _last}
 
 
 def _or(left, right):
@@ -759,9 +748,10 @@ class _GuardCompiler:
     future fact).  A case that folds to false drops out, one that folds to true
     is "not first" or "not last".  Any other existential is a closed
     global part, its body compiled at its bound name alone.  Parts and
-    facts nested in a body come before it.  Anything else raises
-    UnsupportedGuardError.  Compiling and the compiled closures each take
-    one stack frame per formula level.
+    facts nested in a body come before it.  Equal existentials share a
+    number and compile once per placing of their free names.  Anything
+    else raises UnsupportedGuardError.  Compiling and the compiled
+    closures each take one stack frame per formula level.
     """
 
     def __init__(self, so_vars, alphabet):
@@ -772,7 +762,6 @@ class _GuardCompiler:
         self.atoms = set()
         self.parts = []
         self.facts = []
-        self._seen = {}
         self._nodes = {}
         self._placed = {}
 
@@ -782,7 +771,7 @@ class _GuardCompiler:
             sub = self.compile(formula.sub, places)
             if sub is True or sub is False:
                 return not sub
-            return _NEGATED.get(sub) or (lambda c: not sub(c))
+            return lambda c: not sub(c)
         if kind is rdl.Or:
             return _or(self.compile(formula.left, places),
                        self.compile(formula.right, places))
@@ -812,14 +801,9 @@ class _GuardCompiler:
                 self.atoms.add(atom)
                 return lambda c: c[2][atom]
         elif kind is rdl.ExistsFO:
-            # Compiled once per node and places of the names free in it.
-            # Equal nodes share a number, found by id first: the guards,
-            # alive while the compiler is, repeat their nodes.
-            seen = self._seen.get(id(formula))
+            seen = self._nodes.get(formula)
             if seen is None:
-                seen = self._seen[id(formula)] = self._nodes.get(formula)
-                if seen is None:
-                    seen = self._nodes[formula] = (len(self._nodes), rdl.free_vars(formula)[0])
+                seen = self._nodes[formula] = (len(self._nodes), rdl.free_vars(formula)[0])
             number, free = seen
             placed = frozenset((v, at) for v, at in places.items() if v in free)
             test = self._placed.get((number, placed))
@@ -1064,27 +1048,26 @@ def decide_sum_threshold(sentence, alphabet, threshold,
 def _decide(sentence, alphabet, threshold, pv: TimedPvMonoid, strict: bool,
             average: bool) -> DecisionResult:
     """Both deciders search the compiled guard family as a sum automaton:
-    an average searches it rate-shifted, under the positive-duration gate,
-    for a value below zero, its witness must last a positive time, and its
-    infimum is reported as the shifted one.  A witness is valued by the
-    family's behavior over the base monoid of pv: its sentence value."""
+    an average searches it through ``_average_gate`` for a value below
+    zero, its witness must last a positive time, and its infimum is
+    reported as the shifted one.  A witness is valued by the family's
+    behavior over the base monoid of pv: its sentence value."""
     from . import wrdl
     threshold = _rational(threshold, "threshold")
-    canonical = sentence if isinstance(sentence, wrdl.CanonicalSentence) \
-        else wrdl.canonicalize(sentence, pv)
+    canonical = wrdl.canonicalize(sentence, pv)
     for v in canonical.left + canonical.right:
         pv.require(v, "canonical value")
     # no word has a finite value without a letter, a finite left value
     # and a finite right value
     if not (alphabet and any(map(is_finite, canonical.left))
             and any(map(is_finite, canonical.right))):
-        return DecisionResult(False, threshold, None if average else INF, None, None, None, strict)
+        return DecisionResult(False, threshold, *((None, INF) if average else (INF, None)),
+                              None, None, strict)
     family = compile_guard_family(canonical.guards, tuple(zip(canonical.left, canonical.right)),
                                   tuple(alphabet), canonical.so_vars, canonical.var)
     summed = family.weighted(monoid_from_id("sum"))
-    searched = _require_positive_duration(_shift_rates(summed, threshold)) if average else summed
     bound = Fraction(0) if average else threshold
-    search = _Search(searched)
+    search = _Search(_average_gate(summed, threshold) if average else summed)
     value = search.value
     holds = value < bound or (not strict and value == bound and search.attaining is not None)
     witness = witness_value = None
@@ -1098,48 +1081,25 @@ def _decide(sentence, alphabet, threshold, pv: TimedPvMonoid, strict: bool,
     return DecisionResult(holds, threshold, *infima, witness, witness_value, strict)
 
 
-def _shift_rates(wta: WeightedTimedAutomaton, delta: Fraction) -> WeightedTimedAutomaton:
-    rates = {l: wta.wt_location(l) - delta for l in wta.base.locations}
-    return WeightedTimedAutomaton(wta.base, wta.monoid, rates,
-                                  dict(wta.edge_weights))
+def _average_gate(summed: WeightedTimedAutomaton, threshold: Fraction) -> WeightedTimedAutomaton:
+    """The family with every rate lowered by the threshold, accepting only
+    runs of positive duration: the edges into the final location also
+    need a fresh clock ``zdur``, never reset, to be positive.  A run of
+    positive duration then weighs below zero exactly when its average is
+    below the threshold.
 
-
-def _require_positive_duration(wta: WeightedTimedAutomaton) -> WeightedTimedAutomaton:
-    """Accept only runs of positive total duration: a fresh never-reset
-    clock must be positive on (duplicated) edges into fresh final copies."""
-    base = wta.base
-    stamp = "zdur"
-    k = 0
-    while stamp in base.clocks:
-        stamp = f"zdur{k}"
-        k += 1
-    final = set(base.final)
-    shadow = {f: f"{f}#pos" for f in final}
-    edges = list(base.edges)
-    edge_weights = dict(wta.edge_weights)
-    rates = dict(wta.location_weights)
-    positive = ClockConstraint((ClockAtom(stamp, ">", 0),))
-    used = False
-    for e in base.edges:
-        if e.target in final:
-            used = True
-            eid = f"{e.id}#pos"
-            edges.append(Edge(eid, e.source, e.label,
-                              e.guard.conjoin(positive), e.resets,
-                              shadow[e.target]))
-            edge_weights[eid] = wta.wt_edge(e.id)
-    for f, s in shadow.items():
-        rates[s] = wta.wt_location(f)
-    new_base = TimedAutomaton(
-        alphabet=base.alphabet,
-        locations=base.locations + tuple(shadow[f] for f in sorted(final)),
-        clocks=base.clocks + (stamp,),
-        initial=base.initial,
-        final=tuple(shadow[f] for f in sorted(final)) if used else (),
-        edges=tuple(edges),
-        unambiguous=False,
-    )
-    return WeightedTimedAutomaton(new_base, wta.monoid, rates, edge_weights)
+    Precondition, met by every compiled guard family: no edge leaves a
+    final location and no clock is named ``zdur``.  Otherwise a run could
+    pass through a final location, and the gate would not check its
+    duration where it ends.
+    """
+    base = summed.base
+    positive = ClockConstraint((ClockAtom("zdur", ">", 0),))
+    edges = tuple(replace(e, guard=e.guard.conjoin(positive)) if e.target in base.final else e
+                  for e in base.edges)
+    rates = {l: summed.wt_location(l) - threshold for l in base.locations}
+    return WeightedTimedAutomaton(replace(base, clocks=base.clocks + ("zdur",), edges=edges),
+                                  summed.monoid, rates, summed.edge_weights)
 
 
 def decide_avg_threshold(sentence, alphabet, threshold,

@@ -1079,6 +1079,45 @@ class BruteSearch:
         return None
 
 
+def shifted_positive_duration(wta, threshold):
+    """``optcost._average_gate`` for any automaton: every rate lowered by
+    the threshold, then shadow copies of the final locations, the only
+    final ones, entered by copies of the edges into the originals that
+    also need a fresh never-reset clock to be positive."""
+    base = wta.base
+    rates = {l: wta.wt_location(l) - threshold for l in base.locations}
+    stamp = "zdur"
+    k = 0
+    while stamp in base.clocks:
+        stamp = f"zdur{k}"
+        k += 1
+    final = set(base.final)
+    shadow = {f: f"{f}#pos" for f in final}
+    edges = list(base.edges)
+    edge_weights = dict(wta.edge_weights)
+    positive = ClockConstraint((ClockAtom(stamp, ">", 0),))
+    used = False
+    for e in base.edges:
+        if e.target in final:
+            used = True
+            eid = f"{e.id}#pos"
+            edges.append(Edge(eid, e.source, e.label, e.guard.conjoin(positive), e.resets,
+                              shadow[e.target]))
+            edge_weights[eid] = wta.wt_edge(e.id)
+    for f, s in shadow.items():
+        rates[s] = rates[f]
+    new_base = TimedAutomaton(
+        alphabet=base.alphabet,
+        locations=base.locations + tuple(shadow[f] for f in sorted(final)),
+        clocks=base.clocks + (stamp,),
+        initial=base.initial,
+        final=tuple(shadow[f] for f in sorted(final)) if used else (),
+        edges=tuple(edges),
+        unambiguous=False,
+    )
+    return WeightedTimedAutomaton(new_base, wta.monoid, rates, edge_weights)
+
+
 # The oracle guard analysis for ``optcost._GuardCompiler``: guards become tuple
 # trees, read by ``_eval_tree``; quantifier bodies go through a second,
 # per-position recognizer that refuses nested existentials.

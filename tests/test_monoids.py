@@ -66,6 +66,19 @@ def test_disc_half_discounts_discrete_costs():
     assert abs(value - 2) <= 1e-9
 
 
+@pytest.mark.parametrize("identifier", ["disc:1/2", "disc0:3/4"])
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("component", [0, 1])
+def test_an_infinite_component_discounts_to_inf(identifier, at, component):
+    # The rate or the weight of the first, middle or last entry is inf;
+    # every other entry waits 10^6 time units.
+    entries = [((Fraction(1), Fraction(2)), Fraction(10 ** 6)) for _ in range(3)]
+    charge = list(entries[at][0])
+    charge[component] = INF
+    entries[at] = (tuple(charge), Fraction(1))
+    assert valuate(monoid_from_id(identifier), WeightPairWord(tuple(entries))) is INF
+
+
 def test_disc_random_words_match_quadrature():
     rng = random.Random(17)
     disc = monoid_from_id("disc:1/2")

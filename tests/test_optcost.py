@@ -17,7 +17,8 @@ from conftest import (BruteSearch, brute_bellman_ford, brute_compile_guard_famil
                       brute_corner_graph, check_certificate, check_inf_cost, check_witness_below,
                       grid_minimum, keyed_bellman_ford, nivat_compile_guard_family, outcome,
                       random_comparing_sentence, reachable_regions, region_of, region_reset,
-                      region_satisfies, region_zero, time_successor, wd)
+                      region_satisfies, region_zero, shifted_positive_duration, time_successor,
+                      wd)
 from watl import fixtures, optcost, rdl, sampling, wrdl
 from watl.core import RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton, TimedWord
 from watl.errors import DomainError, UnsupportedGuardError
@@ -840,8 +841,19 @@ def test_constantly_infinite_sentences_never_pass():
 
 def test_a_sentence_with_no_finite_left_value_is_decided_without_a_search(monkeypatch):
     monkeypatch.setattr(optcost, "compile_guard_family", None)
-    result = decide_sum_threshold(wrdl.parse_wrdl("all x.(inf, 1)"), ("a",), Fraction(5))
+    sentence = wrdl.parse_wrdl("all x.(inf, 1)")
+    result = decide_sum_threshold(sentence, ("a",), Fraction(5))
     assert (result.holds, result.infimum, result.witness) == (False, INF, None)
+    result = decide_avg_threshold(sentence, ("a",), Fraction(5))
+    assert (result.holds, result.infimum, result.shifted_infimum, result.witness) == \
+        (False, None, INF, None)
+
+
+def test_an_average_search_that_finds_no_word_reports_inf():
+    # over a alone no word reads b, so no run of the family accepts, as
+    # without a finite left value above
+    result = decide_avg_threshold(wrdl.parse_wrdl("all x.(B(P[b](x)), 1)"), ("a",), Fraction(5))
+    assert (result.holds, result.infimum, result.shifted_infimum) == (False, None, INF)
 
 
 def test_avg_threshold_handles_unbounded_durations():
@@ -1028,6 +1040,52 @@ def test_every_infimum_on_the_pool_holds_its_certificate(monkeypatch):
         check_certificate(wta, search)
     values = [search.value for _, search in searches]
     assert sum(map(is_finite, values)) >= 190 and values.count(NEG_INF) >= 180
+
+
+def _compiled_families():
+    """The sum-weighted compiled families of the 200 pool sentences and of
+    60 restricted sentences over (a, b) drawn from Random(28), compiled
+    as ``decide_avg_threshold`` compiles them; a family that no word can
+    value finitely is skipped as the deciders skip it."""
+    rng = random.Random(28)
+    drawn = [(("a", "b"), sampling.random_restricted_sentence(rng)) for _ in range(60)]
+    families = []
+    for alphabet, sentence in _decide_pool() + drawn:
+        canonical = wrdl.canonicalize(sentence, AVG0)
+        if not (any(map(is_finite, canonical.left)) and any(map(is_finite, canonical.right))):
+            continue
+        family = compile_guard_family(canonical.guards,
+                                      tuple(zip(canonical.left, canonical.right)),
+                                      alphabet, canonical.so_vars, canonical.var)
+        families.append(family.weighted(monoid_from_id("sum")))
+    return families
+
+
+def test_compiled_families_meet_the_average_gate_precondition():
+    families = _compiled_families()
+    assert len(families) >= 240
+    for summed in families:
+        base = summed.base
+        assert base.final == ("acc",)
+        assert not [e for e in base.edges if e.source == "acc"]
+        assert all(clock.startswith("k_") for clock in base.clocks)
+
+
+def test_the_average_gate_searches_like_the_general_rewrite():
+    def searched(wta):
+        # attainment is defined for a finite infimum only
+        search = optcost._Search(wta)
+        return search.value, is_finite(search.value) and search.attaining is not None
+
+    values = set()
+    for summed in _compiled_families():
+        for theta in (Fraction(0), Fraction(1, 2), Fraction(2)):
+            got = searched(optcost._average_gate(summed, theta))
+            assert got == searched(shifted_positive_duration(summed, theta))
+            values.add(got if not is_finite(got[0]) else (got[0] < 0, got[0] == 0, got[1]))
+    # every case the weak and strict verdicts tell apart comes up
+    assert {(INF, False), (NEG_INF, False), (True, False, False), (True, False, True),
+            (False, True, False), (False, True, True), (False, False, True)} <= values
 
 
 # Pool draws below 30 whose back-translations (nivat_to_sentence of
