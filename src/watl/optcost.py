@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -710,77 +711,120 @@ def witness_below(wta: WeightedTimedAutomaton, result: InfCostResult,
 # Compiling canonical guard families into timed automata
 
 
-_not_first, _not_last = (lambda c: not c[3]), (lambda c: not c[4])
+_COMPLEMENT = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
 
 
-def _or(left, right):
-    if left is True or right is False:
+def _join(op, unit, left, right):
+    """Two compiled tests joined by op (``operator.or_`` with unit False or
+    ``and_`` with True), folding literals as ``Not`` and ``Or`` would."""
+    if left is (not unit) or right is unit:
         return left
-    if right is True or left is False:
+    if right is (not unit) or left is unit:
         return right
-    return lambda c: left(c) or right(c)
-
-
-def _call(test):
-    """A test as a closure over the context."""
-    return test if callable(test) else (lambda c: test)
+    if type(left) is int:
+        return op(left, right) if type(right) is int else (lambda e: op(left, right(e)))
+    return (lambda e: op(left(e), right)) if type(right) is int else (
+        lambda e: op(left(e), right(e)))
 
 
 class _GuardCompiler:
-    """Compiles guards into tests over a per-position context tuple
-    (letter, bits, delta, first, last, tau, facts): the position's letter,
-    the set variables holding there, the guessed truth of each distance
-    atom, whether the position is the first and the last, the guessed
-    truth of each global part, and the truth of each fact there.  A test
-    is a closure over the context, or True or False where it folds.
+    """Compiles guards into bitmasks over the grid of position contexts:
+    first or not, letter, set variables holding, a guessed truth of each
+    distance atom (kept when its clock guard is satisfiable), last or not,
+    the first outermost; bit i of a mask is the test at the i-th context.
+    Letter, prefix-set membership and past-distance tests (clock
+    comparisons; ``=`` is ``<=`` and ``>=``) and the first and last flags
+    are masks, ``Not`` is ``full ^ m`` and ``Or`` is ``|``, so a test of
+    these folds into one int; one that also reads a guessed global part
+    (tau) or fact is a closure from env = (tau, facts) to a mask.  True
+    and False fold as literals, by the syntax alone.
 
     A test compiles at places: a map from each name of the position to 0
     and, inside a case below, from each name of one other position to 1
-    (after it) or -1 (before it).  Leaves: a letter test, membership in
-    a prefix set variable and a past-distance test (a clock comparison;
-    ``=`` is ``<=`` and ``>=``) at the position, and ``<=`` between placed
-    names.  A test of a letter outside the alphabet is false at any
-    position.
+    (after it) or -1 (before it); ``<=`` between placed names is a leaf.
+    A letter outside the alphabet is false anywhere.  An ``ex z. f`` whose
+    body mentions the position is the disjunction of z = x (z a second
+    name of x), z < x (a past fact, f compiled with x placed after z) and
+    z > x (a future fact); a case folding to false drops out, one folding
+    to true is "not first" or "not last".  Any other existential is a
+    global part, its body compiled at z alone.  Parts and facts nested in
+    a body come before it; equal existentials share a number and compile
+    once per placing of their free names.  Anything else raises
+    UnsupportedGuardError.  Compiling and closures take a stack frame per
+    formula level."""
 
-    An ``ex z. f`` whose body mentions the position is the disjunction of
-    z = x (f with z a second name of x), z < x (a past fact: some earlier
-    position passes f, compiled with x placed after it) and z > x (a
-    future fact).  A case that folds to false drops out, one that folds to true
-    is "not first" or "not last".  Any other existential is a closed
-    global part, its body compiled at its bound name alone.  Parts and
-    facts nested in a body come before it.  Equal existentials share a
-    number and compile once per placing of their free names.  Anything
-    else raises UnsupportedGuardError.  Compiling and the compiled
-    closures each take one stack frame per formula level.
-    """
-
-    def __init__(self, so_vars, alphabet):
+    def __init__(self, guards, so_vars, alphabet):
         from . import rdl
-        self.rdl = rdl
-        self.so = set(so_vars)
-        self.letters = set(alphabet)
-        self.atoms = set()
-        self.parts = []
-        self.facts = []
-        self._nodes = {}
-        self._placed = {}
+        self.rdl, self.so, self.letters = rdl, set(so_vars), set(alphabet)
+        self.parts, self.facts, self._nodes, self._placed = [], [], {}, {}
+        atoms, stack = set(), list(guards) if so_vars else []
+        while stack:  # the distance atoms, which size the grid
+            node = stack.pop()
+            if type(node) is rdl.Or:
+                stack += (node.left, node.right)
+            elif type(node) is rdl.Not or type(node) is rdl.ExistsFO:
+                stack.append(node.sub)
+            elif type(node) is rdl.Dist and node.setvar in self.so:
+                atoms.update((rel, node.bound, node.setvar)
+                             for rel in (("<=", ">=") if node.rel == "=" else (node.rel,)))
+        atoms = sorted(atoms)
+        self.clock_of = {x: f"k_{x}" for x in sorted({a[2] for a in atoms})}
+        deltas = [(truths, guard) for truths in itertools.product((False, True), repeat=len(atoms))
+                  for guard in [ClockConstraint(tuple(
+                      ClockAtom(self.clock_of[x], rel if truth else _COMPLEMENT[rel], bound)
+                      for (rel, bound, x), truth in zip(atoms, truths)))]
+                  if not truths or constraint_satisfiable(guard)]
+        subsets = [frozenset(bits) for r in range(len(so_vars) + 1)
+                   for bits in itertools.combinations(so_vars, r)]
+        # the letter, resets, clock guard and last flag of each bit
+        self.grid = list(itertools.product(
+            alphabet, [frozenset(self.clock_of[x] for x in bits if x in self.clock_of)
+                       for bits in subsets], [guard for _, guard in deltas], (False, True))) * 2
+        full = self.full = (1 << len(self.grid)) - 1
+        def leaf(values, holds, inner):
+            """The contexts whose value holds, in a dimension of inner-wide values."""
+            block = sum(((1 << inner) - 1) << (k * inner) for k, v in enumerate(values) if holds(v))
+            return block * (full // ((1 << inner * len(values)) - 1 or 1))
+        cell = 2 * len(deltas)
+        self.later = leaf((False, True), operator.not_, len(self.grid) // 2)
+        self.last = leaf((False, True), bool, 1)
+        self.leaves = {**{("letter", a): leaf(alphabet, a.__eq__, cell * len(subsets))
+                          for a in self.letters},
+                       **{("in", x): leaf(subsets, lambda bits: x in bits, cell) for x in self.so},
+                       **{a: leaf([truths for truths, _ in deltas], operator.itemgetter(k), 2)
+                          for k, a in enumerate(atoms)}}
+
+    def mask(self, test):
+        """A compiled test with its literals made masks."""
+        if test is True or test is False:
+            return self.full if test else 0
+        return test
+
+    def _guess(self, slot, i):
+        full = self.full
+        return lambda e: full if e[slot][i] else 0
 
     def compile(self, formula, places):
         rdl, kind = self.rdl, type(formula)
         if kind is rdl.Not:
-            sub = self.compile(formula.sub, places)
+            sub = formula.sub
+            if type(sub) is rdl.Not:
+                return self.compile(sub.sub, places)
+            if type(sub) is rdl.Or and type(sub.left) is rdl.Not and type(sub.right) is rdl.Not:
+                return _join(operator.and_, True, self.compile(sub.left.sub, places),
+                             self.compile(sub.right.sub, places))
+            sub, full = self.compile(sub, places), self.full
             if sub is True or sub is False:
                 return not sub
-            return lambda c: not sub(c)
+            return full ^ sub if type(sub) is int else (lambda e: full ^ sub(e))
         if kind is rdl.Or:
-            return _or(self.compile(formula.left, places),
-                       self.compile(formula.right, places))
+            return _join(operator.or_, False, self.compile(formula.left, places),
+                         self.compile(formula.right, places))
         if kind is rdl.Letter:
             if formula.letter not in self.letters:
                 return False
             if places.get(formula.var) == 0:
-                letter = formula.letter
-                return lambda c: c[0] == letter
+                return self.leaves["letter", formula.letter]
         elif kind is rdl.Leq:
             if formula.left == formula.right:
                 return True
@@ -789,26 +833,21 @@ class _GuardCompiler:
                 return left <= right
         elif kind is rdl.InSet:
             if places.get(formula.var) == 0 and formula.setvar in self.so:
-                x = formula.setvar
-                return lambda c: x in c[1]
+                return self.leaves["in", formula.setvar]
         elif kind is rdl.Dist:
             if places.get(formula.var) == 0 and formula.setvar in self.so:
+                key = formula.bound, formula.setvar
                 if formula.rel == "=":
-                    bound, x, var = formula.bound, formula.setvar, formula.var
-                    return self.compile(rdl.rdl_and(rdl.Dist("<=", bound, x, var),
-                                                    rdl.Dist(">=", bound, x, var)), places)
-                atom = (formula.rel, formula.bound, formula.setvar)
-                self.atoms.add(atom)
-                return lambda c: c[2][atom]
+                    return self.leaves[("<=", *key)] & self.leaves[(">=", *key)]
+                return self.leaves[(formula.rel, *key)]
         elif kind is rdl.ExistsFO:
             seen = self._nodes.get(formula)
             if seen is None:
                 seen = self._nodes[formula] = (len(self._nodes), rdl.free_vars(formula)[0])
-            number, free = seen
-            placed = frozenset((v, at) for v, at in places.items() if v in free)
-            test = self._placed.get((number, placed))
+            placed = frozenset((v, at) for v, at in places.items() if v in seen[1])
+            test = self._placed.get((seen[0], placed))
             if test is None:
-                test = self._placed[number, placed] = self._exists(formula, placed)
+                test = self._placed[seen[0], placed] = self._exists(formula, placed)
             return test
         raise UnsupportedGuardError(
             f"guard outside the compiled fragment: {rdl.to_text(formula)}")
@@ -817,14 +856,14 @@ class _GuardCompiler:
         z, body = formula.var, formula.sub
         near = [v for v, at in placed if at == 0]
         if not near:
-            self.parts.append(_call(self.compile(body, {z: 0})))
-            i = len(self.parts) - 1
-            return lambda c: c[5][i]
+            self.parts.append(self.mask(self.compile(body, {z: 0})))
+            return self._guess(0, len(self.parts) - 1)
         same = self.compile(body, {**dict(placed), z: 0})
         earlier = self.compile(body, {**dict.fromkeys(near, 1), z: 0})
         later = self.compile(body, {**dict.fromkeys(near, -1), z: 0})
-        return _or(same, _or(self._fact("past", earlier, _not_first),
-                             self._fact("future", later, _not_last)))
+        return _join(operator.or_, False, same, _join(
+            operator.or_, False, self._fact("past", earlier, self.later),
+            self._fact("future", later, self.full ^ self.last)))
 
     def _fact(self, kind, test, flag):
         """Whether some earlier ("past") or later ("future") position
@@ -832,11 +871,7 @@ class _GuardCompiler:
         if test is True or test is False:
             return test and flag
         self.facts.append((kind, test))
-        i = len(self.facts) - 1
-        return lambda c: c[6][i]
-
-
-_COMPLEMENT = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
+        return self._guess(1, len(self.facts) - 1)
 
 
 @dataclass(frozen=True)
@@ -873,128 +908,93 @@ def compile_guard_family(guards, values, alphabet, so_vars, posvar) -> CompiledF
     bottom up every guess of an accepting run is correct.
 
     A location pairs a compiler state with a guessed rate: the left value
-    of the next position's branch (the final location has rate 0).  Each
-    consistent position context fires, from the location holding its
-    branch's left value, one edge per guessed next rate, weighted by its
-    branch's right value.  A branch with an infinite value gets no edge.
-    A guard nested deeper than the interpreter's recursion limit is
-    refused with a ``WatlError``.
+    of the next position's branch (the final location has rate 0).  The
+    set bits of one mask per guess of the facts (exactly one branch holds,
+    with finite values, and the parts and facts check out) fire in grid
+    order from the location holding their branch's left value, one edge
+    per guessed next rate, weighted by the branch's right value.  A guard
+    nested too deep for the interpreter is refused with a ``WatlError``.
     """
-    compiler = _GuardCompiler(so_vars, alphabet)
-    tests = [_call(compiler.compile(guard, {posvar: 0})) for guard in guards]
-    parts, facts = compiler.parts, compiler.facts
-    atoms = sorted(compiler.atoms)
-    clock_vars = sorted({a[2] for a in atoms})
-    clock_of = {x: f"k_{x}" for x in clock_vars}
-    bodies = list(enumerate(parts))
+    compiler = _GuardCompiler(guards, so_vars, alphabet)
+    tests = [compiler.mask(compiler.compile(guard, {posvar: 0})) for guard in guards]
+    parts, facts, grid, full = compiler.parts, compiler.facts, compiler.grid, compiler.full
+    not_last, halves = full ^ compiler.last, (full ^ compiler.later, compiler.later)
     future = [i for i, (kind, _) in enumerate(facts) if kind == "future"]
     rates = list(dict.fromkeys(m for m, mp in values if is_finite(m) and is_finite(mp)))
-    slots = [rates.index(m) if is_finite(m) and is_finite(mp) else None
-             for m, mp in values]
+    slots = [rates.index(m) if is_finite(m) and is_finite(mp) else None for m, mp in values]
 
-    bit_choices = [frozenset(s) for r in range(len(so_vars) + 1)
-                   for s in itertools.combinations(so_vars, r)]
-    deltas = [dict(zip(atoms, bits))
-              for bits in itertools.product((False, True), repeat=len(atoms))]
-    taus = list(itertools.product((False, True), repeat=len(parts)))
+    def guessed(tau, now):
+        """Bodies, fact tests, branches and the contexts that fire, per guess."""
+        env = (tau, now)
+        bodies = [t if type(t) is int else t(env) for t in parts]
+        tested = [t if type(t) is int else t(env) for _, t in facts]
+        truths = [t if type(t) is int else t(env) for t in tests]
+        one = two = fire = 0
+        for truth, slot in zip(truths, slots):
+            two |= one & truth
+            one |= truth
+            fire |= 0 if slot is None else truth
+        fire &= ~two
+        for body, guess in zip(bodies, tau):
+            fire &= full if guess else ~body
+        if any(now[i] for i in future):  # a future fact is false at the last position
+            fire &= not_last
+        return bodies, tested, truths, fire
 
-    def loc_name(state, slot):
-        phase, tau, wit, held = state
-        tau_s = "".join("1" if b else "0" for b in tau)
-        wit_s = "".join("1" if b else "0" for b in wit)
-        held_s = "".join("1" if b else "0" for b in held)
-        return f"q{phase}.{tau_s}.{wit_s}.{held_s}@{slot}"
+    names, queue = {}, []
 
-    def advance(held, now, ctx):
-        """The facts held after a position, or None when the position
-        breaks the guess of a future fact held for it (none is held for
-        the first position)."""
-        out = []
-        for (kind, test), was, guess in zip(facts, held, now):
-            if kind == "past":
-                out.append(was or test(ctx))
-            elif ctx[3] or was == (guess or test(ctx)):
-                out.append(guess)
-            else:
-                return None
-        return tuple(out)
+    def reach(state):
+        """The names of a new state's locations, one per rate; it is queued."""
+        stem = "q%d.%s.%s.%s@" % (state[0], *["".join(["1" if b else "0" for b in bits])
+                                              for bits in state[1:]])
+        names[state] = found = [f"{stem}{j}" for j in range(len(rates))]
+        queue.append(state)
+        return found
 
-    guarded = []
-    for delta in deltas:
-        guard_atoms = tuple(
-            ClockAtom(clock_of[x], rel if truth else _COMPLEMENT[rel], bound)
-            for (rel, bound, x), truth in delta.items())
-        guard = ClockConstraint(guard_atoms)
-        if not guard_atoms or constraint_satisfiable(guard):
-            guarded.append((delta, guard))
-    resets_of = {bits: frozenset(clock_of[x] for x in bits if x in clock_of)
-                 for bits in bit_choices}
-
-    starts = [(0, tau, (False,) * len(parts), (False,) * len(facts)) for tau in taus]
-    seen = set(starts)
-    queue = list(starts)
-    edges = []
-    weights = {}
-    accept = "acc"
+    initial = [n for tau in itertools.product((False, True), repeat=len(parts))
+               for n in reach((0, tau, (False,) * len(parts), (False,) * len(facts)))]
+    edges, weights, table = [], {}, {}
     while queue:
         state = queue.pop()
         phase, tau, wit, held = state
+        sources = names[state]
         # the facts at a position: a past one as held, a future one guessed
         for now in itertools.product(*[(was,) if kind == "past" else (False, True)
                                        for (kind, _), was in zip(facts, held)]):
-            # a future fact is false at the last position
-            ends = (False,) if any(now[i] for i in future) else (False, True)
-            for letter in alphabet:
-                for bits in bit_choices:
-                    resets = resets_of[bits]
-                    for delta, guard in guarded:
-                        for last in ends:
-                            ctx = (letter, bits, delta, phase == 0, last, tau, now)
-                            new_wit = list(wit)
-                            rejected = False
-                            for i, body in bodies:
-                                if body(ctx):
-                                    if not tau[i]:
-                                        rejected = True
-                                        break
-                                    new_wit[i] = True
-                            if rejected:
-                                continue
-                            truths = [test(ctx) for test in tests]
-                            if sum(truths) != 1:
-                                continue
-                            branch = truths.index(True)
-                            if slots[branch] is None:
-                                continue
-                            new_held = advance(held, now, ctx) if facts else held
-                            if new_held is None:
-                                continue
-                            if last:
-                                if not all(new_wit[i] for i, _ in bodies if tau[i]):
-                                    continue
-                                targets = [accept]
-                            else:
-                                nxt = (1, tau, tuple(new_wit), new_held)
-                                if nxt not in seen:
-                                    seen.add(nxt)
-                                    queue.append(nxt)
-                                targets = [loc_name(nxt, j) for j in range(len(rates))]
-                            source = loc_name(state, slots[branch])
-                            for target in targets:
-                                eid = f"e{len(edges)}"
-                                edges.append(Edge(eid, source, letter, guard, resets, target))
-                                weights[eid] = values[branch][1]
-    locations = {loc_name(s, j): rate for s in sorted(seen) for j, rate in enumerate(rates)}
-    locations[accept] = Fraction(0)
-    automaton = TimedAutomaton(
-        alphabet=tuple(alphabet),
-        locations=tuple(locations),
-        clocks=tuple(clock_of[x] for x in clock_vars),
-        initial=tuple(loc_name(s, j) for s in starts for j in range(len(rates))),
-        final=(accept,),
-        edges=tuple(edges),
-        unambiguous=False,
-    )
+            if (tau, now) not in table:
+                table[tau, now] = guessed(tau, now)
+            bodies, tested, truths, fire = table[tau, now]
+            fire &= halves[phase]
+            if phase:  # a future fact held for the position: guessed true or passed
+                for i in future:
+                    passed = full if now[i] else tested[i]
+                    fire &= passed if held[i] else full ^ passed
+            for body, guess, was in zip(bodies, tau, wit):
+                if guess and not was:  # witnessed by the last position at the latest
+                    fire &= not_last | body
+            while fire:
+                low = fire & -fire
+                fire ^= low
+                letter, resets, guard, last = grid[low.bit_length() - 1]
+                for branch, truth in enumerate(truths):
+                    if truth & low:
+                        break
+                if last:
+                    targets = ["acc"]
+                else:  # parts witnessed, past facts set and future facts guessed here
+                    nxt = (1, tau, tuple([w or bool(b & low) for w, b in zip(wit, bodies)]),
+                           tuple([g or (kind == "past" and bool(t & low))
+                                  for (kind, _), g, t in zip(facts, now, tested)]))
+                    targets = names.get(nxt) or reach(nxt)  # a firing branch has a rate
+                source, weight = sources[slots[branch]], values[branch][1]
+                for target in targets:
+                    eid = f"e{len(edges)}"
+                    edges.append(Edge(eid, source, letter, guard, resets, target))
+                    weights[eid] = weight
+    locations = {n: rate for s in sorted(names) for n, rate in zip(names[s], rates)}
+    locations["acc"] = Fraction(0)
+    automaton = TimedAutomaton(tuple(alphabet), tuple(locations), tuple(compiler.clock_of.values()),
+                               tuple(initial), ("acc",), tuple(edges), unambiguous=False)
     return CompiledFamily(automaton, locations, weights)
 
 

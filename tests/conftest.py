@@ -12,7 +12,7 @@ import mpmath
 from watl import fixtures, optcost, rdl, wrdl
 from watl.core import (_COMPARE, RELATIONS, ClockAtom, ClockConstraint, Edge, TimedAutomaton,
                        TimedWord, constraint_satisfiable, enumerate_runs)
-from watl.errors import DomainError, UnsupportedGuardError
+from watl.errors import DomainError, UnsupportedGuardError, refuse_deep
 from watl.monoids import WeightPairWord, monoid_from_id, sum_over
 from watl.optcost import Region
 from watl.transform import NivatTriple, comp_automaton, product_intersect, relabel
@@ -119,12 +119,18 @@ def random_weighted_formula(rng, depth):
     return wrdl.ExistsSO(rng.choice("XY"), random_weighted_formula(rng, depth - 1))
 
 
-def random_comparing_payload(rng, alphabet, var, setvar, names=("z", "u")):
+def random_comparing_payload(rng, alphabet, var, setvar, names=("z", "u"), exact=0):
     """A random test at position var that compares positions: a letter
     test, a membership or distance test on setvar, or an existential over
     a position strictly before var, strictly after it, or at or before
     it, whose body is such a test at that position (bound to the next of
-    names, so no binder shadows another); negated a third of the time."""
+    names, so no binder shadows another); negated a third of the time.
+    With a set variable and a positive ``exact``, the test, and each test
+    nested in it, is first an exact-distance test with that probability;
+    ``exact=0`` draws as before."""
+    if exact and setvar is not None and rng.random() < exact:
+        test = rdl.Dist("=", rng.randint(0, 2), setvar, var)
+        return rdl.Not(test) if rng.random() < 1 / 3 else test
     kinds = ["letter", "letter"]
     if setvar is not None:
         kinds += ["member", "dist"]
@@ -142,18 +148,19 @@ def random_comparing_payload(rng, alphabet, var, setvar, names=("z", "u")):
         order = {"earlier": rdl.rdl_and(rdl.Leq(z, var), rdl.Not(rdl.Leq(var, z))),
                  "later": rdl.rdl_and(rdl.Leq(var, z), rdl.Not(rdl.Leq(z, var))),
                  "upto": rdl.Leq(z, var)}[kind]
-        body = random_comparing_payload(rng, alphabet, z, setvar, names[1:])
+        body = random_comparing_payload(rng, alphabet, z, setvar, names[1:], exact)
         test = rdl.ExistsFO(z, rdl.rdl_and(order, body))
     return rdl.Not(test) if rng.random() < 1 / 3 else test
 
 
-def random_comparing_sentence(rng, alphabet=("a", "b")):
+def random_comparing_sentence(rng, alphabet=("a", "b"), exact=0):
     """A random restricted sentence all x. (L, R) whose payloads are drawn
-    by ``random_comparing_payload``, under EX X half the time.  Half the
-    time it sits under a weighted existential, ex y. (B(test at y) &
-    all x. (L, R)), whose canonical form tests that the witness set of y
-    is a singleton; L and R then compare x with y instead, the only
-    mention of x that the guard compiler accepts inside ex y."""
+    by ``random_comparing_payload`` (with ``exact`` passed on), under EX X
+    half the time.  Half the time it sits under a weighted existential,
+    ex y. (B(test at y) & all x. (L, R)), whose canonical form tests that
+    the witness set of y is a singleton; L and R then compare x with y
+    instead, the only mention of x that the guard compiler accepts inside
+    ex y."""
     alphabet = tuple(alphabet)
     setvar = "X" if rng.random() < 0.5 else None
     weighted = rng.random() < 0.5
@@ -163,7 +170,7 @@ def random_comparing_sentence(rng, alphabet=("a", "b")):
             left, right = rng.sample(("x", "y"), 2)
             test = rdl.Leq(left, right)
             return rdl.Not(test) if rng.random() < 0.5 else test
-        return random_comparing_payload(rng, alphabet, "x", setvar)
+        return random_comparing_payload(rng, alphabet, "x", setvar, exact=exact)
 
     def operand(pool):
         parts = [wrdl.Bool(payload()) if rng.random() < 0.6 else
@@ -174,7 +181,7 @@ def random_comparing_sentence(rng, alphabet=("a", "b")):
 
     body = wrdl.Forall("x", operand((0, 1)), operand((0, 2)))
     if weighted:
-        test = random_comparing_payload(rng, alphabet, "y", setvar)
+        test = random_comparing_payload(rng, alphabet, "y", setvar, exact=exact)
         body = wrdl.ExistsFO("y", wrdl.And(wrdl.Bool(test), body))
     if setvar is not None:
         body = wrdl.ExistsSO(setvar, body)
@@ -1414,7 +1421,7 @@ def _brute_loc_name(state):
 
 def brute_compile_guard_family(guards, values, alphabet, so_vars, posvar):
     """``optcost.compile_guard_family`` through ``_brute_moves``: the
-    oracle for the closure compiler and for the construction that builds
+    oracle for the guard compiler and for the construction that builds
     the guards once.  It refuses existentials nested in a quantifier body
     ("quantified body outside the per-position fragment"), which the
     compiler decides."""
@@ -1481,6 +1488,222 @@ def nivat_compile_guard_family(guards, values, alphabet, so_vars, posvar):
     product = relabel(product_intersect(comp, acceptor), triple.h, tuple(alphabet))
     return optcost.CompiledFamily(product.base, product.location_weights,
                                   product.edge_weights)
+
+
+# The oracle for ``optcost.compile_guard_family``'s bitmasks: the former
+# compiler, which turns each guard into a closure over one position
+# context and calls it on every context of every state.
+
+_not_first, _not_last = (lambda c: not c[3]), (lambda c: not c[4])
+
+
+def _closure_or(left, right):
+    if left is True or right is False:
+        return left
+    if right is True or left is False:
+        return right
+    return lambda c: left(c) or right(c)
+
+
+def _closure_call(test):
+    return test if callable(test) else (lambda c: test)
+
+
+class _ClosureCompiler:
+    """Compiles guards into closures over a per-position context tuple
+    (letter, bits, delta, first, last, tau, facts), or True or False where
+    they fold, with the rules ``optcost._GuardCompiler`` documents."""
+
+    def __init__(self, so_vars, alphabet):
+        self.so = set(so_vars)
+        self.letters = set(alphabet)
+        self.atoms = set()
+        self.parts = []
+        self.facts = []
+        self._nodes = {}
+        self._placed = {}
+
+    def compile(self, formula, places):
+        kind = type(formula)
+        if kind is rdl.Not:
+            sub = self.compile(formula.sub, places)
+            if sub is True or sub is False:
+                return not sub
+            return lambda c: not sub(c)
+        if kind is rdl.Or:
+            return _closure_or(self.compile(formula.left, places),
+                               self.compile(formula.right, places))
+        if kind is rdl.Letter:
+            if formula.letter not in self.letters:
+                return False
+            if places.get(formula.var) == 0:
+                letter = formula.letter
+                return lambda c: c[0] == letter
+        elif kind is rdl.Leq:
+            if formula.left == formula.right:
+                return True
+            left, right = places.get(formula.left), places.get(formula.right)
+            if left is not None and right is not None:
+                return left <= right
+        elif kind is rdl.InSet:
+            if places.get(formula.var) == 0 and formula.setvar in self.so:
+                x = formula.setvar
+                return lambda c: x in c[1]
+        elif kind is rdl.Dist:
+            if places.get(formula.var) == 0 and formula.setvar in self.so:
+                if formula.rel == "=":
+                    bound, x, var = formula.bound, formula.setvar, formula.var
+                    return self.compile(rdl.rdl_and(rdl.Dist("<=", bound, x, var),
+                                                    rdl.Dist(">=", bound, x, var)), places)
+                atom = (formula.rel, formula.bound, formula.setvar)
+                self.atoms.add(atom)
+                return lambda c: c[2][atom]
+        elif kind is rdl.ExistsFO:
+            seen = self._nodes.get(formula)
+            if seen is None:
+                seen = self._nodes[formula] = (len(self._nodes), rdl.free_vars(formula)[0])
+            number, free = seen
+            placed = frozenset((v, at) for v, at in places.items() if v in free)
+            test = self._placed.get((number, placed))
+            if test is None:
+                test = self._placed[number, placed] = self._exists(formula, placed)
+            return test
+        raise UnsupportedGuardError(
+            f"guard outside the compiled fragment: {rdl.to_text(formula)}")
+
+    def _exists(self, formula, placed):
+        z, body = formula.var, formula.sub
+        near = [v for v, at in placed if at == 0]
+        if not near:
+            self.parts.append(_closure_call(self.compile(body, {z: 0})))
+            i = len(self.parts) - 1
+            return lambda c: c[5][i]
+        same = self.compile(body, {**dict(placed), z: 0})
+        earlier = self.compile(body, {**dict.fromkeys(near, 1), z: 0})
+        later = self.compile(body, {**dict.fromkeys(near, -1), z: 0})
+        return _closure_or(same, _closure_or(self._fact("past", earlier, _not_first),
+                                             self._fact("future", later, _not_last)))
+
+    def _fact(self, kind, test, flag):
+        if test is True or test is False:
+            return test and flag
+        self.facts.append((kind, test))
+        i = len(self.facts) - 1
+        return lambda c: c[6][i]
+
+
+@refuse_deep
+def closure_compile_guard_family(guards, values, alphabet, so_vars, posvar):
+    """``optcost.compile_guard_family`` by calling the closures of
+    ``_ClosureCompiler`` on every position context of every state, in the
+    order letter, set bits, satisfiable delta, last."""
+    compiler = _ClosureCompiler(so_vars, alphabet)
+    tests = [_closure_call(compiler.compile(guard, {posvar: 0})) for guard in guards]
+    parts, facts = compiler.parts, compiler.facts
+    atoms = sorted(compiler.atoms)
+    clock_vars = sorted({a[2] for a in atoms})
+    clock_of = {x: f"k_{x}" for x in clock_vars}
+    bodies = list(enumerate(parts))
+    future = [i for i, (kind, _) in enumerate(facts) if kind == "future"]
+    rates = list(dict.fromkeys(m for m, mp in values if is_finite(m) and is_finite(mp)))
+    slots = [rates.index(m) if is_finite(m) and is_finite(mp) else None
+             for m, mp in values]
+    bit_choices = [frozenset(s) for r in range(len(so_vars) + 1)
+                   for s in itertools.combinations(so_vars, r)]
+    deltas = [dict(zip(atoms, bits))
+              for bits in itertools.product((False, True), repeat=len(atoms))]
+    taus = list(itertools.product((False, True), repeat=len(parts)))
+
+    def loc_name(state, slot):
+        phase, tau, wit, held = state
+        tau_s = "".join("1" if b else "0" for b in tau)
+        wit_s = "".join("1" if b else "0" for b in wit)
+        held_s = "".join("1" if b else "0" for b in held)
+        return f"q{phase}.{tau_s}.{wit_s}.{held_s}@{slot}"
+
+    def advance(held, now, ctx):
+        out = []
+        for (kind, test), was, guess in zip(facts, held, now):
+            if kind == "past":
+                out.append(was or test(ctx))
+            elif ctx[3] or was == (guess or test(ctx)):
+                out.append(guess)
+            else:
+                return None
+        return tuple(out)
+
+    guarded = []
+    for delta in deltas:
+        guard_atoms = tuple(
+            ClockAtom(clock_of[x], rel if truth else optcost._COMPLEMENT[rel], bound)
+            for (rel, bound, x), truth in delta.items())
+        guard = ClockConstraint(guard_atoms)
+        if not guard_atoms or constraint_satisfiable(guard):
+            guarded.append((delta, guard))
+
+    starts = [(0, tau, (False,) * len(parts), (False,) * len(facts)) for tau in taus]
+    seen = set(starts)
+    queue = list(starts)
+    edges = []
+    weights = {}
+    while queue:
+        state = queue.pop()
+        phase, tau, wit, held = state
+        for now in itertools.product(*[(was,) if kind == "past" else (False, True)
+                                       for (kind, _), was in zip(facts, held)]):
+            ends = (False,) if any(now[i] for i in future) else (False, True)
+            for letter in alphabet:
+                for bits in bit_choices:
+                    resets = frozenset(clock_of[x] for x in bits if x in clock_of)
+                    for delta, guard in guarded:
+                        for last in ends:
+                            ctx = (letter, bits, delta, phase == 0, last, tau, now)
+                            new_wit = list(wit)
+                            rejected = False
+                            for i, body in bodies:
+                                if body(ctx):
+                                    if not tau[i]:
+                                        rejected = True
+                                        break
+                                    new_wit[i] = True
+                            if rejected:
+                                continue
+                            truths = [test(ctx) for test in tests]
+                            if sum(truths) != 1:
+                                continue
+                            branch = truths.index(True)
+                            if slots[branch] is None:
+                                continue
+                            new_held = advance(held, now, ctx) if facts else held
+                            if new_held is None:
+                                continue
+                            if last:
+                                if not all(new_wit[i] for i, _ in bodies if tau[i]):
+                                    continue
+                                targets = ["acc"]
+                            else:
+                                nxt = (1, tau, tuple(new_wit), new_held)
+                                if nxt not in seen:
+                                    seen.add(nxt)
+                                    queue.append(nxt)
+                                targets = [loc_name(nxt, j) for j in range(len(rates))]
+                            source = loc_name(state, slots[branch])
+                            for target in targets:
+                                eid = f"e{len(edges)}"
+                                edges.append(Edge(eid, source, letter, guard, resets, target))
+                                weights[eid] = values[branch][1]
+    locations = {loc_name(s, j): rate for s in sorted(seen) for j, rate in enumerate(rates)}
+    locations["acc"] = Fraction(0)
+    automaton = TimedAutomaton(
+        alphabet=tuple(alphabet),
+        locations=tuple(locations),
+        clocks=tuple(clock_of[x] for x in clock_vars),
+        initial=tuple(loc_name(s, j) for s in starts for j in range(len(rates))),
+        final=("acc",),
+        edges=tuple(edges),
+        unambiguous=False,
+    )
+    return optcost.CompiledFamily(automaton, locations, weights)
 
 
 _ACCEPTANCE = {}

@@ -459,6 +459,16 @@ def test_decide_average_flavor(tmp_path):
     assert payload["exists"] is True and payload["witness"]
 
 
+def test_decide_reads_a_distance_test_through_a_clock(tmp_path):
+    # The README's set-variable example: dpast[>=2](X, x) at the only
+    # position of a word holds once 2 time units have passed, whatever X.
+    formula = put_text(tmp_path, "wait.txt", "EX X. all x. (B(dpast[>=2](X, x)), 1)")
+    verdicts = [invoke("decide", "--formula", formula, "--monoid", "sum0", "--theta", theta)
+                for theta in ("2", "1")]
+    assert [result.stdout for result in verdicts] == [
+        '{"exists":true,"witness":[["a","2"]]}\n', '{"exists":false}\n']
+
+
 def test_decide_handles_an_existential_nested_in_a_global_part(tmp_path):
     # The inner existential becomes a global part of its own, guessed and
     # verified like the outer one: the sentence holds exactly on words with

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (BruteSearch, brute_bellman_ford, brute_compile_guard_family,
                       brute_corner_graph, check_certificate, check_inf_cost, check_witness_below,
+                      closure_compile_guard_family,
                       grid_minimum, keyed_bellman_ford, nivat_compile_guard_family, outcome,
                       random_comparing_sentence, reachable_regions, region_of, region_reset,
                       region_satisfies, region_zero, shifted_positive_duration, time_successor,
@@ -1115,7 +1116,7 @@ def test_back_translations_decide_like_their_originals():
 
 
 # The message of the oracle's refusal of existentials nested in a
-# quantifier body, which the closure compiler turns into global parts.
+# quantifier body, which the guard compiler turns into global parts.
 _NESTED = "quantified body outside the per-position fragment"
 
 # The message of the oracle's refusal of families over its size cap.
@@ -1309,6 +1310,55 @@ def test_guard_families_match_the_per_state_guard_construction():
     assert nested >= 10
     finite = sum(map(is_finite, values))
     assert finite >= 100 and len(values) - finite >= 100
+
+
+# Guards the compiler refuses, the last after meeting a distance atom.
+_REFUSED = ("all x. (B(ex y. (y <= x & P[a](x))), 1)",
+            "all x. (B(ex y. (P[a](y) & ex z. (P[b](y) & P[a](z)))), 0)",
+            "EX X. all x. (B(EX Y. Y(x)), 0)",
+            "EX X. all x. (B(dpast[=1](X, x) & ex y. (y <= x & P[a](x))), 1)")
+
+
+def test_guard_families_match_the_closure_compiler():
+    # The former compiler, which called one closure per guard on every
+    # position context of every state, is the oracle: the masks must build
+    # an equal automaton (edge ids, names and order included) or refuse
+    # with the same message.  Cases: the pool sentences, their
+    # back-translations (four to seven global parts each), and comparing
+    # sentences, with existentials nested in facts and many exact-distance
+    # tests, which the per-state construction refuses or cannot draw.
+    pool = _decide_pool()
+    back = []
+    for alphabet, sentence in pool:
+        triple = wrdl.sentence_to_nivat(wrdl.canonicalize(sentence, SUM0), alphabet, SUM0)
+        back.append((alphabet, wrdl.nivat_to_sentence(triple, SUM0)))
+    rng = random.Random(29)
+    drawn = [(("a", "b"), random_comparing_sentence(rng, exact=0.75)) for _ in range(200)]
+    payloads = [rdl.to_text(node.payload) for _, sentence in drawn
+                for node in wrdl.iter_nodes(sentence) if isinstance(node, wrdl.Bool)]
+    assert 4 * sum("dpast[=" in payload for payload in payloads) >= len(payloads)
+    refused = [(("a", "b"), wrdl.parse_wrdl(text)) for text in _REFUSED]
+    refusals, wide, facts = [], 0, 0
+    for alphabet, sentence in pool + back + drawn + refused:
+        canonical = wrdl.canonicalize(sentence, SUM0)
+        args = (canonical.guards, tuple(zip(canonical.left, canonical.right)), alphabet,
+                canonical.so_vars, canonical.var)
+        try:
+            want = closure_compile_guard_family(*args)
+        except UnsupportedGuardError as exc:
+            with pytest.raises(UnsupportedGuardError) as refusal:
+                compile_guard_family(*args)
+            assert str(refusal.value) == str(exc)
+            refusals.append((alphabet, sentence))
+            continue
+        assert compile_guard_family(*args) == want
+        # a location q<phase>.<tau>.<wit>.<facts>@<slot> names its guesses
+        for name in want.automaton.initial[:1]:
+            _, tau, _, held = name.split("@")[0].split(".")
+            wide += len(tau) >= 4
+            facts += bool(held)
+    assert refusals == refused
+    assert wide >= 200 and facts >= 100
 
 
 def test_avg_reduction_identity_on_sampled_words():
