@@ -107,6 +107,56 @@ def test_wrdl_eval_matches_the_oracle_on_restricted_sentences(monoid_id):
                              brute_wrdl_eval(formula, word, monoid))
 
 
+class FoldlessSum(monoids.SumMonoid):
+    """The sum monoid with its valuation as ``val`` alone, no step fold."""
+
+    def step_fold(self, delays):
+        return None
+
+    def val(self, word):
+        return monoids.SumMonoid().val(word)
+
+
+def foldless_sum0():
+    try:
+        monoids.register_monoid("sum0-foldless", lambda arg=None: monoids.TimedPvMonoid(
+            FoldlessSum(), lambda x, y: x + y, Fraction(0), "sum0-foldless"))
+    except ValueError:
+        pass
+    return monoid_from_id("sum0-foldless")
+
+
+def test_prepared_universal_folds_equal_the_oracle_exactly():
+    # Each universal folds through one step fold per call; the oracle
+    # applies val afresh.  Values are ==, and discounted ones print alike.
+    # Every other avg0 word waits 0 in all steps, so avg0 folds uniform rates.
+    sum0, avg0, disc0 = (monoid_from_id(m) for m in PV_MONOIDS)
+    foldless = foldless_sum0()
+    rng = random.Random(6065)
+    lengths, uniform = set(), 0
+    for k in range(200):
+        alphabet = ("a", "b") if rng.random() < 0.5 else ("a",)
+        sentence = sampling.random_restricted_sentence(rng, alphabet)
+        word = sampling.random_word(rng, alphabet, max_len=4)
+        monoid = (sum0, avg0, disc0, avg0, foldless)[k % 5]
+        if k % 5 == 3:
+            word = wd(*((letter, 0) for letter in word.letters))
+        formulas = [sentence, wrdl.canonicalize(sentence, monoid).to_formula()]
+        if monoid is foldless:
+            # sampled sentences rarely charge unequal finite rates; this one does
+            formulas.append(fixtures.average_cost_sentence())
+        for formula in formulas:
+            got = wrdl.wrdl_eval(formula, word, monoid)
+            want = brute_wrdl_eval(formula, word, monoid)
+            assert got == want and repr(got) == repr(want)
+            if monoid is foldless:
+                assert got == wrdl.wrdl_eval(formula, word, sum0)
+        lengths.add(len(word))
+        uniform += monoid is avg0 and not any(word.delays)
+    assert foldless.step_fold(word.delays) is None
+    assert lengths == {1, 2, 3, 4} and uniform >= 40
+
+
 def test_errors_match_the_oracles():
     word = wd(("a", 1), ("b", 2))
     rdl_cases = [
@@ -144,25 +194,75 @@ def test_errors_match_the_oracles():
     assert raised == {WatlError, TypeError, FragmentError, DomainError}
 
 
+PAST_LEAVER = Bool(rdl.parse_rdl("EX X. ex x. dpast[<2](X,x)"))
+LEAVES_PAST = "boolean payload (EX X. (ex x. dpast[<2](X,x))) leaves the past fragment"
+ONE = Const(Fraction(1))
+
+
+@pytest.mark.parametrize("formula, sigma, error", [
+    (ExistsFO("X", ONE), None, (FragmentError, "'X' is not a first-order variable name")),
+    (ExistsSO("x", ONE), None, (FragmentError, "'x' is not a second-order variable name")),
+    (Forall("X1", ONE, ONE), None, (FragmentError, "'X1' is not a first-order variable name")),
+    (PAST_LEAVER, None, (FragmentError, LEAVES_PAST)),
+    (Const(mpmath.mpf(1)), None, (FragmentError, "constant mpf('1.0') outside monoid domain")),
+    (Const(True), None, (FragmentError, "constant True outside monoid domain")),
+    (Or(ExistsSO("x", PAST_LEAVER), Const("junk")), None,
+     (FragmentError, f"'x' is not a second-order variable name; {LEAVES_PAST}; "
+                     "constant 'junk' outside monoid domain")),
+    (Bool(rdl.Letter("a", "x")), None, (WatlError, "unbound variables in evaluation: x")),
+    (ExistsFO("x", Bool(rdl.InSet("Y", "x"))), rdl.Assignment(),
+     (WatlError, "unbound variables in evaluation: Y")),
+    (Bool(rdl.Letter("a", "x")), rdl.Assignment({"x": 3}, {}),
+     (WatlError, "assignment sends 'x' to 3, outside 1..2")),
+    (Bool(rdl.InSet("Y", "x")), rdl.Assignment({"x": 1}, {"Y": {0}}),
+     (WatlError, "assignment of 'Y' leaves 1..2")),
+    (Forall("x", ONE, Bool(rdl.Letter("a", "y"))), rdl.Assignment({"y": 0}, {}),
+     (WatlError, "assignment sends 'y' to 0, outside 1..2")),
+    (Or(ONE, "junk"), None, (TypeError, "not a weighted formula: 'junk'")),
+    (Or("junk", Bool(rdl.Letter("a", "x"))), None, (TypeError, "not a weighted formula: 'junk'")),
+    (Or("junk", Const("bad")), None, (FragmentError, "constant 'bad' outside monoid domain")),
+    (Or(Bool(rdl.Or(rdl.rdl_true(), "junk")), Const("bad")), None,
+     (TypeError, "not a formula: 'junk'")),
+    (Or("junk", Bool(rdl.Not("junk2"))), None, (TypeError, "not a formula: 'junk2'")),
+])
+def test_bad_input_keeps_its_error_type_message_and_order(formula, sigma, error):
+    # The errors and their order are those of validate_formula followed by
+    # validate_assignment of free_vars, each a walk of its own: problems in
+    # walk order first, then a node of no weighted class, then the assignment.
+    word, avg0 = wd(("a", 1), ("b", 2)), monoid_from_id("avg0")
+    assert outcome(wrdl.wrdl_eval, formula, word, avg0, sigma) == error
+    assert outcome(brute_wrdl_eval, formula, word, avg0, sigma) == error
+
+
 def test_invariant_universals_are_valued_once_per_call(monkeypatch):
     # In min_wait_sentence, all z.(3, 1) never reads the quantified set Y.
-    calls = []
-    valuate = monoids.TimedPvMonoid.val
+    # Every valuation prepares the sum fold's charges once: wrdl_eval's
+    # universal through its own fold, the oracle's through val.
+    prepared, valued = [], []
+    prepare, valuate = monoids._SumFold.prepare, monoids.TimedPvMonoid.val
 
-    def counting(self, word):
-        calls.append(len(word))
+    def counting_prepare(self, charges, ticks):
+        prepared.append(len(charges))
+        return prepare(self, charges, ticks)
+
+    def counting_val(self, word):
+        valued.append(len(word))
         return valuate(self, word)
 
-    monkeypatch.setattr(monoids.TimedPvMonoid, "val", counting)
+    monkeypatch.setattr(monoids._SumFold, "prepare", counting_prepare)
+    monkeypatch.setattr(monoids.TimedPvMonoid, "val", counting_val)
     sentence, sum0 = fixtures.min_wait_sentence(), monoid_from_id("sum0")
     word = wd(*((("a", 1),) * 6))
     assert wrdl.wrdl_eval(sentence, word, sum0) == brute_wrdl_eval(sentence, word, sum0)
     # the oracle values the universal once per subset of the 6 positions
-    assert calls == [6] + [6] * 2 ** 6
-    calls.clear()
+    assert prepared == [6] + [6] * 2 ** 6
+    assert valued == [6] * 2 ** 6
+    prepared.clear()
+    valued.clear()
     wrdl.wrdl_eval(sentence, word, sum0)
     wrdl.wrdl_eval(sentence, word, sum0)
-    assert calls == [6, 6]
+    assert prepared == [6, 6]
+    assert valued == []
 
 
 @pytest.mark.parametrize("text, value", [
