@@ -93,12 +93,7 @@ class TimedValuationMonoid:
         fold = self.step_fold(delays)
         if fold is None:
             raise NotImplementedError
-        with fold:
-            charges = fold.prepare([charge for charge, _ in word], delay_ticks(delays))
-            partial = fold.start
-            for i, charge in enumerate(charges):
-                partial = fold.step(partial, i, charge)
-            return fold.finish(partial)
+        return fold.value([charge for charge, _ in word], delay_ticks(delays))
 
     def contains(self, x) -> bool:
         raise NotImplementedError
@@ -202,6 +197,15 @@ class StepFold:
 
     def finish(self, partial):
         return partial
+
+    def value(self, charges, ticks):
+        """The value of the one run charging the given charges in order:
+        prepare, every step, then finish, inside the fold's context."""
+        with self:
+            partial = self.start
+            for i, charge in enumerate(self.prepare(charges, ticks)):
+                partial = self.step(partial, i, charge)
+            return self.finish(partial)
 
     def __enter__(self):
         return self

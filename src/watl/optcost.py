@@ -748,15 +748,14 @@ class _GuardCompiler:
     z > x (a future fact); a case folding to false drops out, one folding
     to true is "not first" or "not last".  Any other existential is a
     global part, its body compiled at z alone.  Parts and facts nested in
-    a body come before it; equal existentials share a number and compile
-    once per placing of their free names.  Anything else raises
-    UnsupportedGuardError.  Compiling and closures take a stack frame per
-    formula level."""
+    a body come before it; equal existentials compile once per placing of
+    their free names.  Anything else raises UnsupportedGuardError.
+    Compiling and closures take a stack frame per formula level."""
 
     def __init__(self, guards, so_vars, alphabet):
         from . import rdl
         self.rdl, self.so, self.letters = rdl, set(so_vars), set(alphabet)
-        self.parts, self.facts, self._nodes, self._placed = [], [], {}, {}
+        self.parts, self.facts, self._placed = [], [], {}
         atoms, stack = set(), list(guards) if so_vars else []
         while stack:  # the distance atoms, which size the grid
             node = stack.pop()
@@ -841,13 +840,11 @@ class _GuardCompiler:
                     return self.leaves[("<=", *key)] & self.leaves[(">=", *key)]
                 return self.leaves[(formula.rel, *key)]
         elif kind is rdl.ExistsFO:
-            seen = self._nodes.get(formula)
-            if seen is None:
-                seen = self._nodes[formula] = (len(self._nodes), rdl.free_vars(formula)[0])
-            placed = frozenset((v, at) for v, at in places.items() if v in seen[1])
-            test = self._placed.get((seen[0], placed))
+            free = rdl.free_vars(formula)[0]
+            placed = frozenset((v, at) for v, at in places.items() if v in free)
+            test = self._placed.get((formula, placed))
             if test is None:
-                test = self._placed[seen[0], placed] = self._exists(formula, placed)
+                test = self._placed[formula, placed] = self._exists(formula, placed)
             return test
         raise UnsupportedGuardError(
             f"guard outside the compiled fragment: {rdl.to_text(formula)}")

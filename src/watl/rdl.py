@@ -228,11 +228,20 @@ def _walk(formula, syntax: _Syntax, text: bool = False, scoped: bool = False):
             push((getattr(node, field), syntax, bound))
 
 
+# The one empty name set the kept facts share: most formulas have some.
+_EMPTY = frozenset()
+
+
 def _facts(formula, syntax: _Syntax) -> tuple:
     """The name facts of a formula from one scoped walk: its (first-order,
     second-order) free names, every name it holds, bound or free, the set
     variables of its distance tests, and the names its set quantifiers
-    bind, in walk order."""
+    bind, in walk order.  They are kept on the formula, with the syntax
+    that found them, and served again to that syntax alone, so a formula
+    of another logic is still refused."""
+    kept = getattr(formula, "_facts", None)
+    if kept is not None and kept[0] is syntax:
+        return kept[1]
     free, names, dist, quantified = (set(), set()), set(), set(), []
     for node, shape, bound in _walk(formula, syntax, scoped=True):
         for field in shape.names:
@@ -245,7 +254,10 @@ def _facts(formula, syntax: _Syntax) -> tuple:
                 quantified.append(name)
         if node.__class__ is Dist:
             dist.add(node.setvar)
-    return (frozenset(free[0]), frozenset(free[1])), names, frozenset(dist), quantified
+    fo, so, names, dist = (frozenset(s) if s else _EMPTY for s in (*free, names, dist))
+    facts = (fo, so), names, dist, tuple(quantified)
+    object.__setattr__(formula, "_facts", (syntax, facts))
+    return facts
 
 
 def free_vars(formula):
@@ -267,7 +279,7 @@ def so_quantified_vars(formula) -> frozenset:
     return frozenset(_facts(formula, _SYNTAX)[3])
 
 
-def variable_names(formula) -> set:
+def variable_names(formula) -> frozenset:
     """Every variable name occurring in the formula, bound or free."""
     return _facts(formula, _SYNTAX)[1]
 

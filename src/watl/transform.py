@@ -11,7 +11,7 @@ triple back into a single weighted automaton.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -336,9 +336,7 @@ def nivat_compose(triple: NivatTriple, monoid: TimedValuationMonoid,
             f"non-idempotent monoid {monoid.id!r} is unsound")
     language = triple.language
     if triple.language_class in _UNAMBIGUOUS_CLASSES and not language.unambiguous:
-        language = TimedAutomaton(language.alphabet, language.locations, language.clocks,
-                                  language.initial, language.final, language.edges,
-                                  unambiguous=True)
+        language = replace(language, unambiguous=True)
     weigher = comp_automaton(triple.gamma, triple.g, monoid)
     product = product_intersect(weigher, language)
     target = tuple(alphabet) if alphabet is not None else triple.target_alphabet()

@@ -88,13 +88,9 @@ _SYNTAX = rdl._Syntax("weighted formula", {
 _NODES = rdl._Syntax(None, {**_SYNTAX, Bool: _SYNTAX[Bool]._replace(children=())})
 
 
-# The same, refusing a node of any other class.
-_STRICT_NODES = rdl._Syntax(_SYNTAX.what, _NODES)
-
-
 def free_vars(formula):
     """(free first-order vars, free second-order vars)."""
-    return _survey(formula, syntax=_STRICT_NODES)[2]
+    return rdl._facts(formula, _SYNTAX)[0]
 
 
 def iter_nodes(formula):
@@ -118,24 +114,19 @@ class NameSupply:
         return name
 
 
-def _survey(formula, monoid: Optional[TimedPvMonoid] = None, syntax=_NODES) -> tuple:
-    """One scoped walk of the weighted nodes, classifying each payload
-    once: (``validate_formula``'s problems in walk order, the nodes of no
-    weighted class, the (first-order, second-order) free names, and each
-    payload's free names keyed by the id of its ``Bool``)."""
-    problems, junk, free, payloads = [], [], (set(), set()), {}
-    for node, shape, bound in rdl._walk(formula, syntax, scoped=True):
+def _survey(formula, monoid: Optional[TimedPvMonoid] = None) -> tuple:
+    """One walk of the weighted nodes, classifying each payload once:
+    (``validate_formula``'s problems in walk order, the nodes of no
+    weighted class)."""
+    problems, junk = [], []
+    for node, shape, _ in rdl._walk(formula, _NODES):
         if shape is None:
             junk.append(node)
             continue
         if isinstance(node, Bool):
-            facts = rdl.classify(node.payload)
-            if not facts.in_rdl_past:
+            if not rdl.classify(node.payload).in_rdl_past:
                 problems.append(
                     f"boolean payload {rdl.to_text(node.payload)} leaves the past fragment")
-            payloads[id(node)] = facts.free_fo, facts.free_so
-            free[0].update(v for v in facts.free_fo if (False, v) not in bound)
-            free[1].update(v for v in facts.free_so if (True, v) not in bound)
         elif isinstance(node, Const):
             if monoid is not None and not monoid.contains(node.value):
                 problems.append(f"constant {node.value!r} outside monoid domain")
@@ -144,15 +135,15 @@ def _survey(formula, monoid: Optional[TimedPvMonoid] = None, syntax=_NODES) -> t
             if not (rdl.is_so_name if so else rdl.is_fo_name)(name):
                 problems.append(f"{name!r} is not a {'second' if so else 'first'}-order "
                                 "variable name")
-    return problems, junk, (frozenset(free[0]), frozenset(free[1])), payloads
+    return problems, junk
 
 
-def _validated(formula, monoid: Optional[TimedPvMonoid]) -> tuple:
-    """The rest of ``_survey``, once no problem was found."""
-    problems, *found = _survey(formula, monoid)
+def _validated(formula, monoid: Optional[TimedPvMonoid]) -> list:
+    """The nodes of no weighted class, once ``_survey`` found no problem."""
+    problems, junk = _survey(formula, monoid)
     if problems:
         raise FragmentError("; ".join(problems))
-    return found
+    return junk
 
 
 def validate_formula(formula, monoid: Optional[TimedPvMonoid] = None) -> None:
@@ -288,18 +279,17 @@ class _WeightedCompiler(rdl._Compiler):
     only on the word, the monoid and its free variables; so a universal
     that never reads a quantified set is valued once, not once per subset.
     The memory is one (key, value) pair per node, kept for one call.  A
-    test's slots are its payload's free names, which the validating walk
-    found (``_survey``).  Each universal takes the monoid's step fold over
-    the word's delays once, at compile time, and values its pairs by
-    preparing them against the word's cached ``ticks`` and folding, as
+    test's slots are its payload's free names, which ``rdl.free_vars``
+    keeps on the payload.  Each universal takes the monoid's step fold
+    over the word's delays once, at compile time, and values its pairs
+    against the word's cached ``ticks`` (``StepFold.value``), as
     ``wta.fold_charges`` does; without a step fold it applies ``val``.
     """
 
-    def __init__(self, word: TimedWord, sigma, monoid: TimedPvMonoid, payloads: dict):
+    def __init__(self, word: TimedWord, sigma, monoid: TimedPvMonoid):
         super().__init__(word, sigma)
         self.monoid = monoid
         self.word = word
-        self.payloads = payloads
 
     def weighted(self, node, fo: dict, so: dict) -> tuple:
         """(closure env -> value, frozenset of the free variables' slots)."""
@@ -310,7 +300,7 @@ class _WeightedCompiler(rdl._Compiler):
             return (lambda env: const), frozenset()
         if isinstance(node, Bool):
             check, one = self.compile(node.payload, fo, so), monoid.one
-            pfo, pso = self.payloads[id(node)]
+            pfo, pso = rdl.free_vars(node.payload)
             slots = frozenset([fo[v] for v in pfo] + [so[v] for v in pso])
             return _remembered(slots, lambda env: one if check(env) else zero)
         if isinstance(node, (Or, And)):
@@ -343,11 +333,7 @@ class _WeightedCompiler(rdl._Compiler):
                     pairs.append((left(env), right(env)))
                 if fold is None:
                     return monoid.val(WeightPairWord(tuple(zip(pairs, word.delays))))
-                with fold:
-                    partial = fold.start
-                    for i, charge in enumerate(fold.prepare(pairs, ticks)):
-                        partial = fold.step(partial, i, charge)
-                    return fold.finish(partial)
+                return fold.value(pairs, ticks)
             return _remembered((ls | rs) - {slot}, forall)
         raise TypeError(f"not a weighted formula: {node!r}")
 
@@ -360,23 +346,24 @@ def wrdl_eval(formula, word: TimedWord, monoid, assignment=None) -> Weight:
     the product operation, and the two-operand universal applies the
     global valuation to the pairs it collects at every position.
 
-    One walk of the weighted nodes validates the formula and finds the
-    free names of it and of its payloads.  The formula is then compiled
-    once per call into closures over int positions and bitmask position
-    sets, each universal folding with one step fold prepared against the
-    word, and a subformula is re-evaluated only when one of its free
-    variables changed (see ``_WeightedCompiler``).  Second-order
-    quantification still enumerates all 2^n position subsets, so the cost
-    is exponential in the word length for every set quantifier whose body
-    reads the set.
+    One walk of the weighted nodes validates the formula; the free names
+    of it and of its payloads are those ``rdl._facts`` keeps on each, so
+    a formula valued again is not walked for them again.  The formula is
+    then compiled once per call into closures over int positions and
+    bitmask position sets, each universal folding with one step fold
+    prepared against the word, and a subformula is re-evaluated only when
+    one of its free variables changed (see ``_WeightedCompiler``).
+    Second-order quantification still enumerates all 2^n position subsets,
+    so the cost is exponential in the word length for every set
+    quantifier whose body reads the set.
     """
     monoid = _require_pv(monoid)
-    junk, free, payloads = _validated(formula, monoid)
+    junk = _validated(formula, monoid)
     if junk:
         _SYNTAX.refuse(junk[0])
     sigma = assignment or rdl.Assignment()
-    rdl.validate_assignment(free, word, sigma, "evaluation")
-    compiler = _WeightedCompiler(word, sigma, monoid, payloads)
+    rdl.validate_assignment(free_vars(formula), word, sigma, "evaluation")
+    compiler = _WeightedCompiler(word, sigma, monoid)
     evaluate, _ = compiler.weighted(formula, compiler.fo, compiler.so)
     return evaluate(compiler.env)
 

@@ -1,7 +1,8 @@
 """Concrete syntax of both logics: the exact messages of malformed input,
 parse(to_text(f)) == f on random formulas, and the shared walk behind
 printing, free variables, variable names and the fragment facts against
-the structural-recursion oracles."""
+the structural-recursion oracles, also when those facts are kept on the
+formula between calls."""
 
 import random
 import sys
@@ -265,4 +266,103 @@ def test_classify_walks_its_formula_once(monkeypatch):
         formula = rdl.parse_rdl(text)
         walked.clear()
         rdl.classify(formula)
+        rdl.classify(formula)    # from the facts the first call kept
         assert walked == [formula]
+
+
+def _fresh(node):
+    """An equal copy of a formula that shares no node with it, so none of
+    its nodes keeps facts yet."""
+    return replace(node, **{f.name: _fresh(getattr(node, f.name)) for f in fields(node)
+                            if is_dataclass(getattr(node, f.name))})
+
+
+_RDL_READERS = ((rdl.free_vars, brute_free_vars), (rdl.dist_vars, brute_dist_vars),
+                (rdl.so_quantified_vars, brute_so_quantified_vars),
+                (rdl.variable_names, brute_variable_names), (rdl.classify, brute_classify))
+_READERS = _RDL_READERS + ((wrdl.free_vars, brute_wrdl_free_vars),)
+
+
+def test_kept_facts_serve_only_the_logic_that_found_them():
+    formula = rdl.parse_rdl("ex y. P[a](x) | dpast[<1](X, y)")
+    refused = outcome(wrdl.free_vars, formula)
+    assert refused == (TypeError, f"not a weighted formula: {formula!r}")
+    for reader, _ in _RDL_READERS:
+        reader(formula)
+        assert outcome(wrdl.free_vars, formula) == refused
+    weighted = wrdl.parse_wrdl("all y. (B(P[a](x)), EX X. B(dpast[<1](X, y)))")
+    assert wrdl.free_vars(weighted) == (frozenset({"x"}), frozenset())
+    for reader, _ in _RDL_READERS:
+        assert outcome(reader, weighted) == (TypeError, f"not a formula: {weighted!r}")
+
+
+@pytest.mark.parametrize("logic", ["rdl", "wrdl"])
+def test_kept_facts_match_the_oracles_in_any_order(logic):
+    # Every reader on every node, root, subformulas and payloads, twice
+    # and shuffled, so each is asked both before and after the facts of
+    # the others are kept; a reader of the other logic must still refuse.
+    rng = random.Random(9292)
+    refusals = 0
+    for _ in range(150):
+        if logic == "rdl":
+            formula = _fresh(random_rdl_formula(rng, depth=5))
+            nodes = list(rdl.iter_subformulas(formula))
+        else:
+            formula = _fresh(random_weighted_formula(rng, depth=4))
+            nodes = list(wrdl.iter_nodes(formula))
+            nodes += [sub for node in nodes if isinstance(node, wrdl.Bool)
+                      for sub in rdl.iter_subformulas(node.payload)]
+        asks = [(node, reader, oracle) for node in nodes for reader, oracle in _READERS] * 2
+        rng.shuffle(asks)
+        for node, reader, oracle in asks:
+            got = outcome(reader, node)
+            assert got == outcome(oracle, node)
+            refusals += isinstance(got, tuple) and got[0] is TypeError
+    assert refusals >= 1000
+
+
+def _frozen(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_frozen, value))
+    return isinstance(value, (frozenset, str))
+
+
+def test_kept_facts_are_immutable():
+    rng = random.Random(9393)
+    for _ in range(100):
+        formula = random_rdl_formula(rng, depth=4)
+        facts = rdl._facts(formula, rdl._SYNTAX)
+        assert rdl._facts(formula, rdl._SYNTAX) is facts
+        assert _frozen(facts)
+        assert type(rdl.variable_names(formula)) is frozenset
+        weighted = random_weighted_formula(rng, depth=3)
+        assert _frozen(rdl._facts(weighted, wrdl._SYNTAX))
+
+
+def test_a_second_ask_walks_for_no_facts(monkeypatch):
+    scoped, walk = [], rdl._walk
+
+    def counted(formula, *args, **kwargs):
+        if kwargs.get("scoped"):
+            scoped.append(formula)
+        return walk(formula, *args, **kwargs)
+
+    monkeypatch.setattr(rdl, "_walk", counted)
+    rng = random.Random(5)
+    word = sampling.random_word(rng, ("a", "b"), max_len=3)
+    for _ in range(40):
+        sentence = sampling.random_restricted_sentence(rng, ("a", "b"))
+        formula = _fresh(sentence)
+        payloads = [node.payload for node in wrdl.iter_nodes(formula)
+                    if isinstance(node, wrdl.Bool)]
+        scoped.clear()
+        wrdl.canonicalize(formula, SUM0)
+        assert all(sum(walked is node for walked in scoped) <= 1
+                   for node in [formula] + payloads)
+        for ask in (wrdl.wrdl_classify, wrdl.free_vars,
+                    lambda f: wrdl.wrdl_eval(f, word, SUM0)):
+            formula = _fresh(sentence)
+            ask(formula)
+            scoped.clear()
+            ask(formula)
+            assert scoped == []
